@@ -21,7 +21,7 @@ from .harness import (
     run_coreset,
     speedup,
 )
-from .kcenters import KCentersResult, greedy_kcenters, kcenter_radius, kcenters_full_ranking
+from .kcenters import KCentersResult, greedy_kcenters
 from .learner import (
     LearnerSpec,
     SynthParams,
@@ -84,8 +84,6 @@ __all__ = [
     "finalize",
     "fit",
     "greedy_kcenters",
-    "kcenter_radius",
-    "kcenters_full_ranking",
     "least_confidence",
     "make_synthetic",
     "margin",

@@ -1,11 +1,32 @@
 """Greedy k-centers selection over a feature matrix.
 
-Repeatedly adds the point farthest (Euclidean) from the current center set.
-A per-example minimum-distance cache is refreshed with one pass over the pool
-per added center, so total cost is O((|initial| + budget) * n * d) rather than
-the quadratic-in-n cost of recomputing all pairwise distances each step.
-Squared distances drive the argmax (monotone-equivalent); reported distances
-are true Euclidean. Argmax ties resolve to the lowest index.
+Repeatedly adds the point farthest (Euclidean) from the current center set
+(the farthest-first traversal of Gonzalez, 1985). Argmax ties resolve to the
+lowest index.
+
+Cost model. Squared distances are screened in the expanded form
+``|x|^2 - 2 x.c + |c|^2``, with the row norms computed once. The initial set
+is folded into a per-example nearest-distance cache by one GEMM per block of
+d/2 centers, so the block-by-n temporary is half of one n-by-d pass. Each
+greedy step is then one GEMV into a preallocated buffer, an in-place
+``np.minimum`` and a few O(n) passes: O((|initial| + budget) * n * d) flops
+in all, spent in BLAS instead of one n-by-d difference array per center.
+
+Certification. Rounding makes the expanded form differ from the exact
+difference form ``sum((x - c)^2)`` by at most ``tol``, a bound derived from
+d, machine epsilon and the largest squared row norm. On its own the expanded
+form would let BLAS summation order (a row's position, the thread count)
+decide between tied or near-tied points. So each example also keeps its
+exact difference-form distance to the nearest center, updated only for the
+pairs whose expanded form lies within 2*tol of the example's minimum (no
+other center can be the exact nearest), which is a handful of rows per step.
+Each step then ranks every example within 2*tol of the expanded-form maximum
+by that exact distance, lowest index first on ties. The selection is the one
+the difference form alone gives, whatever the BLAS.
+
+Reported distances (``picked_dists``, ``min_dists``) are those exact
+difference-form values, square-rooted: bit-equal to folding every center in
+with ``sum((x - c)^2)``.
 """
 
 from __future__ import annotations
@@ -55,55 +76,89 @@ def _check_index_set(indices, n: int, what: str) -> np.ndarray:
     return idx
 
 
-def _sq_dists_to(x: np.ndarray, center_row: np.ndarray) -> np.ndarray:
-    diff = x - center_row
-    return np.einsum("ij,ij->i", diff, diff)
+def _expanded_error_bound(sq: np.ndarray, d: int) -> float:
+    """Bound on |expanded form - difference form| over all pairs of rows.
+
+    Each form lies within gamma_{d+3} * (|x| + |c|)^2 <= 4 * gamma_{d+3} * M
+    of the true squared distance, where M is the largest squared row norm and
+    gamma_k = k*u / (1 - k*u), u = eps/2, whatever the summation order. Their
+    gap is at most twice that; the constant below keeps another factor of 2
+    spare, and the second term covers absolute rounding among subnormals.
+    """
+    info = np.finfo(np.float64)
+    return 8.0 * (d + 3) * (info.eps * float(sq.max()) + info.tiny)
 
 
 def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResult:
     """Add ``budget`` points, each the current farthest-from-set example."""
     x = _check_features(features)
-    n = x.shape[0]
+    n, d = x.shape
     init = _check_index_set(initial, n, "initial set")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if budget > n - init.size:
         raise ValueError(f"budget {budget} exceeds pool of {n - init.size} candidates")
 
-    min_sq = np.full(n, np.inf)
-    for j in init:
-        min_sq = np.minimum(min_sq, _sq_dists_to(x, x[j]))
+    x = np.ascontiguousarray(x)
+    sq = np.einsum("ij,ij->i", x, x)
+    if not sq.max() <= np.finfo(np.float64).max / 4.0:
+        raise ValueError("features too large: squared distances overflow float64")
+    tol2 = 2.0 * _expanded_error_bound(sq, d)
 
-    in_set = np.zeros(n, dtype=bool)
-    in_set[init] = True
+    # Per example, the squared distance to the nearest center twice over: in
+    # the expanded form (-inf once the example is a center), which screens,
+    # and in the exact difference form, which ranks near-ties and is
+    # reported. The two stay within tol2 / 2 of each other.
+    approx = np.full(n, np.inf)
+    exact = np.full(n, np.inf)
+
+    # A center's exact distance is folded in only where its expanded form is
+    # within tol2 of the example's new expanded-form minimum; no other center
+    # can be the exact nearest. Differences are formed in place, and a pair's
+    # value depends on its two rows alone, not on which pairs are evaluated
+    # together. The first block makes such a pair for every example, so the
+    # block is kept to d/2 centers: block plus differences stay within
+    # 1.5 n-by-d passes.
+    width = min(max(1, d // 2), init.size)
+    buf = np.empty(width * n)
+    for start in range(0, init.size, width):
+        block = init[start : start + width]
+        dots = buf[: block.size * n].reshape(block.size, n)
+        np.dot(x[block], x.T, out=dots)
+        dots *= -2.0
+        dots += sq
+        dots += sq[block, None]
+        np.minimum(approx, dots.min(axis=0), out=approx)
+        cols, rows = np.divmod(np.flatnonzero(dots <= approx + tol2), n)
+        diff = x[rows]
+        bounds = np.searchsorted(cols, np.arange(block.size + 1))
+        for j, c in enumerate(block):
+            diff[bounds[j] : bounds[j + 1]] -= x[c]
+        np.minimum.at(exact, rows, np.einsum("ij,ij->i", diff, diff))
+    approx[init] = -np.inf
+
     order = np.empty(budget, dtype=np.int64)
     picked = np.empty(budget, dtype=np.float64)
+    dots = buf[:n]
     for t in range(budget):
-        masked = np.where(in_set, -np.inf, min_sq)
-        u = int(np.argmax(masked))  # first occurrence = lowest index on ties
+        # Every example whose exact distance could be the maximum, ranked
+        # exactly; lowest index first on ties.
+        cands = np.flatnonzero(approx >= approx.max() - tol2)
+        u = int(cands[np.argmax(exact[cands])])
         order[t] = u
-        picked[t] = np.sqrt(min_sq[u])
-        in_set[u] = True
-        min_sq = np.minimum(min_sq, _sq_dists_to(x, x[u]))
+        picked[t] = np.sqrt(exact[u])
+        np.dot(x, x[u], out=dots)
+        dots *= -2.0
+        dots += sq
+        dots += sq[u]
+        np.minimum(approx, dots, out=approx)
+        rows = np.flatnonzero(dots <= approx + tol2)
+        diff = x[rows]
+        diff -= x[u]
+        np.minimum.at(exact, rows, np.einsum("ij,ij->i", diff, diff))
+        approx[u] = -np.inf
 
-    return KCentersResult(order=order, min_dists=np.sqrt(min_sq), picked_dists=picked)
-
-
-def kcenter_radius(features: np.ndarray, centers) -> float:
-    """Max over examples of distance to the nearest center."""
-    x = _check_features(features)
-    c = _check_index_set(centers, x.shape[0], "centers")
-    min_sq = np.full(x.shape[0], np.inf)
-    for j in c:
-        min_sq = np.minimum(min_sq, _sq_dists_to(x, x[j]))
-    return float(np.sqrt(min_sq.max()))
-
-
-def kcenters_full_ranking(features: np.ndarray, initial) -> np.ndarray:
-    """Rank all non-initial points by greedy addition order (earliest first)."""
-    x = _check_features(features)
-    init = _check_index_set(initial, x.shape[0], "initial set")
-    return greedy_kcenters(x, init, x.shape[0] - init.size).order
+    return KCentersResult(order=order, min_dists=np.sqrt(exact), picked_dists=picked)
 
 
 def write_order_csv(result: KCentersResult, path: str) -> None:

@@ -34,7 +34,8 @@ def margin(p: np.ndarray) -> np.ndarray:
 
 
 SCORERS = {
-    "confidence": least_confidence,
+    "least_confidence": least_confidence,
+    "confidence": least_confidence,  # older name, kept as an alias
     "entropy": entropy,
     "margin": margin,
 }

@@ -1,7 +1,9 @@
-"""Shared test utilities: scripted clocks, geometry builders, gradient probes."""
+"""Shared test utilities: scripted clocks, geometry builders, gradient probes,
+and the difference-form k-centers oracle."""
 
 import numpy as np
 
+from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, init_params, loss_and_grads
 from svp.rng import SplitMix64, derive_seed
 
@@ -88,3 +90,47 @@ def max_gradient_mismatch(kind, params, x, y):
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
             worst = max(worst, rel)
     return worst
+
+
+def _sq_dists_to(x, center_row):
+    diff = x - center_row
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def kcenters_oracle(features, initial, budget):
+    """Greedy k-centers by one difference-form pass per center.
+
+    The reference for ``svp.kcenters.greedy_kcenters``: folds each center in
+    with ``sum((x - c)^2)`` and takes the first argmax (lowest index on
+    ties). Returns (order, picked_dists, min_dists).
+    """
+    x = np.asarray(features, dtype=np.float64)
+    init = np.asarray(initial, dtype=np.int64).reshape(-1)
+    if init.size == 0:
+        raise ValueError("initial set must be nonempty")
+    min_sq = np.full(x.shape[0], np.inf)
+    for j in init:
+        min_sq = np.minimum(min_sq, _sq_dists_to(x, x[j]))
+    in_set = np.zeros(x.shape[0], dtype=bool)
+    in_set[init] = True
+    order = np.empty(budget, dtype=np.int64)
+    picked = np.empty(budget, dtype=np.float64)
+    for t in range(budget):
+        masked = np.where(in_set, -np.inf, min_sq)
+        u = int(np.argmax(masked))
+        order[t] = u
+        picked[t] = np.sqrt(min_sq[u])
+        in_set[u] = True
+        min_sq = np.minimum(min_sq, _sq_dists_to(x, x[u]))
+    return order, picked, np.sqrt(min_sq)
+
+
+def kcenter_radius(features, centers):
+    """Max over examples of distance to the nearest center."""
+    return float(kcenters_oracle(features, centers, 0)[2].max())
+
+
+def kcenters_full_ranking(features, initial):
+    """Rank all non-initial points by greedy addition order (earliest first)."""
+    n = np.asarray(features).shape[0]
+    return greedy_kcenters(features, initial, n - np.asarray(initial).size).order

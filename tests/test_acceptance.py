@@ -13,7 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ScriptClock, draw_gradient_case, max_gradient_mismatch, three_blob
+from helpers import (
+    ScriptClock,
+    draw_gradient_case,
+    kcenter_radius,
+    max_gradient_mismatch,
+    three_blob,
+)
 from svp.forgetting import ForgettingState, finalize, process_log, streaming_update
 from svp.harness import (
     ALConfig,
@@ -24,7 +30,7 @@ from svp.harness import (
     run_coreset,
     speedup,
 )
-from svp.kcenters import greedy_kcenters, kcenter_radius
+from svp.kcenters import greedy_kcenters
 from svp.learner import (
     LearnerSpec,
     SynthParams,

@@ -66,6 +66,19 @@ class TestScore:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_least_confidence_and_alias_agree(self, tmp_path):
+        probs_path = tmp_path / "p.svpt"
+        write_tensor(PROBS, probs_path)
+        outs = []
+        for method in ("least_confidence", "confidence"):
+            out = tmp_path / f"{method}.csv"
+            assert main(["score", "--method", method, "--probs", str(probs_path),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert np.array_equal(read_scores_csv(tmp_path / "least_confidence.csv"),
+                              scoring.least_confidence(PROBS))
+
     def test_unknown_method_is_usage_error(self, tmp_path):
         assert main(["score", "--method", "softmax", "--probs", "p", "--out", "o"]) == 2
 

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import svp
 from helpers import ScriptClock, three_blob
 from svp.forgetting import process_log, select_most_forgotten
 from svp.harness import (
@@ -439,3 +443,42 @@ class TestReportsAndConfig:
             execute_config({**good, "data": {"features": "x.svpt"}})
         with pytest.raises(ValueError):
             execute_config([good])
+
+
+class TestBlasThreadDeterminism:
+    # BLAS results can depend on the thread count (how the work, and so the
+    # summation, is split); k-centers ranks points with GEMV/GEMM output and
+    # the learners train with matmul. The report bytes must not depend on it.
+    CONFIG = {
+        "task": "al",
+        "method": "kcenters",
+        "seed": 5,
+        "budget_fraction": 0.2,
+        "proxy": {"kind": "logistic", "epochs": 2, "learning_rate": 0.3,
+                  "batch_size": 32, "seed": 1},
+        "target": {"kind": "mlp", "epochs": 2, "learning_rate": 0.3,
+                   "batch_size": 32, "seed": 2, "hidden_units": 32},
+        "data": {"synthetic": {"classes": 5, "dim": 24, "separation": 0.5, "noise": 1.0,
+                               "n_train": 3000, "n_test": 500, "seed": 9}},
+    }
+    SCRIPT = (
+        "import json, sys\n"
+        "from svp.harness import execute_config\n"
+        "report, _ = execute_config(json.loads(sys.argv[1]))\n"
+        "sys.stdout.write(json.dumps(report.deterministic_dict(), sort_keys=True))\n"
+    )
+
+    def run_with_threads(self, threads):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(svp.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.CONFIG)],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        return done.stdout
+
+    def test_report_bytes_equal_for_one_and_two_threads(self):
+        one = self.run_with_threads(1)
+        assert json.loads(one)["method"] == "kcenters"
+        assert one == self.run_with_threads(2)

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svp.kcenters import greedy_kcenters, kcenter_radius, kcenters_full_ranking, write_order_csv
+from helpers import kcenter_radius, kcenters_full_ranking, kcenters_oracle
+from svp.kcenters import greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
 
 
@@ -77,6 +80,47 @@ class TestOracleEquivalence:
         np.testing.assert_allclose(res.min_dists, expected, rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def near_tie_instances(draw):
+    """Float matrices built to put the expanded form's rounding in play.
+
+    n >= 33 reaches the BLAS kernels' tail-row paths. Rows are drawn from a
+    small set of distinct rows (exact duplicates, so exact distance ties),
+    optionally on an integer grid (equal distances between distinct rows),
+    jittered by about 1e-9 (near-duplicates) and shifted by a large common
+    offset (cancellation in |x|^2 - 2x.c + |c|^2).
+    """
+    n = draw(st.integers(33, 96))
+    d = draw(st.integers(1, 24))
+    distinct = draw(st.integers(1, n))
+    grid = draw(st.booleans())
+    jitter = draw(st.sampled_from([0.0, 1e-9]))
+    offset = draw(st.sampled_from([0.0, 1e3, -2.5e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if grid:
+        base = rng.integers(-2, 3, size=(distinct, d)).astype(np.float64)
+    else:
+        base = rng.standard_normal((distinct, d))
+    x = base[rng.integers(0, distinct, size=n)]
+    x = x + jitter * rng.standard_normal((n, d)) * (rng.random((n, 1)) < 0.5)
+    x = x + offset
+    k0 = draw(st.integers(1, 24))  # several GEMM blocks in the initial fold
+    budget = draw(st.integers(0, n - k0))
+    return x, rng.permutation(n)[:k0], budget
+
+
+class TestDifferenceFormOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_tie_instances())
+    def test_bit_equal_to_oracle_on_near_ties(self, instance):
+        x, initial, budget = instance
+        res = greedy_kcenters(x, initial, budget)
+        order, picked, min_dists = kcenters_oracle(x, initial, budget)
+        assert res.order.tolist() == order.tolist()
+        assert res.picked_dists.tobytes() == picked.tobytes()
+        assert res.min_dists.tobytes() == min_dists.tobytes()
+
+
 class TestApproximationAndInvariances:
     def test_two_approximation_small(self):
         rng = SplitMix64(2002)
@@ -143,6 +187,8 @@ class TestErrors:
             greedy_kcenters(np.zeros((0, 2)), [0], 0)
         with pytest.raises(ValueError):
             greedy_kcenters(np.array([[np.inf, 0.0]]), [0], 0)
+        with pytest.raises(ValueError, match="overflow"):
+            greedy_kcenters(np.array([[1e154], [-1e154]]), [0], 1)
 
 
 class TestCsvExport:
