@@ -2,14 +2,7 @@
 events, rank diagnostics, and proxy-driven selection protocols with
 desk-scale learners."""
 
-from .forgetting import (
-    ForgettingScores,
-    ForgettingState,
-    finalize,
-    process_log,
-    select_most_forgotten,
-    streaming_update,
-)
+from .forgetting import ForgettingScores, process_log, select_most_forgotten
 from .harness import (
     ALConfig,
     RunReport,
@@ -60,7 +53,6 @@ __all__ = [
     "BadMagicError",
     "DegenerateInputError",
     "ForgettingScores",
-    "ForgettingState",
     "FormatError",
     "InvalidHeaderError",
     "InvalidValueError",
@@ -81,7 +73,6 @@ __all__ = [
     "entropy",
     "error_rate",
     "execute_config",
-    "finalize",
     "fit",
     "greedy_kcenters",
     "least_confidence",
@@ -101,7 +92,6 @@ __all__ = [
     "select_most_forgotten",
     "spearman",
     "speedup",
-    "streaming_update",
     "top_m",
     "validate_prob_matrix",
     "write_tensor",

@@ -25,6 +25,8 @@ from .ranking_diag import pearson, scores_to_ranks, spearman
 from .tensor_io import (
     LOG_MAGIC,
     InvalidValueError,
+    read_csv,
+    read_csv_header,
     read_scores_csv,
     read_tensor,
     read_train_log,
@@ -84,6 +86,10 @@ def _load_train_log(path: str) -> np.ndarray:
     return read_train_log_csv(path)
 
 
+# k-centers order file, as written by ``kcenters.write_order_csv``.
+_ORDER_CSV = np.dtype([("rank", np.float64), ("example_id", np.int64), ("min_dist", np.float64)])
+
+
 def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load scores keyed by example id from either CSV layout.
 
@@ -91,29 +97,16 @@ def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     (``rank,example_id,min_dist``) is converted to scores as negated rank,
     so earlier-added points score higher.
     """
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        header = next(_csv.reader(fh), None)
+    header = read_csv_header(path)
     if header == ["example_id", "score"]:
         scores = read_scores_csv(path)
         return np.arange(scores.shape[0], dtype=np.int64), scores
-    if header == ["rank", "example_id", "min_dist"]:
-        ids, scores = [], []
-        with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            for lineno, rec in enumerate(reader, start=2):
-                if len(rec) != 3:
-                    raise InvalidValueError(f"{path}:{lineno}: expected 3 fields")
-                ids.append(int(rec[1]))
-                scores.append(-float(rec[0]))
-        if not ids:
-            raise InvalidValueError(f"{path}: no data rows")
-        ids = np.asarray(ids, dtype=np.int64)
+    if header == list(_ORDER_CSV.names):
+        rows = read_csv(path, _ORDER_CSV)
+        ids = rows["example_id"]
         if np.unique(ids).size != ids.size:
             raise InvalidValueError(f"{path}: duplicate example ids")
-        return ids, np.asarray(scores, dtype=np.float64)
+        return ids, -rows["rank"]
     raise InvalidValueError(f"{path}: unrecognized header {header}")
 
 
@@ -223,9 +216,7 @@ def _cmd_correlate(args) -> int:
 def _cmd_run(args, task: str) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
-    if config.get("task") != task:
-        raise ValueError(f"config task is {config.get('task')!r}, expected {task!r}")
-    report, output = harness.execute_config(config)
+    report, output = harness.execute_config(config, task=task)
     if output is None:
         sys.stdout.write(harness.report_json(config, report))
     return 0

@@ -17,14 +17,6 @@ from .tensor_io import check_train_log
 
 
 @dataclass(frozen=True)
-class ForgettingState:
-    """Streaming per-example accumulator: last observed accuracy and count."""
-
-    prev: bool = False
-    count: int = 0
-
-
-@dataclass(frozen=True)
 class ForgettingScores:
     """Per-example forgetting summary, aligned with example indices."""
 
@@ -36,22 +28,6 @@ class ForgettingScores:
             raise ValueError("never_learned and counts must align")
         if (self.counts[self.never_learned] != 0).any():
             raise ValueError("a never-learned example cannot have events")
-
-
-def streaming_update(state: ForgettingState, acc: bool) -> ForgettingState:
-    """Fold one observation into the state; accuracy observed pre-update."""
-    acc = bool(acc)
-    return ForgettingState(prev=acc, count=state.count + (1 if state.prev and not acc else 0))
-
-
-def finalize(state: ForgettingState) -> tuple[bool, int]:
-    """(never_learned, count) for a fully folded row.
-
-    A row containing any 1 that is later followed by a 0 must contain an
-    adjacent 1->0 pair, so count == 0 with prev == 0 happens only for
-    all-zero rows; the two-field state suffices.
-    """
-    return (state.count == 0 and not state.prev, state.count)
 
 
 def process_log(log: np.ndarray) -> ForgettingScores:
@@ -88,14 +64,3 @@ def write_forgetting_csv(scores: ForgettingScores, path: str) -> None:
     for i in range(scores.counts.shape[0]):
         lines.append(f"{i},{int(scores.never_learned[i])},{int(scores.counts[i])}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def scores_as_reals(scores: ForgettingScores) -> np.ndarray:
-    """Real-valued view for rank diagnostics: never_learned above any count.
-
-    Maps count k to k and never_learned examples to (max observed count) + 1,
-    preserving the total order among distinct scores. Index tie-breaking is
-    the consumer's concern, as everywhere else.
-    """
-    top = float(scores.counts.max()) + 1.0
-    return np.where(scores.never_learned, top, scores.counts.astype(np.float64))

@@ -34,6 +34,8 @@ from .kcenters import greedy_kcenters
 from .learner import (
     LearnerSpec,
     SynthParams,
+    check_number,
+    check_object,
     embed,
     error_rate,
     fit,
@@ -59,9 +61,9 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("initial", "first", "subsequent"):
-            v = getattr(self, name)
+            v = check_number(getattr(self, name), f"schedule {name}")
             if not (np.isfinite(v) and 0.0 < v <= 1.0):
-                raise ValueError(f"schedule {name} must lie in (0, 1], got {v}")
+                raise ValueError(f"schedule {name} must lie in (0, 1], got {v!r}")
 
 
 DEFAULT_SCHEDULE = Schedule(initial=0.02, first=0.08, subsequent=0.10)
@@ -202,6 +204,55 @@ def _fit_seed(run_seed: int, salt: str, spec: LearnerSpec) -> int:
     return derive_seed(derive_seed(run_seed, salt), spec.seed)
 
 
+def _from_object(cls, d, what: str):
+    """``cls`` built from a decoded JSON object holding exactly its fields."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return cls(**check_object(d, what, names, required=names))
+
+
+def _scorer_selector(name: str):
+    def select(proxy, x, pool, quota, seed, stage):
+        scores = scoring.SCORERS[name](predict_proba(proxy, x[pool]))
+        return pool[scoring.top_m(scores, quota)]
+
+    return select
+
+
+def _kcenters_selector(proxy, x, pool, quota, seed, stage):
+    outside = np.ones(x.shape[0], dtype=bool)
+    outside[pool] = False
+    centers = np.flatnonzero(outside)
+    if centers.size:
+        return greedy_kcenters(embed(proxy, x), centers, quota).order
+    start = random_select(pool, 1, derive_seed(seed, "kcenters-start"))
+    return np.concatenate([start, greedy_kcenters(embed(proxy, x), start, quota - 1).order])
+
+
+def _forgetting_selector(proxy, x, pool, quota, seed, stage):
+    if proxy.train_log is None:
+        raise ValueError("forgetting selection needs a proxy trained for >= 1 epoch")
+    return select_most_forgotten(process_log(proxy.train_log), quota)
+
+
+def _random_selector(proxy, x, pool, quota, seed, stage):
+    return random_select(pool, quota, derive_seed(seed, f"random-{stage}"))
+
+
+# One table of selection methods for both protocols:
+# SELECTORS[method](proxy, x, pool, quota, seed, stage) picks ``quota`` ids
+# from ``pool`` with the fitted proxy. Random draws are salted from the run
+# ``seed`` and ``stage`` ("round-<k>" in active learning, "subset" in core-set
+# selection). k-centers starts from the rows outside the pool, or from one
+# seeded random row when the pool is every row. Forgetting ranks the rows of
+# the proxy's training log, so the proxy must have been fitted on the pool.
+SELECTORS = {
+    **{name: _scorer_selector(name) for name in scoring.SCORERS},
+    "kcenters": _kcenters_selector,
+    "forgetting": _forgetting_selector,
+    "random": _random_selector,
+}
+
+
 def _al_selection_pass(
     cfg: ALConfig,
     x: np.ndarray,
@@ -229,13 +280,7 @@ def _al_selection_pass(
             proxy_spec, seed=_fit_seed(cfg.seed, f"proxy-round-{k}", proxy_spec)
         )
         proxy = fit(spec_k, x[labeled], y[labeled], n_classes=c)
-        if cfg.method == "least_confidence":
-            scores = scoring.least_confidence(predict_proba(proxy, x[unlabeled]))
-            picked = unlabeled[scoring.top_m(scores, quota)]
-        elif cfg.method == "kcenters":
-            picked = greedy_kcenters(embed(proxy, x), labeled, quota).order
-        else:
-            picked = random_select(unlabeled, quota, derive_seed(cfg.seed, f"random-round-{k}"))
+        picked = SELECTORS[cfg.method](proxy, x, unlabeled, quota, cfg.seed, f"round-{k}")
         t1 = clock()
         round_seconds.append(t1 - t0)
         proxy_errors.append(error_rate(proxy, xt, yt))
@@ -316,18 +361,7 @@ def _coreset_select(
     t0 = clock()
     spec = dataclasses.replace(proxy_spec, seed=_fit_seed(seed, "proxy-fit", proxy_spec))
     proxy = fit(spec, x, y, n_classes=c)
-    if method == "entropy":
-        subset = scoring.top_m(scoring.entropy(predict_proba(proxy, x)), m)
-    elif method == "forgetting":
-        if proxy.train_log is None:
-            raise ValueError("forgetting selection needs a proxy trained for >= 1 epoch")
-        subset = select_most_forgotten(process_log(proxy.train_log), m)
-    elif method == "kcenters":
-        start = random_select(np.arange(n), 1, derive_seed(seed, "kcenters-start"))
-        order = greedy_kcenters(embed(proxy, x), start, m - 1).order
-        subset = np.concatenate([start, order])
-    else:
-        subset = random_select(np.arange(n), m, derive_seed(seed, "random-subset"))
+    subset = SELECTORS[method](proxy, x, np.arange(n), m, seed, "subset")
     t1 = clock()
     return np.sort(subset), error_rate(proxy, xt, yt), t1 - t0
 
@@ -408,14 +442,17 @@ def load_data_section(section: dict):
     {"features", "labels", "test_features", "test_labels"} with SVPT tensors
     and ``example_id,label`` CSVs.
     """
+    check_object(section, "data")
     if "synthetic" in section:
-        params = dict(section["synthetic"])
-        ds = make_synthetic(SynthParams(**params))
+        ds = make_synthetic(_from_object(SynthParams, section["synthetic"], "data.synthetic"))
         return (ds.features, ds.labels), (ds.test_features, ds.test_labels)
     needed = {"features", "labels", "test_features", "test_labels"}
     missing = needed - set(section)
     if missing:
         raise ValueError(f"data section needs synthetic params or file paths; missing {sorted(missing)}")
+    not_paths = sorted(k for k in needed if not isinstance(section[k], str))
+    if not_paths:
+        raise ValueError(f"data file paths must be strings: {not_paths}")
     train = (read_tensor(section["features"]), read_labels_csv(section["labels"]))
     test = (read_tensor(section["test_features"]), read_labels_csv(section["test_labels"]))
     return train, test
@@ -429,16 +466,13 @@ def report_json(config: dict, report: RunReport) -> str:
 def rounds_csv(report: RunReport) -> str:
     """Flat per-round rows; the initial stage has no fit or timing."""
     lines = ["round,labeled_size,proxy_test_error,seconds"]
+    sizes = report.round_sizes
     if report.task == "al":
-        lines.append(f"0,{report.round_sizes[0]},,")
-        stages = zip(report.round_sizes[1:], report.round_proxy_errors, report.round_seconds)
-        for k, (size, err, sec) in enumerate(stages, start=1):
-            lines.append(f"{k},{size},{err!r},{sec!r}")
-    else:
-        for k, (size, err, sec) in enumerate(
-            zip(report.round_sizes, report.round_proxy_errors, report.round_seconds), start=1
-        ):
-            lines.append(f"{k},{size},{err!r},{sec!r}")
+        lines.append(f"0,{sizes[0]},,")
+        sizes = sizes[1:]
+    stages = zip(sizes, report.round_proxy_errors, report.round_seconds)
+    for k, (size, err, sec) in enumerate(stages, start=1):
+        lines.append(f"{k},{size},{err!r},{sec!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -447,38 +481,47 @@ def _csv_path_for(output: str) -> str:
     return base + ".rounds.csv"
 
 
-def execute_config(config: dict, clock: Callable[[], float] = time.perf_counter) -> tuple[RunReport, Optional[str]]:
+def execute_config(
+    config: dict,
+    clock: Callable[[], float] = time.perf_counter,
+    task: Optional[str] = None,
+) -> tuple[RunReport, Optional[str]]:
     """Run the task described by a config dict; write outputs if requested.
 
-    Returns the report and the JSON output path (None when no ``output``).
+    When ``task`` is given, the config's task must be that one. Returns the
+    report and the JSON output path (None when no ``output``).
     """
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
+    check_object(config, "config")
+    if task is not None and config.get("task") != task:
+        raise ValueError(f"config task is {config.get('task')!r}, expected {task!r}")
     task = config.get("task")
     if task not in ("al", "coreset"):
         raise ValueError(f"task must be 'al' or 'coreset', got {task!r}")
     for key in ("proxy", "target", "method", "seed", "data"):
         if key not in config:
             raise ValueError(f"config is missing {key!r}")
+    output = config.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"output must be a path string, got {output!r}")
     proxy = LearnerSpec.from_dict(config["proxy"])
     target = LearnerSpec.from_dict(config["target"])
-    seed = int(config["seed"])
+    seed = int(check_number(config["seed"], "seed", integer=True))
     train, test = load_data_section(config["data"])
     measure = bool(config.get("measure_baseline", False))
     baseline_seconds = config.get("baseline_seconds")
     if baseline_seconds is not None:
-        baseline_seconds = float(baseline_seconds)
+        baseline_seconds = float(check_number(baseline_seconds, "baseline_seconds"))
 
     if task == "al":
         if "budget_fraction" not in config:
             raise ValueError("al config needs budget_fraction")
         sched = config.get("schedule")
-        schedule = Schedule(**sched) if sched else DEFAULT_SCHEDULE
+        schedule = _from_object(Schedule, sched, "schedule") if sched else DEFAULT_SCHEDULE
         cfg = ALConfig(
             proxy=proxy,
             target=target,
             method=config["method"],
-            budget_fraction=float(config["budget_fraction"]),
+            budget_fraction=float(check_number(config["budget_fraction"], "budget_fraction")),
             schedule=schedule,
             seed=seed,
         )
@@ -493,7 +536,7 @@ def execute_config(config: dict, clock: Callable[[], float] = time.perf_counter)
             proxy,
             target,
             config["method"],
-            float(config["subset_fraction"]),
+            float(check_number(config["subset_fraction"], "subset_fraction")),
             train,
             test,
             seed,
@@ -503,7 +546,6 @@ def execute_config(config: dict, clock: Callable[[], float] = time.perf_counter)
             measure_baseline=measure,
         )
 
-    output = config.get("output")
     if output is not None:
         atomic_write_text(output, report_json(config, report))
         atomic_write_text(_csv_path_for(output), rounds_csv(report))

@@ -17,15 +17,41 @@ All training math runs in float64.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .forgetting import ForgettingScores
 from .rng import SplitMix64, derive_seed
 
 KINDS = ("logistic", "mlp")
+_SPEC_FIELDS = ("kind", "epochs", "learning_rate", "batch_size", "seed", "hidden_units")
+
+
+def check_object(d, what: str, fields=None, required=()) -> dict:
+    """A decoded JSON value that must be an object holding every key in
+    ``required`` and, when ``fields`` is given, no key outside it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(fields) if fields is not None else set()
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ValueError(f"{what} is missing {sorted(missing)}")
+    return d
+
+
+def check_number(value, name: str, integer: bool = False):
+    """A config number, unconverted: an integer where ``integer`` is set,
+    else an integer or a real. Booleans, strings and null are rejected,
+    never coerced."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,17 +92,15 @@ class LearnerSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LearnerSpec":
-        allowed = {"kind", "epochs", "learning_rate", "batch_size", "seed", "hidden_units"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown learner fields: {sorted(unknown)}")
+        check_object(d, "learner", _SPEC_FIELDS, required=_SPEC_FIELDS[:-1])
         return LearnerSpec(
             kind=d["kind"],
-            epochs=int(d["epochs"]),
-            learning_rate=float(d["learning_rate"]),
-            batch_size=int(d["batch_size"]),
-            seed=int(d["seed"]),
-            hidden_units=(int(d["hidden_units"]) if "hidden_units" in d else None),
+            epochs=int(check_number(d["epochs"], "epochs", integer=True)),
+            learning_rate=float(check_number(d["learning_rate"], "learning_rate")),
+            batch_size=int(check_number(d["batch_size"], "batch_size", integer=True)),
+            seed=int(check_number(d["seed"], "seed", integer=True)),
+            hidden_units=(int(check_number(d["hidden_units"], "hidden_units", integer=True))
+                          if "hidden_units" in d else None),
         )
 
 
@@ -87,7 +111,6 @@ class TrainedModel:
     n_features: int
     params: dict
     train_log: Optional[np.ndarray]  # (n, epochs) bool; None when epochs == 0
-    online_forgetting: Optional[ForgettingScores]
     loss_history: np.ndarray  # mean cross-entropy per epoch
 
 
@@ -190,8 +213,6 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     params = init_params(spec, x.shape[1], c)
 
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
-    prev_acc = np.zeros(n, dtype=np.bool_)
-    online_counts = np.zeros(n, dtype=np.int64)
     losses = np.zeros(spec.epochs)
 
     for epoch in range(spec.epochs):
@@ -200,29 +221,18 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
         for start in range(0, n, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
             loss, grads, logits = loss_and_grads(spec.kind, params, x[idx], y[idx])
-            correct = logits.argmax(axis=1) == y[idx]
-            train_log[idx, epoch] = correct
-            online_counts[idx] += prev_acc[idx] & ~correct
-            prev_acc[idx] = correct
+            train_log[idx, epoch] = logits.argmax(axis=1) == y[idx]
             for key, grad in grads.items():
                 params[key] -= spec.learning_rate * grad
             epoch_loss += loss * idx.shape[0]
         losses[epoch] = epoch_loss / n
 
-    if spec.epochs > 0:
-        online = ForgettingScores(
-            never_learned=(online_counts == 0) & ~prev_acc,
-            counts=online_counts,
-        )
-    else:
-        online = None
     return TrainedModel(
         spec=spec,
         n_classes=c,
         n_features=x.shape[1],
         params=params,
         train_log=train_log,
-        online_forgetting=online,
         loss_history=losses,
     )
 
@@ -242,11 +252,6 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
     return _softmax(forward_logits(model.spec.kind, model.params, x))
 
 
-def predict(model: TrainedModel, features) -> np.ndarray:
-    x = _check_dims(model, features)
-    return forward_logits(model.spec.kind, model.params, x).argmax(axis=1)
-
-
 def embed(model: TrainedModel, features) -> np.ndarray:
     """Final-hidden-layer representation; identity for the linear model."""
     x = _check_dims(model, features)
@@ -256,8 +261,10 @@ def embed(model: TrainedModel, features) -> np.ndarray:
 
 
 def error_rate(model: TrainedModel, features, labels) -> float:
+    """Fraction of rows whose arg-max class differs from the label."""
+    x = _check_dims(model, features)
     y = np.asarray(labels, dtype=np.int64)
-    return float(np.mean(predict(model, features) != y))
+    return float(np.mean(forward_logits(model.spec.kind, model.params, x).argmax(axis=1) != y))
 
 
 @dataclass(frozen=True)
@@ -271,6 +278,10 @@ class SynthParams:
     seed: int
 
     def __post_init__(self):
+        for name in ("classes", "dim", "n_train", "n_test", "seed"):
+            check_number(getattr(self, name), name, integer=True)
+        for name in ("separation", "noise"):
+            check_number(getattr(self, name), name)
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.dim < 1:

@@ -21,16 +21,21 @@ SVPL training-log file (per-example per-step correctness)
 
 A training log may also be imported from CSV with header
 ``example_id,epoch,correct``; the (id, epoch) grid must be complete with no
-duplicates. All writes go to a temporary file in the target directory and are
-renamed into place, so no partial output survives an error.
+duplicates. Every CSV reader goes through :func:`read_csv`, which enforces
+one set of rules: an exact header, one typed field per column on every data
+row, no blank lines. All writes go to a temporary file in the target
+directory and are renamed into place, so no partial output survives an
+error.
 """
 
 from __future__ import annotations
 
-import csv
 import os
+import re
 import struct
 import tempfile
+import warnings
+from typing import Optional
 
 import numpy as np
 
@@ -222,45 +227,133 @@ def read_train_log(path: str) -> np.ndarray:
     return payload.reshape(n, steps).astype(np.bool_)
 
 
+_LABELS_CSV = np.dtype([("example_id", np.int64), ("label", np.int64)])
+_SCORES_CSV = np.dtype([("example_id", np.int64), ("score", np.float64)])
+_LOG_CSV = np.dtype([("example_id", np.int64), ("epoch", np.int64), ("correct", np.int64)])
+
+# Where np.loadtxt reports a field it could not convert (0-based data row,
+# 1-based column).
+_LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
+
+
+def _split_fields(line: str) -> list:
+    """The fields of one CSV line, split as :func:`read_csv` splits them."""
+    return np.loadtxt([line], dtype=str, delimiter=",", quotechar='"', comments=None,
+                      ndmin=1).tolist()
+
+
+def read_csv_header(path: str) -> Optional[list]:
+    """Fields of the first line of a CSV file; None when that line is empty."""
+    with open(path) as fh:
+        line = fh.readline().rstrip("\n")
+    return _split_fields(line) if line else None
+
+
+def _fields_per_line(lines: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per line: the field count (one more than the commas outside double
+    quotes, 0 for an empty line) and whether its quotes are unbalanced."""
+    raw = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    quotes = np.flatnonzero(raw == ord('"'))
+    quotes_before = np.searchsorted(quotes, ends)
+    line_start_quotes = np.concatenate(([0], quotes_before[:-1]))
+    # A comma after an odd number of its own line's quotes is quoted.
+    line = np.searchsorted(ends, commas)
+    unquoted = (np.searchsorted(quotes, commas) - line_start_quotes[line]) % 2 == 0
+    counts = np.bincount(line[unquoted], minlength=ends.size) + 1
+    counts[np.diff(ends, prepend=-1) == 1] = 0
+    return counts, (quotes_before - line_start_quotes) % 2 == 1
+
+
+def read_csv(path: str, columns: np.dtype) -> np.ndarray:
+    """Read a CSV file into a structured array typed by ``columns``.
+
+    The first line must name exactly the fields of ``columns``, in order.
+    Every later line is a data row with one field per column; a blank line
+    is a row with no fields and is rejected. Lines may end in LF, CRLF or
+    CR, a field may be double-quoted within its line, and numbers may carry
+    surrounding spaces. Integer columns take integers only. Errors name the
+    file and, for a bad row, its line.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    names = list(columns.names)
+    header = _split_fields(lines[0]) if lines and lines[0] else None
+    if header != names:
+        raise InvalidValueError(f"{path}: expected header {','.join(names)}, got {header}")
+    body = lines[1:]
+    if not body:
+        raise InvalidValueError(f"{path}: CSV holds no data rows")
+    counts, open_quote = _fields_per_line(body)
+    bad = np.flatnonzero((counts != len(names)) | open_quote)
+    if bad.size:
+        i = int(bad[0])
+        if open_quote[i]:
+            raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
+        raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got {counts[i]}")
+    try:
+        with warnings.catch_warnings():
+            # numpy parses text such as "1.5" in an integer column as a float
+            # and only warns; as an error it is a ValueError like any other.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(body, dtype=columns, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except ValueError as exc:
+        at = _LOADTXT_AT.search(str(exc))
+        if at is None:
+            raise InvalidValueError(f"{path}: malformed row ({exc})") from exc
+        column = names[int(at[2]) - 1]
+        kind = "non-integer" if columns[column].kind == "i" else "non-numeric"
+        raise InvalidValueError(
+            f"{path}: line {int(at[1]) + 2}: malformed row, {kind} field {column}"
+        ) from exc
+
+
+def _by_example_id(path: str, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` placed at their ``ids``, which must cover 0..n-1 exactly once."""
+    n = ids.size
+    if ids.min() < 0 or ids.max() >= n or (np.bincount(ids, minlength=n) != 1).any():
+        raise InvalidValueError(f"{path}: example_id column must cover 0..n-1 exactly once")
+    out = np.empty(n, dtype=values.dtype)
+    out[ids] = values
+    return out
+
+
 def read_train_log_csv(path: str) -> np.ndarray:
     """Import a training log from CSV with header ``example_id,epoch,correct``.
 
     The (example_id, epoch) grid must be complete: ids 0..n-1 and epochs
     0..E-1 with every cell present exactly once.
     """
-    cells: dict[tuple[int, int], bool] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["example_id", "epoch", "correct"]:
-            raise InvalidValueError(f"expected header example_id,epoch,correct, got {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 3:
-                raise InvalidValueError(f"line {lineno}: expected 3 fields, got {len(rec)}")
-            try:
-                ex, ep, val = int(rec[0]), int(rec[1]), int(rec[2])
-            except ValueError as exc:
-                raise InvalidValueError(f"line {lineno}: non-integer field") from exc
-            if ex < 0 or ep < 0:
-                raise InvalidValueError(f"line {lineno}: negative example_id or epoch")
-            if val not in (0, 1):
-                raise InvalidValueError(f"line {lineno}: correct must be 0 or 1, got {val}")
-            if (ex, ep) in cells:
-                raise InvalidValueError(f"line {lineno}: duplicate cell ({ex}, {ep})")
-            cells[(ex, ep)] = bool(val)
-    if not cells:
-        raise InvalidValueError("log CSV holds no data rows")
-    n = max(ex for ex, _ in cells) + 1
-    steps = max(ep for _, ep in cells) + 1
-    if len(cells) != n * steps:
-        for ex in range(n):
-            for ep in range(steps):
-                if (ex, ep) not in cells:
-                    raise InvalidValueError(f"missing cell (example_id={ex}, epoch={ep})")
-    log = np.zeros((n, steps), dtype=np.bool_)
-    for (ex, ep), val in cells.items():
-        log[ex, ep] = val
-    return log
+    rows = read_csv(path, _LOG_CSV)
+    ex, ep, correct = rows["example_id"], rows["epoch"], rows["correct"]
+    bad = np.flatnonzero((ex < 0) | (ep < 0) | (correct < 0) | (correct > 1))
+    if bad.size:
+        i = int(bad[0])
+        if ex[i] < 0 or ep[i] < 0:
+            raise InvalidValueError(f"{path}: line {i + 2}: negative example_id or epoch")
+        raise InvalidValueError(f"{path}: line {i + 2}: correct must be 0 or 1, got {correct[i]}")
+    # A stable sort puts the cells in row-major order, repeats of a cell in
+    # file order. Unlike a count over id * E + epoch, it cannot overflow or
+    # allocate for one stray huge id.
+    order = np.lexsort((ep, ex))
+    ex, ep = ex[order], ep[order]
+    repeats = order[1:][(ex[1:] == ex[:-1]) & (ep[1:] == ep[:-1])]
+    if repeats.size:
+        i = int(repeats.min())
+        cell = (int(rows["example_id"][i]), int(rows["epoch"][i]))
+        raise InvalidValueError(f"{path}: line {i + 2}: duplicate cell {cell}")
+    # Distinct cells inside an n x E box fill it exactly when they number n * E.
+    n, steps = int(ex[-1]) + 1, int(ep.max()) + 1
+    if n * steps != ex.size:
+        want_ex, want_ep = np.divmod(np.arange(ex.size), steps)
+        gaps = np.flatnonzero((ex != want_ex) | (ep != want_ep))
+        k = int(gaps[0]) if gaps.size else ex.size
+        raise InvalidValueError(f"{path}: missing cell (example_id={k // steps}, epoch={k % steps})")
+    return (correct[order] == 1).reshape(n, steps)
 
 
 def write_scores_csv(scores: np.ndarray, path: str) -> None:
@@ -273,28 +366,8 @@ def write_scores_csv(scores: np.ndarray, path: str) -> None:
 
 def read_scores_csv(path: str) -> np.ndarray:
     """Read a CSV written by :func:`write_scores_csv` back to a float vector."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["example_id", "score"]:
-            raise InvalidValueError(f"expected header example_id,score, got {header}")
-        pairs = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 2:
-                raise InvalidValueError(f"line {lineno}: expected 2 fields, got {len(rec)}")
-            try:
-                pairs.append((int(rec[0]), float(rec[1])))
-            except ValueError as exc:
-                raise InvalidValueError(f"line {lineno}: malformed row") from exc
-    if not pairs:
-        raise InvalidValueError("scores CSV holds no data rows")
-    ids = sorted(i for i, _ in pairs)
-    if ids != list(range(len(pairs))):
-        raise InvalidValueError("example_id column must cover 0..n-1 exactly once")
-    out = np.empty(len(pairs), dtype=np.float64)
-    for i, v in pairs:
-        out[i] = v
-    return out
+    rows = read_csv(path, _SCORES_CSV)
+    return _by_example_id(path, rows["example_id"], rows["score"])
 
 
 def write_labels_csv(labels: np.ndarray, path: str) -> None:
@@ -306,27 +379,8 @@ def write_labels_csv(labels: np.ndarray, path: str) -> None:
 
 
 def read_labels_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["example_id", "label"]:
-            raise InvalidValueError(f"expected header example_id,label, got {header}")
-        pairs = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 2:
-                raise InvalidValueError(f"line {lineno}: expected 2 fields, got {len(rec)}")
-            try:
-                pairs.append((int(rec[0]), int(rec[1])))
-            except ValueError as exc:
-                raise InvalidValueError(f"line {lineno}: malformed row") from exc
-    if not pairs:
-        raise InvalidValueError("labels CSV holds no data rows")
-    ids = sorted(i for i, _ in pairs)
-    if ids != list(range(len(pairs))):
-        raise InvalidValueError("example_id column must cover 0..n-1 exactly once")
-    out = np.empty(len(pairs), dtype=np.int64)
-    for i, v in pairs:
-        out[i] = v
-    if (out < 0).any():
-        raise InvalidValueError("labels must be nonnegative")
-    return out
+    rows = read_csv(path, _LABELS_CSV)
+    labels = _by_example_id(path, rows["example_id"], rows["label"])
+    if (labels < 0).any():
+        raise InvalidValueError(f"{path}: labels must be nonnegative")
+    return labels

@@ -1,8 +1,11 @@
 """Shared test utilities: scripted clocks, geometry builders, gradient probes,
-and the difference-form k-centers oracle."""
+the difference-form k-centers oracle, and the streaming forgetting oracle."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from svp.forgetting import ForgettingScores
 from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, init_params, loss_and_grads
 from svp.rng import SplitMix64, derive_seed
@@ -134,3 +137,37 @@ def kcenters_full_ranking(features, initial):
     """Rank all non-initial points by greedy addition order (earliest first)."""
     n = np.asarray(features).shape[0]
     return greedy_kcenters(features, initial, n - np.asarray(initial).size).order
+
+
+@dataclass(frozen=True)
+class ForgettingState:
+    """Streaming per-example accumulator: last observed accuracy and count."""
+
+    prev: bool = False
+    count: int = 0
+
+
+def streaming_update(state, acc):
+    """Fold one observation into the state; accuracy observed pre-update."""
+    acc = bool(acc)
+    return ForgettingState(prev=acc, count=state.count + (1 if state.prev and not acc else 0))
+
+
+def finalize(state):
+    """(never_learned, count) for a fully folded row.
+
+    A row containing any 1 that is later followed by a 0 must contain an
+    adjacent 1->0 pair, so count == 0 with prev == 0 happens only for
+    all-zero rows; the two-field state suffices.
+    """
+    return (state.count == 0 and not state.prev, state.count)
+
+
+def scores_as_reals(scores: ForgettingScores) -> np.ndarray:
+    """Real-valued view for rank diagnostics: never_learned above any count.
+
+    Maps count k to k and never_learned examples to (max observed count) + 1,
+    preserving the total order among distinct scores.
+    """
+    top = float(scores.counts.max()) + 1.0
+    return np.where(scores.never_learned, top, scores.counts.astype(np.float64))

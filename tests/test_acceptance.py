@@ -14,13 +14,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ForgettingState,
     ScriptClock,
     draw_gradient_case,
+    finalize,
     kcenter_radius,
     max_gradient_mismatch,
+    streaming_update,
     three_blob,
 )
-from svp.forgetting import ForgettingState, finalize, process_log, streaming_update
+from svp.forgetting import process_log
 from svp.harness import (
     ALConfig,
     DEFAULT_SCHEDULE,

@@ -323,6 +323,65 @@ class TestRunCommands:
         assert doc["report"]["round_sizes"] == [4, 20]
 
 
+SYNTH = {"classes": 3, "dim": 4, "separation": 2.0, "noise": 1.0,
+         "n_train": 200, "n_test": 50, "seed": 11}
+SPEC = {"kind": "logistic", "epochs": 1, "learning_rate": 0.5, "batch_size": 16, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"proxy": [SPEC]}, "learner must be a JSON object"),
+        ({"proxy": {**SPEC, "epochs": None}}, "epochs must be an integer"),
+        ({"proxy": {**SPEC, "epochs": 2.9}}, "epochs must be an integer, got 2.9"),
+        ({"proxy": {**SPEC, "batch_size": "16"}}, "batch_size must be an integer, got '16'"),
+        ({"proxy": {**SPEC, "learning_rate": "0.5"}}, "learning_rate must be a number"),
+        ({"target": {k: v for k, v in SPEC.items() if k != "seed"}}, "learner is missing ['seed']"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": [5]}, "seed must be an integer"),
+        ({"seed": float("inf")}, "seed must be an integer"),
+        ({"budget_fraction": None}, "budget_fraction must be a number"),
+        ({"budget_fraction": "0.1"}, "budget_fraction must be a number"),
+        ({"baseline_seconds": [1.0]}, "baseline_seconds must be a number"),
+        ({"data": 5}, "data must be a JSON object"),
+        ({"data": {"synthetic": 5}}, "data.synthetic must be a JSON object"),
+        ({"data": {"synthetic": {k: v for k, v in SYNTH.items() if k != "dim"}}},
+         "data.synthetic is missing ['dim']"),
+        ({"data": {"synthetic": {**SYNTH, "classes": "3"}}}, "classes must be an integer"),
+        ({"data": {"synthetic": {**SYNTH, "noise": None}}}, "noise must be a number"),
+        ({"data": {"synthetic": {**SYNTH, "classes": True}}}, "classes must be an integer"),
+        ({"data": {"features": 5, "labels": 6, "test_features": 7, "test_labels": 8}},
+         "data file paths must be strings"),
+        ({"schedule": {"initial": 0.02, "first": 0.08, "subsequent": 0.1, "extra": 1}},
+         "unknown schedule fields: ['extra']"),
+        ({"schedule": {"initial": 0.02, "first": None, "subsequent": 0.1}},
+         "schedule first must be a number"),
+        ({"schedule": {"initial": 0.02, "first": "0.08", "subsequent": 0.1}},
+         "schedule first must be a number"),
+        ({"schedule": {"initial": 0.02, "first": 0.08}}, "schedule is missing ['subsequent']"),
+        ({"schedule": [0.02]}, "schedule must be a JSON object"),
+        ({"output": 5}, "output must be a path string"),
+    ],
+)
+def test_malformed_config_is_one_line_error(tmp_path, capsys, overrides, fragment):
+    base = {"task": "al", "method": "random", "budget_fraction": 0.1, "data": {"synthetic": SYNTH}}
+    cfg = coreset_config(tmp_path, **{**base, **overrides})
+    assert main(["al", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_top_level_list_config_is_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[]")
+    assert main(["al", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "config must be a JSON object" in err
+
+
 class TestSynth:
     def test_generates_readable_files(self, tmp_path):
         args = ["synth", "--classes", "3", "--dim", "4", "--separation", "2.0",

@@ -3,15 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ForgettingState, finalize, scores_as_reals, streaming_update
 from svp.forgetting import (
     ForgettingScores,
-    ForgettingState,
-    finalize,
     forgetting_order,
     process_log,
-    scores_as_reals,
     select_most_forgotten,
-    streaming_update,
     write_forgetting_csv,
 )
 

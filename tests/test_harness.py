@@ -29,7 +29,16 @@ from svp.harness import (
     run_coreset,
     speedup,
 )
-from svp.learner import LearnerSpec, SynthParams, error_rate, fit, make_synthetic, predict_proba
+from svp.kcenters import greedy_kcenters
+from svp.learner import (
+    LearnerSpec,
+    SynthParams,
+    embed,
+    error_rate,
+    fit,
+    make_synthetic,
+    predict_proba,
+)
 from svp.rng import derive_seed
 from svp.scoring import entropy, top_m
 from svp.tensor_io import write_labels_csv, write_tensor
@@ -306,6 +315,41 @@ class TestCoreset:
         assert report.speedup == 4.0
 
 
+class TestSeedSalts:
+    """The named salts are part of the determinism contract: changing one
+    changes every report that draws with it."""
+
+    def test_al_random_round_salt(self):
+        train, test = small_data()
+        cfg = ALConfig(proxy=PROXY, target=TARGET, method="random",
+                       budget_fraction=0.2, schedule=DEFAULT_SCHEDULE, seed=7)
+        report = run_active_learning(cfg, train, test)
+        sizes = report.round_sizes
+        assert len(sizes) == 3
+        mask = np.zeros(200, dtype=bool)
+        mask[random_select(np.arange(200), sizes[0], derive_seed(7, "initial-pool"))] = True
+        for k in range(1, len(sizes)):
+            unlabeled = np.flatnonzero(~mask)
+            quota = sizes[k] - sizes[k - 1]
+            mask[random_select(unlabeled, quota, derive_seed(7, f"random-round-{k}"))] = True
+        assert report.selected_ids == np.flatnonzero(mask).tolist()
+
+    def test_coreset_random_subset_salt(self):
+        train, test = small_data()
+        report = run_coreset(PROXY, TARGET, "random", 0.3, train, test, seed=5)
+        expected = random_select(np.arange(200), 60, derive_seed(5, "random-subset"))
+        assert report.selected_ids == np.sort(expected).tolist()
+
+    def test_coreset_kcenters_start_salt(self):
+        (x, y), (xt, yt) = small_data()
+        report = run_coreset(PROXY, TARGET, "kcenters", 0.3, (x, y), (xt, yt), seed=5)
+        spec = dataclasses.replace(PROXY, seed=_fit_seed(5, "proxy-fit", PROXY))
+        proxy = fit(spec, x, y, n_classes=3)
+        start = random_select(np.arange(200), 1, derive_seed(5, "kcenters-start"))
+        order = greedy_kcenters(embed(proxy, x), start, 59).order
+        assert report.selected_ids == np.sort(np.concatenate([start, order])).tolist()
+
+
 class TestForgettingKeepsHardRegion:
     def test_removed_points_come_from_easy_blob(self):
         # Heavy well-separated blob (class 2, 60% of points) against two
@@ -441,8 +485,10 @@ class TestReportsAndConfig:
             execute_config({**good, "task": "al"})  # al needs budget_fraction
         with pytest.raises(ValueError):
             execute_config({**good, "data": {"features": "x.svpt"}})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
             execute_config([good])
+        with pytest.raises(ValueError, match="config task is 'coreset', expected 'al'"):
+            execute_config(good, task="al")
 
 
 class TestBlasThreadDeterminism:

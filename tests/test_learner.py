@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import draw_gradient_case, max_gradient_mismatch
-from svp.forgetting import process_log
 from svp.learner import (
     LearnerSpec,
     SynthParams,
@@ -52,7 +51,6 @@ class TestFitBasics:
         probs = predict_proba(model, ds.test_features)
         assert (probs == 0.5).all()
         assert model.train_log is None
-        assert model.online_forgetting is None
 
     def test_separable_reaches_perfect_training_accuracy(self):
         ds = make_synthetic(EASY)
@@ -90,15 +88,6 @@ class TestFitBasics:
         assert model.loss_history[-1] < model.loss_history[0]
         mlp = fit(MLP, ds.features, ds.labels)
         assert mlp.loss_history[-1] < mlp.loss_history[0]
-
-    def test_online_forgetting_matches_offline_process_log(self):
-        params = SynthParams(classes=3, dim=4, separation=1.0, noise=1.5, n_train=120, n_test=30, seed=8)
-        ds = make_synthetic(params)
-        for spec in (LOGISTIC, MLP):
-            model = fit(spec, ds.features, ds.labels, n_classes=3)
-            offline = process_log(model.train_log)
-            assert np.array_equal(offline.counts, model.online_forgetting.counts)
-            assert np.array_equal(offline.never_learned, model.online_forgetting.never_learned)
 
     def test_fit_errors(self):
         ds = make_synthetic(EASY)

@@ -221,6 +221,14 @@ class TestTrainLogCsv:
             ("example_id,epoch,correct\nx,0,1\n", "non-integer"),
             ("example_id,epoch,correct\n-1,0,1\n", "negative"),
             ("example_id,epoch,correct\n", "no data"),
+            ("example_id,epoch,correct\n0,0,1\n\n0,1,1\n", "line 3: expected 3 fields, got 0"),
+            ('example_id,epoch,correct\n0,"0,1"\n', "expected 3 fields, got 2"),
+            ("example_id,epoch,correct\n0,0,1.0\n", "line 2: malformed row, non-integer field correct"),
+            ("example_id,epoch,correct\n0,0,0.7\n", "line 2: malformed row, non-integer field correct"),
+            ("example_id,epoch,correct\n0,0,1\n0,1.5,1\n", "line 3: malformed row, non-integer field epoch"),
+            ("example_id,epoch,correct\n2.9,0,1\n", "line 2: malformed row, non-integer field example_id"),
+            ('example_id,epoch,correct\n0,0,"1\n0,1,0\n', "line 2: unterminated quoted field"),
+            ('example_id,epoch,correct\n0,0,1\n0,1,0"\n1,0,1\n1,1,1\n', "line 3: unterminated quoted field"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -229,6 +237,28 @@ class TestTrainLogCsv:
         with pytest.raises(InvalidValueError) as exc:
             read_train_log_csv(str(path))
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "example_id,epoch,correct\r\n0,0,1\r\n0,1,0\r\n",
+            '"example_id","epoch","correct"\n"0","0","1"\n0,"1",0\n',
+            "example_id,epoch,correct\n 0, 0 ,1\n0 ,1, 0 \n",
+            "example_id,epoch,correct\n0,1,0\n0,0,1",
+        ],
+        ids=["crlf", "quoted", "space-padded", "no-final-newline"],
+    )
+    def test_accepts(self, tmp_path, body):
+        path = tmp_path / "log.csv"
+        path.write_bytes(body.encode())
+        assert read_train_log_csv(str(path)).tolist() == [[True, False]]
+
+
+BOTH_READERS = pytest.mark.parametrize(
+    "reader,header",
+    [(read_labels_csv, "example_id,label"), (read_scores_csv, "example_id,score")],
+    ids=["labels", "scores"],
+)
 
 
 class TestScoreAndLabelCsv:
@@ -251,6 +281,40 @@ class TestScoreAndLabelCsv:
         path = str(tmp_path / "l.csv")
         write_labels_csv(np.array([2, 0, 1, 1]), path)
         assert read_labels_csv(path).tolist() == [2, 0, 1, 1]
+
+    @BOTH_READERS
+    @pytest.mark.parametrize(
+        "rows,fragment",
+        [
+            ("0,1\n\n1,0\n", "line 3: expected 2 fields, got 0"),
+            ('0,"1,0"\n', "line 2: malformed row"),
+            ("0,x\n", "line 2: malformed row"),
+            ("", "no data"),
+            ("0,1\n1.0,0\n", "line 3: malformed row, non-integer field example_id"),
+            ("0.5,1\n", "line 2: malformed row, non-integer field example_id"),
+            ('0,"1\n', "line 2: unterminated quoted field"),
+        ],
+        ids=["blank-line", "quoted-comma", "non-number", "no-rows", "id-1.0", "id-0.5", "open-quote"],
+    )
+    def test_rejects(self, tmp_path, reader, header, rows, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{rows}")
+        with pytest.raises(InvalidValueError) as exc:
+            reader(str(path))
+        assert fragment in str(exc.value)
+
+    @BOTH_READERS
+    def test_accepts_quoted_crlf_and_padding(self, tmp_path, reader, header):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(f'{header}\r\n"1", 2\r\n0,"3"\r\n'.encode())
+        assert reader(str(path)).tolist() == [3, 2]
+
+    @pytest.mark.parametrize("label", ["1.5", "1.0", "1e0"])
+    def test_labels_reject_non_integer(self, tmp_path, label):
+        path = tmp_path / "l.csv"
+        path.write_text(f"example_id,label\n0,1\n1,{label}\n")
+        with pytest.raises(InvalidValueError, match="line 3: malformed row, non-integer field label"):
+            read_labels_csv(str(path))
 
     def test_labels_reject_negative_and_gaps(self, tmp_path):
         p = tmp_path / "l.csv"
