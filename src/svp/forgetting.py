@@ -61,6 +61,7 @@ def write_forgetting_csv(scores: ForgettingScores, path: str) -> None:
     from .tensor_io import atomic_write_text
 
     lines = ["example_id,never_learned,count"]
-    for i in range(scores.counts.shape[0]):
-        lines.append(f"{i},{int(scores.never_learned[i])},{int(scores.counts[i])}")
+    rows = zip(scores.never_learned.astype(np.int64).tolist(),
+               scores.counts.astype(np.int64, copy=False).tolist())
+    lines.extend(f"{i},{never},{count}" for i, (never, count) in enumerate(rows))
     atomic_write_text(path, "\n".join(lines) + "\n")

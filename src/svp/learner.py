@@ -13,6 +13,15 @@ predictions are exactly uniform. The network initializes weights uniformly in
 W2 row-major) and biases at zero.
 
 All training math runs in float64.
+
+The SGD loop works in place, but each step makes the same float operations
+in the same order as a textbook step that gathers its batch by fancy index,
+computes the softmax and gradients into fresh arrays and updates each
+parameter by ``p -= lr * grad``; parameters, log and losses are bit-equal to
+that reference. Each epoch gathers the shuffled rows once, so a batch is a
+contiguous slice; parameters and gradients each live in one flat buffer, so
+the update is two vector operations. An epoch that ends with a non-finite
+parameter raises ValueError instead of returning a diverged model.
 """
 
 from __future__ import annotations
@@ -175,57 +184,98 @@ def forward_logits(kind: str, params: dict, x: np.ndarray) -> np.ndarray:
     return hidden @ params["W2"] + params["b2"]
 
 
-def loss_and_grads(kind: str, params: dict, x: np.ndarray, y: np.ndarray) -> tuple[float, dict, np.ndarray]:
-    """Mean cross-entropy, its parameter gradients, and the batch logits."""
-    m = x.shape[0]
+def _softmax_xent_grad(z: np.ndarray, yb: np.ndarray, rows: np.ndarray, top: np.ndarray) -> float:
+    """Mean cross-entropy of the logits ``z`` whose row-wise argmax is
+    ``top``; overwrites ``z`` with the loss gradient with respect to them."""
+    m = z.shape[0]
+    z -= z[rows, top][:, None]  # the row maximum, read at its argmax
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    p = z[rows, yb]
+    loss = -float(np.add.reduce(np.log(p))) / m  # == float(-np.mean(np.log(p)))
+    p -= 1.0
+    z[rows, yb] = p
+    z /= m
+    return loss
+
+
+def _sgd_grads(kind: str, params: dict, grads: dict, xb: np.ndarray, yb: np.ndarray,
+               rows: np.ndarray, correct: np.ndarray) -> float:
+    """Forward and backward pass of one mini-batch: records the pre-update
+    accuracy into ``correct``, writes the gradients into ``grads`` and
+    returns the batch's mean loss."""
     if kind == "logistic":
-        logits = x @ params["W"] + params["b"]
-        probs = _softmax(logits)
-        loss = -np.mean(np.log(probs[np.arange(m), y]))
-        dlogits = probs.copy()
-        dlogits[np.arange(m), y] -= 1.0
-        dlogits /= m
-        grads = {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}
-        return float(loss), grads, logits
-    z1 = x @ params["W1"] + params["b1"]
+        z = xb @ params["W"]
+        z += params["b"]
+        top = z.argmax(axis=1)
+        np.equal(top, yb, out=correct)
+        loss = _softmax_xent_grad(z, yb, rows, top)
+        np.matmul(xb.T, z, out=grads["W"])
+        np.add.reduce(z, axis=0, out=grads["b"])
+        return loss
+    z1 = xb @ params["W1"]
+    z1 += params["b1"]
     hidden = np.maximum(z1, 0.0)
-    logits = hidden @ params["W2"] + params["b2"]
-    probs = _softmax(logits)
-    loss = -np.mean(np.log(probs[np.arange(m), y]))
-    dlogits = probs.copy()
-    dlogits[np.arange(m), y] -= 1.0
-    dlogits /= m
-    dhidden = dlogits @ params["W2"].T
-    dz1 = dhidden * (z1 > 0.0)
-    grads = {
-        "W1": x.T @ dz1,
-        "b1": dz1.sum(axis=0),
-        "W2": hidden.T @ dlogits,
-        "b2": dlogits.sum(axis=0),
-    }
-    return float(loss), grads, logits
+    z = hidden @ params["W2"]
+    z += params["b2"]
+    top = z.argmax(axis=1)
+    np.equal(top, yb, out=correct)
+    loss = _softmax_xent_grad(z, yb, rows, top)
+    dh = z @ params["W2"].T
+    np.multiply(dh, z1 > 0.0, out=dh)
+    np.matmul(xb.T, dh, out=grads["W1"])
+    np.add.reduce(dh, axis=0, out=grads["b1"])
+    np.matmul(hidden.T, z, out=grads["W2"])
+    np.add.reduce(z, axis=0, out=grads["b2"])
+    return loss
+
+
+def _views(buf: np.ndarray, shapes: dict) -> dict:
+    """Consecutive reshaped slices of the flat ``buf``, one per shape."""
+    out, at = {}, 0
+    for key, shape in shapes.items():
+        size = int(np.prod(shape))
+        out[key] = buf[at : at + size].reshape(shape)
+        at += size
+    return out
 
 
 def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) -> TrainedModel:
-    """Train from scratch; deterministic given (spec, data, n_classes)."""
+    """Train from scratch; deterministic given (spec, data, n_classes).
+
+    Raises ValueError when an epoch (counted from 0) ends with a non-finite
+    parameter.
+    """
     x, y, c = _check_xy(features, labels, n_classes)
     n = x.shape[0]
-    params = init_params(spec, x.shape[1], c)
+    init = init_params(spec, x.shape[1], c)
+    shapes = {key: p.shape for key, p in init.items()}
+    flat = np.concatenate([p.ravel() for p in init.values()])
+    flat_grad = np.empty_like(flat)
+    params, grads = _views(flat, shapes), _views(flat_grad, shapes)
+    bs, lr = spec.batch_size, spec.learning_rate
 
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
     losses = np.zeros(spec.epochs)
+    rows = np.arange(min(bs, n))
+    correct = np.empty(n, dtype=np.bool_)
 
-    for epoch in range(spec.epochs):
-        perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, spec.batch_size):
-            idx = perm[start : start + spec.batch_size]
-            loss, grads, logits = loss_and_grads(spec.kind, params, x[idx], y[idx])
-            train_log[idx, epoch] = logits.argmax(axis=1) == y[idx]
-            for key, grad in grads.items():
-                params[key] -= spec.learning_rate * grad
-            epoch_loss += loss * idx.shape[0]
-        losses[epoch] = epoch_loss / n
+    with np.errstate(all="ignore"):
+        for epoch in range(spec.epochs):
+            perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
+            xp, yp = x[perm], y[perm]
+            epoch_loss = 0.0
+            for start in range(0, n, bs):
+                stop = min(start + bs, n)
+                loss = _sgd_grads(spec.kind, params, grads, xp[start:stop], yp[start:stop],
+                                  rows[: stop - start], correct[start:stop])
+                flat_grad *= lr
+                flat -= flat_grad
+                epoch_loss += loss * (stop - start)
+            train_log[perm, epoch] = correct
+            losses[epoch] = epoch_loss / n
+            if not np.isfinite(flat).all():
+                raise ValueError(f"training diverged at epoch {epoch}: non-finite parameters")
 
     return TrainedModel(
         spec=spec,

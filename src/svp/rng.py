@@ -98,9 +98,10 @@ class SplitMix64:
         n = len(values)
         if n < 2:
             return
-        raws = self.raw_block(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(raws[n - 1 - i]) % (i + 1)
+        # Draw k swaps position i = n-1-k with j = raw_k % (i + 1); the
+        # bounds n, n-1, ..., 2 are reduced in one vector op.
+        js = (self.raw_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
             values[i], values[j] = values[j], values[i]
 
     def permutation(self, n: int) -> np.ndarray:

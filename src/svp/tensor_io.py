@@ -360,7 +360,7 @@ def write_scores_csv(scores: np.ndarray, path: str) -> None:
     """Export per-example scores as CSV ``example_id,score``."""
     scores = np.asarray(scores, dtype=np.float64)
     lines = ["example_id,score"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(scores))
+    lines.extend(f"{i},{v!r}" for i, v in enumerate(scores.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -374,7 +374,7 @@ def write_labels_csv(labels: np.ndarray, path: str) -> None:
     """Export integer class labels as CSV ``example_id,label``."""
     labels = np.asarray(labels)
     lines = ["example_id,label"]
-    lines.extend(f"{i},{int(v)}" for i, v in enumerate(labels))
+    lines.extend(f"{i},{int(v)}" for i, v in enumerate(labels.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

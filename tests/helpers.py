@@ -1,5 +1,6 @@
 """Shared test utilities: scripted clocks, geometry builders, gradient probes,
-the difference-form k-centers oracle, and the streaming forgetting oracle."""
+the per-batch SGD oracle, the difference-form k-centers oracle, and the
+streaming forgetting oracle."""
 
 from dataclasses import dataclass
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from svp.forgetting import ForgettingScores
 from svp.kcenters import greedy_kcenters
-from svp.learner import LearnerSpec, init_params, loss_and_grads
+from svp.learner import LearnerSpec, TrainedModel, init_params
 from svp.rng import SplitMix64, derive_seed
 
 
@@ -42,6 +43,73 @@ def three_blob(n, n_test, d, delta, big_radius, noise, seed, pattern=(0, 1, 2, 2
     y_test = pattern[np.arange(n_test) % pattern.size]
     x_test = means[y_test] + noise * SplitMix64(derive_seed(seed, "test")).normals((n_test, d))
     return (x, y), (x_test, y_test)
+
+
+def _softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def loss_and_grads(kind, params, x, y):
+    """Mean cross-entropy, its parameter gradients, and the batch logits."""
+    m = x.shape[0]
+    if kind == "logistic":
+        logits = x @ params["W"] + params["b"]
+        probs = _softmax(logits)
+        loss = -np.mean(np.log(probs[np.arange(m), y]))
+        dlogits = probs.copy()
+        dlogits[np.arange(m), y] -= 1.0
+        dlogits /= m
+        grads = {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}
+        return float(loss), grads, logits
+    z1 = x @ params["W1"] + params["b1"]
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ params["W2"] + params["b2"]
+    probs = _softmax(logits)
+    loss = -np.mean(np.log(probs[np.arange(m), y]))
+    dlogits = probs.copy()
+    dlogits[np.arange(m), y] -= 1.0
+    dlogits /= m
+    dhidden = dlogits @ params["W2"].T
+    dz1 = dhidden * (z1 > 0.0)
+    grads = {
+        "W1": x.T @ dz1,
+        "b1": dz1.sum(axis=0),
+        "W2": hidden.T @ dlogits,
+        "b2": dlogits.sum(axis=0),
+    }
+    return float(loss), grads, logits
+
+
+def fit_oracle(spec, features, labels, n_classes=None):
+    """``svp.learner.fit`` as one ``loss_and_grads`` call per batch.
+
+    The reference for the in-place loop: each batch is gathered by fancy
+    index from the epoch's permutation, its pre-update accuracy is scattered
+    into the log, and every parameter is updated by ``p -= lr * grad``. No
+    divergence check.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    c = int(y.max()) + 1 if n_classes is None else n_classes
+    n = x.shape[0]
+    params = init_params(spec, x.shape[1], c)
+    train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
+    losses = np.zeros(spec.epochs)
+    for epoch in range(spec.epochs):
+        perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, spec.batch_size):
+            idx = perm[start : start + spec.batch_size]
+            loss, grads, logits = loss_and_grads(spec.kind, params, x[idx], y[idx])
+            train_log[idx, epoch] = logits.argmax(axis=1) == y[idx]
+            for key, grad in grads.items():
+                params[key] -= spec.learning_rate * grad
+            epoch_loss += loss * idx.shape[0]
+        losses[epoch] = epoch_loss / n
+    return TrainedModel(spec=spec, n_classes=c, n_features=x.shape[1], params=params,
+                        train_log=train_log, loss_history=losses)
 
 
 def draw_gradient_case(rng, kind, warmup_steps=3, kink_margin=1e-2):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,19 @@ def test_top_level_list_config_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "config must be a JSON object" in err
+
+
+@pytest.mark.parametrize("role", ["proxy", "target"])
+def test_diverged_fit_is_one_line_error(tmp_path, capsys, role):
+    spec = {"kind": "mlp", "epochs": 2, "learning_rate": 1e300, "batch_size": 16,
+            "seed": 3, "hidden_units": 8}
+    cfg = coreset_config(tmp_path, **{role: spec})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["coreset", "--config", str(cfg)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "error: training diverged at epoch 0: non-finite parameters\n"
 
 
 class TestSynth:

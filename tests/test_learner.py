@@ -1,10 +1,14 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import draw_gradient_case, max_gradient_mismatch
+from helpers import draw_gradient_case, fit_oracle, max_gradient_mismatch
 from svp.learner import (
+    KINDS,
     LearnerSpec,
     SynthParams,
     embed,
@@ -100,6 +104,83 @@ class TestFitBasics:
         with pytest.raises(ValueError):
             fit(LOGISTIC, ds.features, np.zeros(80, dtype=int))  # single class, no n_classes
         fit(LOGISTIC, ds.features, np.zeros(80, dtype=int), n_classes=2)  # ok when c given
+
+    @pytest.mark.parametrize("spec,scale", [(LOGISTIC, 1e200), (MLP, 1.0)])
+    def test_diverged_fit_raises_without_warnings(self, spec, scale):
+        ds = make_synthetic(EASY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^training diverged at epoch 0: non-finite parameters$"):
+                fit(dataclasses.replace(spec, learning_rate=1e300), scale * ds.features, ds.labels)
+
+    def test_infinite_loss_with_finite_parameters_passes(self):
+        # The first step moves W to lr * x * [0.5, -0.5]; the second example,
+        # equal features and the other label, then has logits of +-5e5, so
+        # its class probability underflows to 0 and the loss is inf.
+        x = np.array([[1000.0], [1000.0]])
+        spec = LearnerSpec(kind="logistic", epochs=1, learning_rate=1.0, batch_size=1, seed=0)
+        model = fit(spec, x, np.array([0, 1]))
+        assert np.isinf(model.loss_history).all()
+        assert all(np.isfinite(p).all() for p in model.params.values())
+
+
+def _training_set(kind, n, d, c, batch_size, epochs, seed, distinct=None, grid=False, lr=0.5):
+    """Rows drawn from ``distinct`` distinct rows, on an integer grid or
+    standard normal; with an odd seed, copies of a row share its label."""
+    rng = np.random.default_rng(seed)
+    distinct = n if distinct is None else distinct
+    base = (rng.integers(-3, 4, size=(distinct, d)).astype(np.float64) if grid
+            else rng.standard_normal((distinct, d)))
+    pick = rng.integers(0, distinct, size=n)
+    y = rng.integers(0, c, size=distinct)[pick] if seed % 2 else rng.integers(0, c, size=n)
+    spec = LearnerSpec(kind=kind, epochs=epochs, learning_rate=lr, batch_size=batch_size,
+                       seed=seed, hidden_units=1 + seed % 8 if kind == "mlp" else None)
+    return spec, base[pick], y, c
+
+
+@st.composite
+def training_sets(draw):
+    n = draw(st.integers(1, 70))
+    return _training_set(
+        kind=draw(st.sampled_from(KINDS)), n=n, d=draw(st.integers(1, 6)),
+        c=draw(st.integers(2, 5)), batch_size=draw(st.integers(1, n + 8)),
+        epochs=draw(st.integers(0, 4)), seed=draw(st.integers(0, 2**32 - 1)),
+        distinct=draw(st.integers(1, n)), grid=draw(st.booleans()),
+        lr=draw(st.sampled_from([0.05, 0.5, 2.0])))
+
+
+def assert_fit_bit_equal(spec, x, y, c):
+    with np.errstate(all="ignore"):
+        expected = fit_oracle(spec, x, y, n_classes=c)
+    got = fit(spec, x, y, n_classes=c)
+    assert got.params.keys() == expected.params.keys()
+    for key in expected.params:
+        assert got.params[key].tobytes() == expected.params[key].tobytes(), key
+    if expected.train_log is None:
+        assert got.train_log is None
+    else:
+        assert got.train_log.tobytes() == expected.train_log.tobytes()
+    assert got.loss_history.tobytes() == expected.loss_history.tobytes()
+
+
+class TestInPlaceLoopOracle:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("case", [
+        dict(n=1, d=3, c=2, batch_size=1, epochs=3, seed=1),
+        dict(n=1, d=3, c=3, batch_size=5, epochs=2, seed=2),
+        dict(n=30, d=4, c=3, batch_size=7, epochs=0, seed=3),
+        dict(n=50, d=4, c=4, batch_size=7, epochs=3, seed=4),  # 7 does not divide 50
+        dict(n=20, d=5, c=3, batch_size=64, epochs=3, seed=5),  # batch larger than n
+        dict(n=60, d=3, c=3, batch_size=8, epochs=3, seed=7, distinct=4),  # duplicated rows
+        dict(n=60, d=3, c=4, batch_size=9, epochs=3, seed=9, distinct=10, grid=True),
+    ])
+    def test_bit_equal_on_named_cases(self, kind, case):
+        assert_fit_bit_equal(*_training_set(kind, **case))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(training_sets())
+    def test_bit_equal_to_oracle(self, instance):
+        assert_fit_bit_equal(*instance)
 
 
 class TestPredictAndEmbed:

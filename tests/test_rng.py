@@ -66,17 +66,26 @@ class TestDerived:
             SplitMix64(1).next_below(0)
 
     def test_shuffle_is_fisher_yates_from_back(self):
-        # Independent re-derivation of the documented recipe.
-        seed, n = 321, 23
-        ref = SplitMix64(seed)
-        expected = list(range(n))
-        raws = [ref.next_u64() for _ in range(n - 1)]
-        for pos, i in enumerate(range(n - 1, 0, -1)):
-            j = raws[pos] % (i + 1)
-            expected[i], expected[j] = expected[j], expected[i]
-        got = list(range(n))
-        SplitMix64(seed).shuffle(got)
-        assert got == expected
+        # Independent re-derivation of the documented recipe, one next_u64
+        # call per swap. After ``drawn`` earlier values the block draw must
+        # start mid-stream and leave the stream where the recipe leaves it.
+        for n in (0, 1, 2, 3, 23, 1000, 4097):
+            for drawn in (0, 7):
+                ref, shuffled, permuted = SplitMix64(321), SplitMix64(321), SplitMix64(321)
+                for g in (ref, shuffled, permuted):
+                    for _ in range(drawn):
+                        g.next_u64()
+                expected = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = ref.next_u64() % (i + 1)
+                    expected[i], expected[j] = expected[j], expected[i]
+                got = list(range(n))
+                shuffled.shuffle(got)
+                assert got == expected, (n, drawn)
+                assert permuted.permutation(n).tolist() == expected, (n, drawn)
+                after = ref.next_u64()
+                assert shuffled.next_u64() == after, (n, drawn)
+                assert permuted.next_u64() == after, (n, drawn)
 
     def test_permutation_properties(self):
         p = SplitMix64(77).permutation(200)
