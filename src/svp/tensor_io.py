@@ -371,8 +371,17 @@ def read_scores_csv(path: str) -> np.ndarray:
 
 
 def write_labels_csv(labels: np.ndarray, path: str) -> None:
-    """Export integer class labels as CSV ``example_id,label``."""
+    """Export integer class labels as CSV ``example_id,label``.
+
+    Labels must be nonnegative integers (an integral float such as 2.0 is
+    written as 2), the values ``read_labels_csv`` accepts; anything else
+    raises ``ValueError`` and writes nothing.
+    """
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf" or not (
+        np.isfinite(labels) & (labels >= 0) & (labels == np.round(labels))
+    ).all():
+        raise ValueError("labels must be nonnegative integers")
     lines = ["example_id,label"]
     lines.extend(f"{i},{int(v)}" for i, v in enumerate(labels.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")

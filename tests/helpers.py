@@ -1,14 +1,17 @@
 """Shared test utilities: scripted clocks, geometry builders, gradient probes,
-the per-batch SGD oracle, the difference-form k-centers oracle, and the
-streaming forgetting oracle."""
+the per-batch SGD oracle, the difference-form k-centers oracle, the
+per-round active-learning k-centers oracle, and the streaming forgetting
+oracle."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from svp.forgetting import ForgettingScores
+from svp.harness import _fit_seed, random_select
 from svp.kcenters import greedy_kcenters
-from svp.learner import LearnerSpec, TrainedModel, init_params
+from svp.learner import LearnerSpec, TrainedModel, embed, error_rate, fit, init_params
 from svp.rng import SplitMix64, derive_seed
 
 
@@ -205,6 +208,29 @@ def kcenters_full_ranking(features, initial):
     """Rank all non-initial points by greedy addition order (earliest first)."""
     n = np.asarray(features).shape[0]
     return greedy_kcenters(features, initial, n - np.asarray(initial).size).order
+
+
+def al_kcenters_pass_oracle(cfg, x, y, xt, yt, c, sizes, proxy_spec, clock):
+    """``svp.harness._al_selection_pass`` for k-centers as one traversal per
+    round, each from the whole labeled set in the round's proxy embedding.
+
+    The reference for the single traversal the pass runs when the embedding
+    is the features; same signature and return value as the pass.
+    """
+    n = x.shape[0]
+    labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(cfg.seed, "initial-pool")))
+    proxy_errors, round_seconds = [], []
+    for k in range(1, len(sizes)):
+        t0 = clock()
+        spec_k = dataclasses.replace(
+            proxy_spec, seed=_fit_seed(cfg.seed, f"proxy-round-{k}", proxy_spec)
+        )
+        proxy = fit(spec_k, x[labeled], y[labeled], n_classes=c)
+        picked = greedy_kcenters(embed(proxy, x), labeled, sizes[k] - sizes[k - 1]).order
+        round_seconds.append(clock() - t0)
+        proxy_errors.append(error_rate(proxy, xt, yt))
+        labeled = np.union1d(labeled, picked)
+    return labeled, proxy_errors, round_seconds
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import svp
-from helpers import ScriptClock, three_blob
+from helpers import ScriptClock, al_kcenters_pass_oracle, three_blob
 from svp.forgetting import process_log, select_most_forgotten
 from svp.harness import (
     ALConfig,
@@ -241,6 +241,43 @@ class TestActiveLearning:
         a = run_active_learning(degen, train, test)
         b = run_active_learning(degen, train, test)
         assert a.deterministic_dict() == b.deterministic_dict()
+
+
+class TestKCentersLookAhead:
+    """With a linear proxy the k-centers embedding is the features in every
+    round, so one traversal from the initial pool serves the whole pass."""
+
+    @pytest.mark.parametrize("proxy", [PROXY, TARGET], ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("budget", [0.1, 0.3, 1.0])
+    def test_report_equals_per_round_oracle(self, monkeypatch, proxy, budget):
+        train, test = small_data()
+        cfg = ALConfig(proxy=proxy, target=TARGET, method="kcenters",
+                       budget_fraction=budget, schedule=DEFAULT_SCHEDULE, seed=13)
+        report = run_active_learning(cfg, train, test)
+        monkeypatch.setattr(svp.harness, "_al_selection_pass", al_kcenters_pass_oracle)
+        oracle = run_active_learning(cfg, train, test)
+        assert report.deterministic_dict() == oracle.deterministic_dict()
+        assert len(report.round_sizes) == {0.1: 2, 0.3: 4, 1.0: 11}[budget]
+
+    def test_one_call_per_pass_for_linear_proxy_one_per_round_for_mlp(self, monkeypatch):
+        calls = []
+        greedy = svp.harness.greedy_kcenters
+
+        def counting(features, initial, budget):
+            calls.append((len(initial), budget))
+            return greedy(features, initial, budget)
+
+        monkeypatch.setattr(svp.harness, "greedy_kcenters", counting)
+        train, test = small_data()
+        cfg = ALConfig(proxy=PROXY, target=TARGET, method="kcenters",
+                       budget_fraction=0.3, schedule=DEFAULT_SCHEDULE, seed=13)
+        clock = ScriptClock(range(12))
+        report = run_active_learning(cfg, train, test, clock=clock, measure_baseline=True)
+        sizes = report.round_sizes
+        assert sizes == [4, 20, 40, 60]
+        per_round = [(sizes[k - 1], sizes[k] - sizes[k - 1]) for k in range(1, 4)]
+        assert calls == [(4, 56)] + per_round
+        assert clock.calls == 12
 
 
 class TestCoreset:

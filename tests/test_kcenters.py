@@ -121,6 +121,31 @@ class TestDifferenceFormOracle:
         assert res.min_dists.tobytes() == min_dists.tobytes()
 
 
+@st.composite
+def resumption_instances(draw):
+    x, initial, budget = draw(near_tie_instances())
+    a = draw(st.integers(0, budget))
+    return x, initial, a, budget - a
+
+
+class TestResumption:
+    """The traversal depends on nothing but the center set, so a+b steps are
+    a steps followed by b steps from the grown set: active learning with a
+    fixed embedding runs one call for all of its rounds on this invariant."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(resumption_instances())
+    def test_one_call_equals_two_resumed_calls(self, instance):
+        x, initial, a, b = instance
+        whole = greedy_kcenters(x, initial, a + b)
+        first = greedy_kcenters(x, initial, a)
+        second = greedy_kcenters(x, np.union1d(initial, first.order), b)
+        assert whole.order.tolist() == first.order.tolist() + second.order.tolist()
+        picked = np.concatenate([first.picked_dists, second.picked_dists])
+        assert whole.picked_dists.tobytes() == picked.tobytes()
+        assert whole.min_dists.tobytes() == second.min_dists.tobytes()
+
+
 class TestApproximationAndInvariances:
     def test_two_approximation_small(self):
         rng = SplitMix64(2002)

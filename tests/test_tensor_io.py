@@ -281,6 +281,21 @@ class TestScoreAndLabelCsv:
         path = str(tmp_path / "l.csv")
         write_labels_csv(np.array([2, 0, 1, 1]), path)
         assert read_labels_csv(path).tolist() == [2, 0, 1, 1]
+        with open(path, "rb") as fh:
+            assert fh.read() == b"example_id,label\n0,2\n1,0\n2,1\n3,1\n"
+        write_labels_csv(np.array([2.0, 0.0]), path)
+        assert read_labels_csv(path).tolist() == [2, 0]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.7, 0.2], [0, -1], [-1.0], [0.0, np.nan], [np.inf], ["1", "0"]],
+        ids=["fractional", "negative-int", "negative-float", "nan", "inf", "strings"],
+    )
+    def test_write_labels_rejects_what_read_rejects(self, tmp_path, labels):
+        path = tmp_path / "l.csv"
+        with pytest.raises(ValueError, match="labels must be"):
+            write_labels_csv(np.array(labels), str(path))
+        assert not path.exists()
 
     @BOTH_READERS
     @pytest.mark.parametrize(

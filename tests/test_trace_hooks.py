@@ -1,7 +1,9 @@
 """The benchmark's per-layer trace patches svp functions by name. A rename
-or a removed name would silently drop that layer from the trace, and a
-shuffle inlined out of ``SplitMix64.permutation`` would drop its work from
-``rng.permuted_elems``; these tests make both fail here instead."""
+or a removed name would silently drop that layer from the trace, a shuffle
+inlined out of ``SplitMix64.permutation`` would drop its work from
+``rng.permuted_elems``, and a k-centers call that bypassed
+``harness.greedy_kcenters`` would drop its distance passes from the
+``kcenters`` counters; these tests make all three fail here instead."""
 
 import importlib
 import os
@@ -58,3 +60,27 @@ def test_fit_shuffles_are_attributed_to_the_permutation_layer(monkeypatch, capsy
     assert names.count("learner.fit") == len(fits) > 0
     assert len(draws) > 1
     assert tracer.counts[0]["rng.permuted_elems"] == sum(fits) + sum(draws)
+
+
+def test_kcenters_counters_match_the_calls_made(monkeypatch, capsys):
+    tracing = _tracing(monkeypatch)
+    calls = []
+    greedy = harness.greedy_kcenters
+
+    def recording_greedy(features, initial, budget):
+        calls.append((len(features), len(initial), budget))
+        return greedy(features, initial, budget)
+
+    monkeypatch.setattr(harness, "greedy_kcenters", recording_greedy)
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    with tracing.instrument(tracer):
+        report, _ = harness.execute_config({**TINY_AL, "method": "kcenters"})
+    assert "trace: not found" not in capsys.readouterr().err
+
+    rounds = len(report.round_sizes) - 1
+    assert rounds > 1
+    assert len(calls) == 1 + rounds  # one for the logistic proxy, one per baseline round
+    counts = tracer.counts[0]
+    assert counts["kcenters.calls"] == len(calls)
+    assert counts["kcenters.distance_evals"] == sum((i + b) * n for n, i, b in calls)
