@@ -4,25 +4,57 @@ Repeatedly adds the point farthest (Euclidean) from the current center set
 (the farthest-first traversal of Gonzalez, 1985). Argmax ties resolve to the
 lowest index.
 
-Cost model. Squared distances are screened in the expanded form
-``|x|^2 - 2 x.c + |c|^2``, with the row norms computed once. The initial set
-is folded into a per-example nearest-distance cache by one GEMM per block of
-d/2 centers, so the block-by-n temporary is half of one n-by-d pass. Each
-greedy step is then one GEMV into a preallocated buffer, an in-place
-``np.minimum`` and a few O(n) passes: O((|initial| + budget) * n * d) flops
-in all, spent in BLAS instead of one n-by-d difference array per center.
+Cost model. Distances are screened on a float32 copy of the features,
+``y = [s*(x - m) | 1]``, where m is the column means and s a power of two.
+One float32 GEMV of the copy against a center's ``[-2 y_c ; |y_c|^2]`` gives
+``|y_c|^2 - 2 y_i.y_c`` for every row i: the expanded-form squared distance
+less the row's own squared norm, which moves into the row's threshold
+instead. A greedy step is that GEMV into a preallocated buffer, one
+comparison against the thresholds and one argmax, so it streams n*(d+1)
+float32 values where a float64 pass over the features streams twice the
+bytes. The initial set is folded in by one float32 GEMM per block of d/2
+centers. O((|initial| + budget) * n * d) flops in all, spent in BLAS.
 
-Certification. Rounding makes the expanded form differ from the exact
-difference form ``sum((x - c)^2)`` by at most ``tol``, a bound derived from
-d, machine epsilon and the largest squared row norm. On its own the expanded
-form would let BLAS summation order (a row's position, the thread count)
-decide between tied or near-tied points. So each example also keeps its
-exact difference-form distance to the nearest center, updated only for the
-pairs whose expanded form lies within 2*tol of the example's minimum (no
-other center can be the exact nearest), which is a handful of rows per step.
-Each step then ranks every example within 2*tol of the expanded-form maximum
-by that exact distance, lowest index first on ties. The selection is the one
-the difference form alone gives, whatever the BLAS.
+- Centering: distances do not change under translation, so the copy is
+  centered before rounding. The bound below then scales with the spread of
+  the rows, not with a common offset.
+- Scaling: s is the largest power of two (up to 2^511) with
+  s^2 * 4 max|x_i|^2 < 1. Since |x_i - m| <= 2 max|x_j|, every entry and
+  squared norm of the copy is below 1, so no legal float64 input (squared
+  norms up to a quarter of the float64 maximum) overflows float32; and when
+  the squared norms are normal float64 numbers, that bound is at least 1/4,
+  so small inputs are not pushed toward float32 underflow. Scaling by a
+  power of two is exact, so extreme magnitudes need no second route.
+
+Certification. Ranking and reporting use the exact difference form
+``sum((x_i - x_c)^2)`` on the original float64 rows. Each example keeps its
+exact squared distance to the nearest center, and a pair's exact distance is
+evaluated only when the screen cannot rule the center out. With u = 2^-24,
+U = 2^-53, M = (1 + 2^-20) times the largest squared norm q_i of a row of
+the copy (an upper bound on every squared norm, before or after rounding)
+and gamma = (d+1) u / (1 - (d+1) u), a pair's screen value S satisfies
+``|S + q_i - s^2 D| <= tol``, with D its float64 difference form and tol the
+sum of:
+
+- input rounding: each entry of the copy differs from s*(x - m) by at most
+  (u + 2U) times its magnitude, plus 2^-149 below the float32 normal range,
+  which moves a squared distance by at most 13 u M;
+- the float32 GEMV, in any summation order: gamma (2 |y_i||y_c| + |y_c|^2)
+  <= 3.01 gamma M;
+- rounding the squared norms, |y_c|^2 to float32 for the GEMV and |y_i|^2
+  to float64 for the threshold: u M + 2.02 d U M;
+- the float64 difference form itself: 4.04 (d+2) U M in the scaled units;
+- underflow in float32 and in float64: (d+2) (2^-126 + s^2 2^-1022);
+- the window tests' own float32 rounding: the sum above is multiplied by
+  1 + 2^-20 and 6 u M + 2^-140 is added, which covers rounding
+  ``s^2 exact + tol - q`` and ``min + 2 tol`` to float32.
+
+An example's exact nearest center c* therefore has S <= s^2 exact + tol - q
+(its threshold) and, within a block of the initial set, S within 2 tol of
+the block's minimum; pairs failing either test are skipped, which leaves a
+handful of rows per step. Since every example's exact distance is kept
+current, each step takes the first argmax of the exact distances: the
+difference form's choice, lowest index first on ties, whatever the BLAS.
 
 Reported distances (``picked_dists``, ``min_dists``) are those exact
 difference-form values, square-rooted: bit-equal to folding every center in
@@ -31,6 +63,7 @@ with ``sum((x - c)^2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +109,50 @@ def _check_index_set(indices, n: int, what: str) -> np.ndarray:
     return idx
 
 
-def _expanded_error_bound(sq: np.ndarray, d: int) -> float:
-    """Bound on |expanded form - difference form| over all pairs of rows.
+_U32 = 2.0**-24  # float32 unit roundoff
+_TINY32 = 2.0**-126  # smallest normal float32
+_U64 = 2.0**-53
+_TINY64 = 2.0**-1022
+_CHUNK = 2**14  # entries per float64 scratch block while building the copy
 
-    Each form lies within gamma_{d+3} * (|x| + |c|)^2 <= 4 * gamma_{d+3} * M
-    of the true squared distance, where M is the largest squared row norm and
-    gamma_k = k*u / (1 - k*u), u = eps/2, whatever the summation order. Their
-    gap is at most twice that; the constant below keeps another factor of 2
-    spare, and the second term covers absolute rounding among subnormals.
+
+def _screen_rows(x: np.ndarray):
+    """The float32 screen of ``x`` and its certified error bound.
+
+    Returns ``(y, q, s2, tol)``. ``y`` is ``[s*(x - m) | 1]`` rounded to
+    float32, with m the column means and s a power of two; ``q`` holds the
+    float64 squared norms of the rows of ``y[:, :d]``; ``s2 = s*s``. For
+    every pair of rows i, c the screen value
+    ``S = y[i] . [-2 y[c, :d] ; float32(q[c])]``, computed in float32 in any
+    summation order, satisfies ``|S + q[i] - s2 * D| <= tol``, where D is
+    ``sum((x[i] - x[c])**2)`` evaluated in float64.
     """
-    info = np.finfo(np.float64)
-    return 8.0 * (d + 3) * (info.eps * float(sq.max()) + info.tiny)
+    n, d = x.shape
+    sq_max = float(np.einsum("ij,ij->i", x, x).max())
+    if not sq_max <= np.finfo(np.float64).max / 4.0:
+        raise ValueError("features too large: squared distances overflow float64")
+    # |x_i - m| <= 2 max_j |x_j|, so s*s * 4*sq_max < 1 keeps every entry and
+    # squared norm of the copy below 1; the cap keeps s*s a finite float64.
+    s = math.ldexp(1.0, min((-math.frexp(4.0 * sq_max)[1]) // 2, 511))
+    m = x.mean(axis=0)
+    y = np.empty((n, d + 1), dtype=np.float32)
+    y[:, d] = 1.0
+    step = max(1, _CHUNK // d)
+    scratch = np.empty((min(step, n), d))
+    for lo in range(0, n, step):
+        t = scratch[: min(step, n - lo)]
+        np.subtract(x[lo : lo + step], m, out=t)
+        np.multiply(t, s, out=y[lo : lo + step, :d], casting="same_kind")
+    q = np.einsum("ij,ij->i", y[:, :d], y[:, :d], dtype=np.float64)
+
+    big_m = float(q.max()) * (1.0 + 2.0**-20)
+    k = (d + 1) * _U32
+    gamma32 = k / (1.0 - k) if k < 1.0 else math.inf
+    arith = (14.0 * _U32 + 3.01 * gamma32 + 6.06 * (d + 2) * _U64) * big_m + (d + 2) * (
+        _TINY32 + s * s * _TINY64
+    )
+    tol = (1.0 + 2.0**-20) * arith + 6.0 * _U32 * big_m + 2.0**-140
+    return y, q, s * s, tol
 
 
 def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResult:
@@ -100,63 +166,73 @@ def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResul
         raise ValueError(f"budget {budget} exceeds pool of {n - init.size} candidates")
 
     x = np.ascontiguousarray(x)
-    sq = np.einsum("ij,ij->i", x, x)
-    if not sq.max() <= np.finfo(np.float64).max / 4.0:
-        raise ValueError("features too large: squared distances overflow float64")
-    tol2 = 2.0 * _expanded_error_bound(sq, d)
+    y, q, s2, tol = _screen_rows(x)
 
-    # Per example, the squared distance to the nearest center twice over: in
-    # the expanded form (-inf once the example is a center), which screens,
-    # and in the exact difference form, which ranks near-ties and is
-    # reported. The two stay within tol2 / 2 of each other.
-    approx = np.full(n, np.inf)
+    # Per example, the exact difference-form squared distance to the nearest
+    # center (-inf once the example is a center), and the float32 threshold
+    # s2 * exact + tol - q above which a new center's screen value proves it
+    # is not the example's exact nearest.
     exact = np.full(n, np.inf)
+    thr = np.full(n, np.inf, dtype=np.float32)
+    off = tol - q
+    tol2 = np.float32(2.0 * tol)
 
-    # A center's exact distance is folded in only where its expanded form is
-    # within tol2 of the example's new expanded-form minimum; no other center
-    # can be the exact nearest. Differences are formed in place, and a pair's
-    # value depends on its two rows alone, not on which pairs are evaluated
-    # together. The first block makes such a pair for every example, so the
-    # block is kept to d/2 centers: block plus differences stay within
-    # 1.5 n-by-d passes.
+    # The initial set is folded in by one GEMM per block of d/2 centers, so
+    # the float32 block-by-n screen is half of the copy. A pair is evaluated
+    # exactly only if its screen value is within 2*tol of the row's block
+    # minimum and under the row's threshold, at most n pairs at a time, so
+    # the differences stay within one n-by-d pass (``np.take`` with
+    # mode="clip" gathers straight into that buffer; rows are in range). A
+    # pair's exact value depends on its two rows alone, not on which pairs
+    # are evaluated together.
     width = min(max(1, d // 2), init.size)
-    buf = np.empty(width * n)
+    buf = np.empty(width * n, dtype=np.float32)
+    w = np.empty((width, d + 1), dtype=np.float32)
+    pairs = np.empty((n, d))
     for start in range(0, init.size, width):
         block = init[start : start + width]
+        wb = w[: block.size]
+        np.multiply(y[block], -2.0, out=wb)
+        wb[:, d] = q[block]
         dots = buf[: block.size * n].reshape(block.size, n)
-        np.dot(x[block], x.T, out=dots)
-        dots *= -2.0
-        dots += sq
-        dots += sq[block, None]
-        np.minimum(approx, dots.min(axis=0), out=approx)
-        cols, rows = np.divmod(np.flatnonzero(dots <= approx + tol2), n)
-        diff = x[rows]
-        bounds = np.searchsorted(cols, np.arange(block.size + 1))
-        for j, c in enumerate(block):
-            diff[bounds[j] : bounds[j + 1]] -= x[c]
-        np.minimum.at(exact, rows, np.einsum("ij,ij->i", diff, diff))
-    approx[init] = -np.inf
+        np.dot(wb, y.T, out=dots)
+        lim = dots.min(axis=0)
+        lim += tol2
+        np.minimum(lim, thr, out=lim)
+        hits = np.flatnonzero(dots <= lim)
+        for lo in range(0, hits.size, n):
+            cols, rows = np.divmod(hits[lo : lo + n], n)
+            diff = np.take(x, rows, axis=0, out=pairs[: rows.size], mode="clip")
+            bounds = np.searchsorted(cols, np.arange(block.size + 1))
+            for j, c in enumerate(block):
+                diff[bounds[j] : bounds[j + 1]] -= x[c]
+            np.minimum.at(exact, rows, np.einsum("ij,ij->i", diff, diff))
+            thr[rows] = s2 * exact[rows] + off[rows]
+    exact[init] = -np.inf
+    thr[init] = -np.inf
 
     order = np.empty(budget, dtype=np.int64)
     picked = np.empty(budget, dtype=np.float64)
     dots = buf[:n]
+    wu = w[0]
     for t in range(budget):
-        # Every example whose exact distance could be the maximum, ranked
-        # exactly; lowest index first on ties.
-        cands = np.flatnonzero(approx >= approx.max() - tol2)
-        u = int(cands[np.argmax(exact[cands])])
+        # exact holds every example's exact distance, so its first argmax is
+        # the difference form's choice, lowest index first on ties.
+        u = int(np.argmax(exact))
         order[t] = u
         picked[t] = np.sqrt(exact[u])
-        np.dot(x, x[u], out=dots)
-        dots *= -2.0
-        dots += sq
-        dots += sq[u]
-        np.minimum(approx, dots, out=approx)
-        rows = np.flatnonzero(dots <= approx + tol2)
-        diff = x[rows]
+        exact[u] = thr[u] = -np.inf
+        np.multiply(y[u], -2.0, out=wu)
+        wu[d] = q[u]
+        np.dot(y, wu, out=dots)
+        rows = np.flatnonzero(dots <= thr)
+        diff = np.take(x, rows, axis=0, out=pairs[: rows.size], mode="clip")
         diff -= x[u]
-        np.minimum.at(exact, rows, np.einsum("ij,ij->i", diff, diff))
-        approx[u] = -np.inf
+        cur = np.minimum(exact[rows], np.einsum("ij,ij->i", diff, diff))
+        exact[rows] = cur
+        thr[rows] = s2 * cur + off[rows]
+    exact[init] = 0.0
+    exact[order] = 0.0
 
     return KCentersResult(order=order, min_dists=np.sqrt(exact), picked_dists=picked)
 

@@ -396,6 +396,55 @@ def test_diverged_fit_is_one_line_error(tmp_path, capsys, role):
     assert err == "error: training diverged at epoch 0: non-finite parameters\n"
 
 
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at 1 TiB while the test runs, so an
+    oversized allocation fails under every overcommit policy, not only
+    under the kernel's default heuristic."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.usefixtures("address_space_cap")
+class TestOversizedInputs:
+    """Inputs whose arrays cannot be allocated exit 1 with one error line.
+
+    numpy refuses each allocation (tens of TiB) before touching memory, so
+    these cases are cheap.
+    """
+
+    HUGE = 10**13
+
+    def assert_one_line_error(self, code, capsys):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "Unable to allocate" in err
+
+    def test_synth_n_train(self, tmp_path, capsys):
+        code = main(["synth", "--classes", "3", "--dim", "4", "--separation", "2.0",
+                     "--noise", "1.0", "--n-train", str(self.HUGE), "--n-test", "8",
+                     "--seed", "1", "--out-features", str(tmp_path / "x.svpt"),
+                     "--out-labels", str(tmp_path / "y.csv")])
+        self.assert_one_line_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_n_train(self, tmp_path, capsys):
+        cfg = coreset_config(tmp_path, data={"synthetic": {**SYNTH, "n_train": self.HUGE}})
+        self.assert_one_line_error(main(["coreset", "--config", str(cfg)]), capsys)
+
+    def test_config_hidden_units(self, tmp_path, capsys):
+        target = {"kind": "mlp", "epochs": 1, "learning_rate": 0.3, "batch_size": 16,
+                  "seed": 2, "hidden_units": self.HUGE}
+        cfg = coreset_config(tmp_path, target=target)
+        self.assert_one_line_error(main(["coreset", "--config", str(cfg)]), capsys)
+
+
 class TestSynth:
     def test_generates_readable_files(self, tmp_path):
         args = ["synth", "--classes", "3", "--dim", "4", "--separation", "2.0",

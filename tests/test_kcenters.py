@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import kcenter_radius, kcenters_full_ranking, kcenters_oracle
-from svp.kcenters import greedy_kcenters, write_order_csv
+from svp.kcenters import _screen_rows, greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
 
 
@@ -109,6 +109,14 @@ def near_tie_instances(draw):
     return x, rng.permutation(n)[:k0], budget
 
 
+def assert_bit_equal_to_oracle(x, initial, budget):
+    res = greedy_kcenters(x, initial, budget)
+    order, picked, min_dists = kcenters_oracle(x, initial, budget)
+    assert res.order.tolist() == order.tolist()
+    assert res.picked_dists.tobytes() == picked.tobytes()
+    assert res.min_dists.tobytes() == min_dists.tobytes()
+
+
 class TestDifferenceFormOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(near_tie_instances())
@@ -119,6 +127,69 @@ class TestDifferenceFormOracle:
         assert res.order.tolist() == order.tolist()
         assert res.picked_dists.tobytes() == picked.tobytes()
         assert res.min_dists.tobytes() == min_dists.tobytes()
+
+
+    @pytest.mark.parametrize("scale", [1e30, 1e-30])
+    def test_extreme_magnitudes(self, scale):
+        # Squared norms near 1e60 overflow float32 and near 1e-60 underflow
+        # it, unless the screen's copy is scaled.
+        rng = np.random.default_rng(30)
+        x = scale * rng.standard_normal((300, 8))
+        assert_bit_equal_to_oracle(x, [0, 7, 11], 150)
+
+    def test_far_apart_tight_clusters(self):
+        # Distances within a cluster (about 1e-6 squared) sit far inside the
+        # float32 window, which scales with the 1e4 separation.
+        rng = np.random.default_rng(31)
+        centers = rng.standard_normal((12, 6))
+        centers *= 1e4 / np.linalg.norm(centers[0] - centers[1])
+        x = centers[rng.integers(0, 12, 600)] + 1e-3 * rng.standard_normal((600, 6))
+        assert_bit_equal_to_oracle(x, [5, 50, 500], 300)
+
+    def test_benchmark_shaped_instance(self):
+        # A 64-unit ReLU embedding of 10 Gaussian blobs, as an MLP proxy
+        # gives: nonnegative, with exact zeros.
+        rng = np.random.default_rng(32)
+        blobs = 3.0 * rng.standard_normal((10, 32))[rng.integers(0, 10, 4000)]
+        z = blobs + rng.standard_normal((4000, 32))
+        x = np.maximum(z @ rng.standard_normal((32, 64)) / np.sqrt(32) + 0.1, 0.0)
+        assert_bit_equal_to_oracle(x, rng.permutation(4000)[:80], 200)
+
+
+@st.composite
+def screen_instances(draw):
+    """Rows for the float32 screen: d from 1 to 128, Gaussian or ReLU-like
+    (nonnegative, with exact zeros), a common offset, and magnitudes near
+    1, 1e30 and 1e-30."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        x = np.maximum(x, 0.0)
+    x = x + draw(st.sampled_from([0.0, 1e3, -2.5e4]))
+    return x * draw(st.sampled_from([1.0, 1e30, 1e-30]))
+
+
+class TestScreenBound:
+    """The certificate itself: the selection tests can pass by luck when the
+    window is wide, so the bound is checked pair by pair."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(screen_instances())
+    def test_screen_is_within_tol_of_difference_form(self, x):
+        y, q, s2, tol = _screen_rows(x)
+        d = x.shape[1]
+        # A center c's weights are [-2 y_c ; float32(q_c)], as in the kernel;
+        # the bound holds for any summation order, so one float32 GEMM
+        # stands in for the kernel's GEMVs.
+        w = np.concatenate([y[:, :d] * np.float32(-2.0), q.astype(np.float32)[:, None]], axis=1)
+        screen = (y @ w.T).astype(np.float64)
+        diff = x[:, None, :] - x[None, :, :]
+        exact = np.einsum("ijk,ijk->ij", diff, diff)
+        assert np.abs(screen + q[:, None] - s2 * exact).max() <= tol
+        # The window must stay narrow enough to screen anything out.
+        assert tol <= 4 * (d + 8) * 2.0**-24 * q.max() + 1e-30
 
 
 @st.composite
