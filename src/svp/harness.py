@@ -273,20 +273,18 @@ def _al_selection_pass(
     cfg: ALConfig,
     x: np.ndarray,
     y: np.ndarray,
-    xt: np.ndarray,
-    yt: np.ndarray,
     c: int,
     sizes: list,
     proxy_spec: LearnerSpec,
     clock: Callable[[], float],
 ):
-    """Run the selection rounds; returns (labeled ids, per-round records)."""
+    """Run the selection rounds; returns (labeled ids, round proxies, round seconds)."""
     n = x.shape[0]
     labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(cfg.seed, "initial-pool")))
     mask = np.zeros(n, dtype=bool)
     mask[labeled] = True
 
-    proxy_errors = []
+    proxies = []
     round_seconds = []
     banked = labeled[:0]  # picks a selector made ahead for later rounds
     for k in range(1, len(sizes)):
@@ -304,10 +302,10 @@ def _al_selection_pass(
         picked, banked = banked[:quota], banked[quota:]
         t1 = clock()
         round_seconds.append(t1 - t0)
-        proxy_errors.append(error_rate(proxy, xt, yt))
+        proxies.append(proxy)
         mask[picked] = True
         labeled = np.flatnonzero(mask)
-    return labeled, proxy_errors, round_seconds
+    return labeled, proxies, round_seconds
 
 
 def run_active_learning(
@@ -335,13 +333,14 @@ def run_active_learning(
     c = max(2, int(max(y.max(), yt.max())) + 1)
     sizes = plan_schedule(x.shape[0], cfg.budget_fraction, cfg.schedule)
 
-    labeled, proxy_errors, round_seconds = _al_selection_pass(
-        cfg, x, y, xt, yt, c, sizes, cfg.proxy, clock
+    labeled, proxies, round_seconds = _al_selection_pass(
+        cfg, x, y, c, sizes, cfg.proxy, clock
     )
+    proxy_errors = [error_rate(proxy, xt, yt) for proxy in proxies]
     selection_seconds = float(sum(round_seconds))
 
     if measure_baseline and baseline_seconds is None:
-        _, _, base_rounds = _al_selection_pass(cfg, x, y, xt, yt, c, sizes, cfg.target, clock)
+        _, _, base_rounds = _al_selection_pass(cfg, x, y, c, sizes, cfg.target, clock)
         baseline_seconds = float(sum(base_rounds))
 
     target_spec = dataclasses.replace(
@@ -373,21 +372,19 @@ def _coreset_select(
     proxy_spec: LearnerSpec,
     x: np.ndarray,
     y: np.ndarray,
-    xt: np.ndarray,
-    yt: np.ndarray,
     c: int,
     m: int,
     seed: int,
     clock: Callable[[], float],
 ):
-    """One timed selection pass; returns (subset ids, proxy error, seconds)."""
+    """One timed selection pass; returns (subset ids, fitted proxy, seconds)."""
     n = x.shape[0]
     t0 = clock()
     spec = dataclasses.replace(proxy_spec, seed=_fit_seed(seed, "proxy-fit", proxy_spec))
     proxy = fit(spec, x, y, n_classes=c)
     subset = SELECTORS[method](proxy, x, np.arange(n), m, seed, "subset", 0)
     t1 = clock()
-    return np.sort(subset), error_rate(proxy, xt, yt), t1 - t0
+    return np.sort(subset), proxy, t1 - t0
 
 
 def run_coreset(
@@ -421,11 +418,12 @@ def run_coreset(
     if m < 1:
         raise ValueError("subset is empty")
 
-    subset, proxy_error, seconds = _coreset_select(
-        method, proxy, x, y, xt, yt, c, m, seed, clock
+    subset, proxy_model, seconds = _coreset_select(
+        method, proxy, x, y, c, m, seed, clock
     )
+    proxy_error = error_rate(proxy_model, xt, yt)
     if measure_baseline and baseline_seconds is None:
-        _, _, base_seconds = _coreset_select(method, target, x, y, xt, yt, c, m, seed, clock)
+        _, _, base_seconds = _coreset_select(method, target, x, y, c, m, seed, clock)
         baseline_seconds = float(base_seconds)
 
     target_spec = dataclasses.replace(target, seed=_fit_seed(seed, "target-fit", target))

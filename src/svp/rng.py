@@ -17,6 +17,27 @@ Derived quantities are defined as:
   and u2 in [0, 1) from the second. The sine half is discarded.
 
 Arrays are filled in row-major order.
+
+Shuffles are computed in closed form rather than by running the swaps. Add
+a step 0 that swaps position 0 with ``j_0 = 0``, a no-op, so that steps
+i = n-1 .. 0 each swap position i with j_i <= i. Position i is never
+written after step i, and step i moves into it the value then at
+position j_i. Write V(s) for the value position s holds when step s runs.
+Before step i, position j_i holds its original value j_i unless a step
+above i wrote it; the last such write, ``nxt[i]``, is the lowest step above
+i with target j_i, and it stored V(nxt[i]) there. So
+
+    out[i] = V(nxt[i]), or j_i when no step above i writes j_i.
+
+A step s read here writes below itself (j_s = j_i <= i < s). By the same
+argument V(s) = V(m[s]), where m[s], the lowest step that writes s, lies
+above s and again writes below itself; V(s) = s when no step writes s. The
+links s -> m[s] only climb, so every chain ends at a position that keeps
+its own index, and pointer doubling (``ptr = ptr[ptr]`` until nothing
+changes) finds those ends in at most ceil(log2 n) + 1 rounds, the last one
+changing nothing; random draws need about five at n = 50000. A stable sort
+of the targets lists each target's steps in ascending order, which gives
+both nxt (the next step in the same group) and m (the group's first step).
 """
 
 from __future__ import annotations
@@ -81,33 +102,37 @@ class SplitMix64:
         self._count += n
         return _mix64_array(np.uint64(self._seed) + ks * np.uint64(_GAMMA))
 
-    def next_double(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % n
-
     def doubles(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1)."""
         return (self.raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def shuffle(self, values: list) -> None:
         """In-place Fisher-Yates shuffle (back to front, modulo bound)."""
-        n = len(values)
-        if n < 2:
-            return
-        # Draw k swaps position i = n-1-k with j = raw_k % (i + 1); the
-        # bounds n, n-1, ..., 2 are reduced in one vector op.
-        js = (self.raw_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), js):
-            values[i], values[j] = values[j], values[i]
+        values[:] = [values[k] for k in self.permutation(len(values))]
 
     def permutation(self, n: int) -> np.ndarray:
-        order = list(range(n))
-        self.shuffle(order)
-        return np.asarray(order, dtype=np.int64)
+        """The order ``shuffle`` gives ``list(range(n))``, in closed form."""
+        if n < 2:
+            return np.arange(n, dtype=np.int64)
+        # j[i] is step i's target: draw k serves step n-1-k, bound n-k. Keys
+        # of 16 bits or less make the stable argsort a radix sort.
+        j = np.empty(n, dtype=np.min_scalar_type(n - 1))
+        j[0] = 0
+        j[1:] = (self.raw_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64))[::-1]
+        steps = np.argsort(j, kind="stable")
+        linked = j[steps[1:]] == j[steps[:-1]]
+        index = np.arange(n)
+        nxt = index.copy()  # nxt[i] == i: no step above i writes j[i]
+        nxt[steps[:-1][linked]] = steps[1:][linked]
+        heads = steps[np.concatenate(([True], ~linked))]  # m[t]: the first step writing t
+        ptr = index.copy()  # ptr[q] == q: no step writes q
+        ptr[j[heads]] = heads
+        while True:
+            jumped = ptr[ptr]
+            if np.array_equal(jumped, ptr):
+                break
+            ptr = jumped
+        return np.where(nxt > index, ptr[nxt], j)
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Standard normals via Box-Muller, row-major fill."""

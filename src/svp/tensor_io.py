@@ -30,6 +30,7 @@ error.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import struct
@@ -234,6 +235,9 @@ _LOG_CSV = np.dtype([("example_id", np.int64), ("epoch", np.int64), ("correct", 
 # Where np.loadtxt reports a field it could not convert (0-based data row,
 # 1-based column).
 _LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
+# Where np.loadtxt reports a row with the wrong number of fields (fields
+# found, 1-based data row).
+_LOADTXT_COUNT = re.compile(r"requires \d+ columns but (\d+) were found at row (\d+)")
 
 
 def _split_fields(line: str) -> list:
@@ -249,21 +253,50 @@ def read_csv_header(path: str) -> Optional[list]:
     return _split_fields(line) if line else None
 
 
-def _fields_per_line(lines: list) -> tuple[np.ndarray, np.ndarray]:
-    """Per line: the field count (one more than the commas outside double
-    quotes, 0 for an empty line) and whether its quotes are unbalanced."""
-    raw = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    commas = np.flatnonzero(raw == ord(","))
-    quotes = np.flatnonzero(raw == ord('"'))
-    quotes_before = np.searchsorted(quotes, ends)
-    line_start_quotes = np.concatenate(([0], quotes_before[:-1]))
-    # A comma after an odd number of its own line's quotes is quoted.
-    line = np.searchsorted(ends, commas)
-    unquoted = (np.searchsorted(quotes, commas) - line_start_quotes[line]) % 2 == 0
-    counts = np.bincount(line[unquoted], minlength=ends.size) + 1
-    counts[np.diff(ends, prepend=-1) == 1] = 0
-    return counts, (quotes_before - line_start_quotes) % 2 == 1
+def _loadtxt(body: bytes, columns: np.dtype) -> np.ndarray:
+    """``body``, one data row per line, parsed by np.loadtxt into ``columns``."""
+    with warnings.catch_warnings():
+        # numpy parses text such as "1.5" in an integer column as a float
+        # and only warns; as an error it is a ValueError like any other.
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(io.BytesIO(body), dtype=columns, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1, encoding="utf-8")
+
+
+def _first_unparsable_line(body: bytes) -> Optional[tuple[int, int, bool]]:
+    """The first line np.loadtxt would misread: a blank line, which it skips,
+    or one with an odd number of double quotes, whose open quoted field it
+    would run on into the next line. Returns (line index, offset of the
+    line's first byte, whether the line has an unbalanced quote), or None."""
+    gap = body.find(b"\n\n")
+    if body.startswith(b"\n"):
+        bad = (0, 0, False)
+    elif gap >= 0:
+        bad = (body.count(b"\n", 0, gap + 1), gap + 1, False)
+    else:
+        bad = None
+    if b'"' in body:
+        raw = np.frombuffer(body, dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        odd = np.flatnonzero(np.bincount(np.searchsorted(ends, np.flatnonzero(raw == ord('"')))) % 2)
+        if odd.size and (bad is None or odd[0] < bad[0]):
+            i = int(odd[0])
+            bad = (i, int(ends[i - 1]) + 1 if i else 0, True)
+    return bad
+
+
+def _check_field_counts(path: str, body: bytes, names: list) -> None:
+    """Raise for the first line of ``body`` without one field per column."""
+    if not body:
+        return
+    try:
+        _loadtxt(body, np.dtype([(name, "U1") for name in names]))  # any text converts
+    except ValueError as exc:
+        count = _LOADTXT_COUNT.search(str(exc))
+        if count is not None:
+            raise InvalidValueError(
+                f"{path}: line {int(count[2]) + 1}: expected {len(names)} fields, got {count[1]}"
+            ) from exc
 
 
 def read_csv(path: str, columns: np.dtype) -> np.ndarray:
@@ -274,34 +307,36 @@ def read_csv(path: str, columns: np.dtype) -> np.ndarray:
     is a row with no fields and is rejected. Lines may end in LF, CRLF or
     CR, a field may be double-quoted within its line, and numbers may carry
     surrounding spaces. Integer columns take integers only. Errors name the
-    file and, for a bad row, its line.
+    file and, for a bad row, its line; a line with the wrong number of
+    fields or an unbalanced quote is reported before any field that does
+    not convert.
+
+    The file is read once. Checks on that buffer find what np.loadtxt would
+    not (blank lines, unbalanced quotes), and one np.loadtxt call over the
+    same bytes splits, counts and converts the fields.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last line
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # CRLF and CR end a line, as text mode reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     names = list(columns.names)
-    header = _split_fields(lines[0]) if lines and lines[0] else None
+    head, _, body = data.partition(b"\n")
+    header = _split_fields(head.decode()) if head else None
     if header != names:
         raise InvalidValueError(f"{path}: expected header {','.join(names)}, got {header}")
-    body = lines[1:]
     if not body:
         raise InvalidValueError(f"{path}: CSV holds no data rows")
-    counts, open_quote = _fields_per_line(body)
-    bad = np.flatnonzero((counts != len(names)) | open_quote)
-    if bad.size:
-        i = int(bad[0])
-        if open_quote[i]:
+    bad = _first_unparsable_line(body)
+    if bad is not None:
+        i, start, open_quote = bad
+        _check_field_counts(path, body[:start], names)
+        if open_quote:
             raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
-        raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got {counts[i]}")
+        raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got 0")
     try:
-        with warnings.catch_warnings():
-            # numpy parses text such as "1.5" in an integer column as a float
-            # and only warns; as an error it is a ValueError like any other.
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(body, dtype=columns, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+        return _loadtxt(body, columns)
     except ValueError as exc:
+        _check_field_counts(path, body, names)
         at = _LOADTXT_AT.search(str(exc))
         if at is None:
             raise InvalidValueError(f"{path}: malformed row ({exc})") from exc
@@ -336,16 +371,18 @@ def read_train_log_csv(path: str) -> np.ndarray:
         if ex[i] < 0 or ep[i] < 0:
             raise InvalidValueError(f"{path}: line {i + 2}: negative example_id or epoch")
         raise InvalidValueError(f"{path}: line {i + 2}: correct must be 0 or 1, got {correct[i]}")
-    # A stable sort puts the cells in row-major order, repeats of a cell in
-    # file order. Unlike a count over id * E + epoch, it cannot overflow or
-    # allocate for one stray huge id.
-    order = np.lexsort((ep, ex))
-    ex, ep = ex[order], ep[order]
-    repeats = order[1:][(ex[1:] == ex[:-1]) & (ep[1:] == ep[:-1])]
-    if repeats.size:
-        i = int(repeats.min())
-        cell = (int(rows["example_id"][i]), int(rows["epoch"][i]))
-        raise InvalidValueError(f"{path}: line {i + 2}: duplicate cell {cell}")
+    # Cells in strictly increasing row-major order, as every writer emits
+    # them, hold no repeats. Otherwise a stable sort puts them in that order,
+    # repeats of a cell in file order. Unlike a count over id * E + epoch,
+    # neither can overflow or allocate for one stray huge id.
+    if not ((ex[1:] > ex[:-1]) | ((ex[1:] == ex[:-1]) & (ep[1:] > ep[:-1]))).all():
+        order = np.lexsort((ep, ex))
+        ex, ep, correct = ex[order], ep[order], correct[order]
+        repeats = order[1:][(ex[1:] == ex[:-1]) & (ep[1:] == ep[:-1])]
+        if repeats.size:
+            i = int(repeats.min())
+            cell = (int(rows["example_id"][i]), int(rows["epoch"][i]))
+            raise InvalidValueError(f"{path}: line {i + 2}: duplicate cell {cell}")
     # Distinct cells inside an n x E box fill it exactly when they number n * E.
     n, steps = int(ex[-1]) + 1, int(ep.max()) + 1
     if n * steps != ex.size:
@@ -353,7 +390,7 @@ def read_train_log_csv(path: str) -> np.ndarray:
         gaps = np.flatnonzero((ex != want_ex) | (ep != want_ep))
         k = int(gaps[0]) if gaps.size else ex.size
         raise InvalidValueError(f"{path}: missing cell (example_id={k // steps}, epoch={k % steps})")
-    return (correct[order] == 1).reshape(n, steps)
+    return (correct == 1).reshape(n, steps)
 
 
 def write_scores_csv(scores: np.ndarray, path: str) -> None:

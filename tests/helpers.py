@@ -1,9 +1,10 @@
-"""Shared test utilities: scripted clocks, geometry builders, gradient probes,
-the per-batch SGD oracle, the difference-form k-centers oracle, the
-per-round active-learning k-centers oracle, and the streaming forgetting
-oracle."""
+"""Shared test utilities: the generator's scalar draws, scripted clocks,
+geometry builders, gradient probes, the per-batch SGD oracle, the
+difference-form k-centers oracle, the per-round active-learning k-centers
+oracle, the streaming forgetting oracle, and the line-list CSV reader."""
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +12,21 @@ import numpy as np
 from svp.forgetting import ForgettingScores
 from svp.harness import _fit_seed, random_select
 from svp.kcenters import greedy_kcenters
-from svp.learner import LearnerSpec, TrainedModel, embed, error_rate, fit, init_params
+from svp.learner import LearnerSpec, TrainedModel, embed, fit, init_params
 from svp.rng import SplitMix64, derive_seed
+from svp.tensor_io import _LOADTXT_AT, InvalidValueError, _split_fields
+
+
+def next_double(rng: SplitMix64) -> float:
+    """Uniform double in [0, 1) from one raw draw: ``(next_u64() >> 11) * 2**-53``."""
+    return (rng.next_u64() >> 11) * 2.0**-53
+
+
+def next_below(rng: SplitMix64, n: int) -> int:
+    """Integer in [0, n) from one raw draw: ``next_u64() % n``."""
+    if n <= 0:
+        raise ValueError("bound must be positive")
+    return rng.next_u64() % n
 
 
 class ScriptClock:
@@ -123,14 +137,14 @@ def draw_gradient_case(rng, kind, warmup_steps=3, kink_margin=1e-2):
     rejected: a central difference with step 1e-4 would straddle the ReLU
     kink there and measure neither one-sided slope.
     """
-    n = 5 + rng.next_below(4)
-    d = 2 + rng.next_below(3)
-    c = 2 + rng.next_below(2)
-    hidden = 4 + rng.next_below(4) if kind == "mlp" else None
+    n = 5 + next_below(rng, 4)
+    d = 2 + next_below(rng, 3)
+    c = 2 + next_below(rng, 2)
+    hidden = 4 + next_below(rng, 4) if kind == "mlp" else None
     spec = LearnerSpec(kind=kind, epochs=1, learning_rate=0.3, batch_size=4,
                        seed=rng.next_u64(), hidden_units=hidden)
     x = rng.normals((n, d))
-    y = np.array([rng.next_below(c) for _ in range(n)], dtype=np.int64)
+    y = np.array([next_below(rng, c) for _ in range(n)], dtype=np.int64)
     params = init_params(spec, d, c)
     for _ in range(warmup_steps):
         _, grads, _ = loss_and_grads(kind, params, x, y)
@@ -210,7 +224,7 @@ def kcenters_full_ranking(features, initial):
     return greedy_kcenters(features, initial, n - np.asarray(initial).size).order
 
 
-def al_kcenters_pass_oracle(cfg, x, y, xt, yt, c, sizes, proxy_spec, clock):
+def al_kcenters_pass_oracle(cfg, x, y, c, sizes, proxy_spec, clock):
     """``svp.harness._al_selection_pass`` for k-centers as one traversal per
     round, each from the whole labeled set in the round's proxy embedding.
 
@@ -219,7 +233,7 @@ def al_kcenters_pass_oracle(cfg, x, y, xt, yt, c, sizes, proxy_spec, clock):
     """
     n = x.shape[0]
     labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(cfg.seed, "initial-pool")))
-    proxy_errors, round_seconds = [], []
+    proxies, round_seconds = [], []
     for k in range(1, len(sizes)):
         t0 = clock()
         spec_k = dataclasses.replace(
@@ -228,9 +242,9 @@ def al_kcenters_pass_oracle(cfg, x, y, xt, yt, c, sizes, proxy_spec, clock):
         proxy = fit(spec_k, x[labeled], y[labeled], n_classes=c)
         picked = greedy_kcenters(embed(proxy, x), labeled, sizes[k] - sizes[k - 1]).order
         round_seconds.append(clock() - t0)
-        proxy_errors.append(error_rate(proxy, xt, yt))
+        proxies.append(proxy)
         labeled = np.union1d(labeled, picked)
-    return labeled, proxy_errors, round_seconds
+    return labeled, proxies, round_seconds
 
 
 @dataclass(frozen=True)
@@ -265,3 +279,69 @@ def scores_as_reals(scores: ForgettingScores) -> np.ndarray:
     """
     top = float(scores.counts.max()) + 1.0
     return np.where(scores.never_learned, top, scores.counts.astype(np.float64))
+
+
+def _fields_per_line(lines: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per line: the field count (one more than the commas outside double
+    quotes, 0 for an empty line) and whether its quotes are unbalanced."""
+    raw = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    commas = np.flatnonzero(raw == ord(","))
+    quotes = np.flatnonzero(raw == ord('"'))
+    quotes_before = np.searchsorted(quotes, ends)
+    line_start_quotes = np.concatenate(([0], quotes_before[:-1]))
+    # A comma after an odd number of its own line's quotes is quoted.
+    line = np.searchsorted(ends, commas)
+    unquoted = (np.searchsorted(quotes, commas) - line_start_quotes[line]) % 2 == 0
+    counts = np.bincount(line[unquoted], minlength=ends.size) + 1
+    counts[np.diff(ends, prepend=-1) == 1] = 0
+    return counts, (quotes_before - line_start_quotes) % 2 == 1
+
+
+def read_csv_oracle(path: str, columns: np.dtype) -> np.ndarray:
+    """Read a CSV file into a structured array typed by ``columns``.
+
+    The first line must name exactly the fields of ``columns``, in order.
+    Every later line is a data row with one field per column; a blank line
+    is a row with no fields and is rejected. Lines may end in LF, CRLF or
+    CR, a field may be double-quoted within its line, and numbers may carry
+    surrounding spaces. Integer columns take integers only. Errors name the
+    file and, for a bad row, its line.
+
+    The reference for ``svp.tensor_io.read_csv``: the file as a list of
+    lines, a comma scan for the field counts, then np.loadtxt on the lines.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    names = list(columns.names)
+    header = _split_fields(lines[0]) if lines and lines[0] else None
+    if header != names:
+        raise InvalidValueError(f"{path}: expected header {','.join(names)}, got {header}")
+    body = lines[1:]
+    if not body:
+        raise InvalidValueError(f"{path}: CSV holds no data rows")
+    counts, open_quote = _fields_per_line(body)
+    bad = np.flatnonzero((counts != len(names)) | open_quote)
+    if bad.size:
+        i = int(bad[0])
+        if open_quote[i]:
+            raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
+        raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got {counts[i]}")
+    try:
+        with warnings.catch_warnings():
+            # numpy parses text such as "1.5" in an integer column as a float
+            # and only warns; as an error it is a ValueError like any other.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(body, dtype=columns, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except ValueError as exc:
+        at = _LOADTXT_AT.search(str(exc))
+        if at is None:
+            raise InvalidValueError(f"{path}: malformed row ({exc})") from exc
+        column = names[int(at[2]) - 1]
+        kind = "non-integer" if columns[column].kind == "i" else "non-numeric"
+        raise InvalidValueError(
+            f"{path}: line {int(at[1]) + 2}: malformed row, {kind} field {column}"
+        ) from exc

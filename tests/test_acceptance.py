@@ -20,6 +20,7 @@ from helpers import (
     finalize,
     kcenter_radius,
     max_gradient_mismatch,
+    next_below,
     streaming_update,
     three_blob,
 )
@@ -98,12 +99,12 @@ def test_criterion_01_kcenters_matches_stepwise_oracle(capsys):
     rng = SplitMix64(1001)
     mismatches = 0
     for _ in range(200):
-        n = 2 + rng.next_below(63)
-        d = 1 + rng.next_below(8)
+        n = 2 + next_below(rng, 63)
+        d = 1 + next_below(rng, 8)
         x = rng.normals((n, d))
-        k0 = 1 + rng.next_below(min(3, n - 1))
+        k0 = 1 + next_below(rng, min(3, n - 1))
         init = SplitMix64(rng.next_u64()).permutation(n)[:k0]
-        budget = rng.next_below(min(16, n - k0) + 1)
+        budget = next_below(rng, min(16, n - k0) + 1)
         got = greedy_kcenters(x, init, budget).order
         want = _stepwise_oracle(x, init, budget)
         if not np.array_equal(got, want):
@@ -120,10 +121,10 @@ def test_criterion_02_kcenters_two_approximation(capsys):
     rng = SplitMix64(1002)
     violations = 0
     for _ in range(100):
-        n = 4 + rng.next_below(9)
-        d = 1 + rng.next_below(3)
+        n = 4 + next_below(rng, 9)
+        d = 1 + next_below(rng, 3)
         x = rng.normals((n, d))
-        budget = 1 + rng.next_below(min(4, n - 1))
+        budget = 1 + next_below(rng, min(4, n - 1))
         init = [int(np.argmin(x[:, 0]))]
         result = greedy_kcenters(x, init, budget)
         centers = np.concatenate([np.asarray(init), result.order])
@@ -186,7 +187,7 @@ def test_criterion_04_correlation_closed_forms(capsys):
     rng = SplitMix64(1004)
     invariant = True
     for _ in range(100):
-        n = 3 + rng.next_below(30)
+        n = 3 + next_below(rng, 30)
         x = rng.normals(n)
         y = rng.normals(n)
         base = spearman(x, y)
@@ -206,7 +207,7 @@ def test_criterion_05_binary_class_metric_agreement(capsys):
     checked = 0
     ok = True
     for _ in range(100):
-        n = 5 + rng.next_below(46)
+        n = 5 + next_below(rng, 46)
         top = 0.5 + 0.5 * rng.doubles(n)
         probs = np.column_stack([top, 1.0 - top])
         conf = least_confidence(probs)
@@ -406,16 +407,16 @@ def test_criterion_12_format_round_trips(capsys, tmp_path):
     path = str(tmp_path / "file.bin")
     exact = 0
     for _ in range(100):
-        n = 1 + rng.next_below(20)
-        d = 1 + rng.next_below(10)
+        n = 1 + next_below(rng, 20)
+        d = 1 + next_below(rng, 10)
         tensor = rng.normals((n, d)).astype(np.float32)
         write_tensor(tensor, path)
         back = read_tensor(path)
         if back.tobytes() == tensor.tobytes() and back.shape == tensor.shape:
             exact += 1
     for _ in range(100):
-        n = 1 + rng.next_below(20)
-        steps = 1 + rng.next_below(15)
+        n = 1 + next_below(rng, 20)
+        steps = 1 + next_below(rng, 15)
         log = rng.normals((n, steps)) > 0.0
         write_train_log(log, path)
         if np.array_equal(read_train_log(path), log):

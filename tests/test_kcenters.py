@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import kcenter_radius, kcenters_full_ranking, kcenters_oracle
+from helpers import kcenter_radius, kcenters_full_ranking, kcenters_oracle, next_below
 from svp.kcenters import _screen_rows, greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
 
@@ -63,11 +63,11 @@ class TestOracleEquivalence:
     def test_random_instances_match_brute_force(self):
         rng = SplitMix64(1001)
         for _ in range(50):
-            n = 2 + rng.next_below(30)
-            d = 1 + rng.next_below(6)
+            n = 2 + next_below(rng, 30)
+            d = 1 + next_below(rng, 6)
             x = rng.normals((n, d))
-            initial = [rng.next_below(n)]
-            budget = rng.next_below(min(10, n - 1) + 1)
+            initial = [next_below(rng, n)]
+            budget = next_below(rng, min(10, n - 1) + 1)
             res = greedy_kcenters(x, initial, budget)
             assert res.order.tolist() == brute_force_steps(x, initial, budget)
 
@@ -221,9 +221,9 @@ class TestApproximationAndInvariances:
     def test_two_approximation_small(self):
         rng = SplitMix64(2002)
         for _ in range(25):
-            n = 5 + rng.next_below(6)
+            n = 5 + next_below(rng, 6)
             x = rng.normals((n, 2))
-            budget = 1 + rng.next_below(3)
+            budget = 1 + next_below(rng, 3)
             start = int(np.argmin(x[:, 0]))
             res = greedy_kcenters(x, [start], budget)
             greedy_r = kcenter_radius(x, [start] + res.order.tolist())

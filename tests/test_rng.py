@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import next_below, next_double
 from svp.rng import SplitMix64, _mix64_array, _mix64_scalar, derive_seed
 
 # Published reference outputs for the splitmix64 finalizer sequence.
@@ -53,17 +54,17 @@ class TestDerived:
     def test_double_matches_raw_recipe(self):
         g1, g2 = SplitMix64(9), SplitMix64(9)
         raw = g1.next_u64()
-        assert g2.next_double() == (raw >> 11) * 2.0**-53
+        assert next_double(g2) == (raw >> 11) * 2.0**-53
 
     def test_next_below_is_modulo_of_raw(self):
         g1, g2 = SplitMix64(11), SplitMix64(11)
         raws = [g1.next_u64() for _ in range(50)]
-        vals = [g2.next_below(7) for _ in range(50)]
+        vals = [next_below(g2, 7) for _ in range(50)]
         assert vals == [r % 7 for r in raws]
 
     def test_next_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            SplitMix64(1).next_below(0)
+            next_below(SplitMix64(1), 0)
 
     def test_shuffle_is_fisher_yates_from_back(self):
         # Independent re-derivation of the documented recipe, one next_u64
@@ -117,6 +118,49 @@ class TestDerived:
         grid = SplitMix64(6).normals((2, 3))
         assert grid.shape == (2, 3)
         assert np.array_equal(grid.ravel(), flat)
+
+
+def fisher_yates_reference(seed, n):
+    """The documented recipe, one ``next_u64`` call per swap; returns the
+    order and the stream's next raw draw."""
+    g = SplitMix64(seed)
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = g.next_u64() % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order, g.next_u64()
+
+
+class TestClosedFormShuffle:
+    """``permutation`` computes the back-to-front Fisher-Yates order without
+    running the swaps; it must give the recipe's order and leave the stream
+    where the recipe leaves it."""
+
+    def check(self, seed, n):
+        g = SplitMix64(seed)
+        perm = g.permutation(n)
+        expected, after = fisher_yates_reference(seed, n)
+        assert perm.dtype == np.int64, n
+        assert perm.tolist() == expected, (seed, n)
+        assert g.next_u64() == after, (seed, n)
+
+    def test_every_n_up_to_257(self):
+        # Key widths 8 and 16 bits meet at n = 257.
+        for n in range(258):
+            self.check(1000 + n, n)
+
+    def test_drawn_sizes_and_seeds(self):
+        draws = SplitMix64(424242)
+        sizes = [1 + next_below(draws, 70000) for _ in range(20)] + [65536, 65537]
+        for n in sizes:
+            self.check(draws.next_u64(), n)
+
+    def test_shuffle_of_objects_is_indexing_by_the_permutation(self):
+        values = [object() for _ in range(300)] + ["a", None, (1, 2), 7.5]
+        shuffled = list(values)
+        SplitMix64(55).shuffle(shuffled)
+        perm = SplitMix64(55).permutation(len(values))
+        assert all(a is values[k] for a, k in zip(shuffled, perm))
 
 
 class TestDeriveSeed:

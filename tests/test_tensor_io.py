@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import read_csv_oracle
 from svp.tensor_io import (
+    _LABELS_CSV,
+    _LOG_CSV,
+    _SCORES_CSV,
     BadMagicError,
     FormatError,
     InvalidHeaderError,
@@ -15,6 +19,7 @@ from svp.tensor_io import (
     TruncatedPayloadError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
+    read_csv,
     read_labels_csv,
     read_scores_csv,
     read_tensor,
@@ -339,3 +344,128 @@ class TestScoreAndLabelCsv:
         p.write_text("example_id,label\n1,0\n")
         with pytest.raises(InvalidValueError):
             read_labels_csv(str(p))
+
+
+def _log_csv_rows(log):
+    return [f"{ex},{ep},{int(log[ex, ep])}" for ex in range(log.shape[0]) for ep in range(log.shape[1])]
+
+
+class TestTrainLogCsvOrder:
+    """Row-major files skip the sort; any other order goes through it."""
+
+    LOG = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=bool)
+    SHUFFLE = [7, 2, 11, 0, 5, 9, 3, 10, 1, 8, 6, 4]
+
+    def write(self, path, rows):
+        path.write_text("example_id,epoch,correct\n" + "\n".join(rows) + "\n")
+        return str(path)
+
+    def test_shuffled_rows_read_as_row_major(self, tmp_path):
+        rows = _log_csv_rows(self.LOG)
+        row_major = read_train_log_csv(self.write(tmp_path / "a.csv", rows))
+        shuffled = read_train_log_csv(self.write(tmp_path / "b.csv", [rows[k] for k in self.SHUFFLE]))
+        assert np.array_equal(row_major, self.LOG)
+        assert np.array_equal(shuffled, self.LOG)
+
+    @pytest.mark.parametrize("order", ["row-major", "shuffled"])
+    def test_duplicate_and_missing_messages(self, tmp_path, order):
+        rows = _log_csv_rows(self.LOG)
+        if order == "shuffled":
+            rows = [rows[k] for k in self.SHUFFLE]
+        # Replacing (2, 0) by a second (1, 2) leaves one duplicate and one gap.
+        dup = [("1,2,1" if row.startswith("2,0,") else row) for row in rows]
+        with pytest.raises(InvalidValueError) as exc:
+            read_train_log_csv(self.write(tmp_path / "dup.csv", dup))
+        line = 2 + max(k for k, row in enumerate(dup) if row == "1,2,1")
+        assert str(exc.value).endswith(f"line {line}: duplicate cell (1, 2)")
+        gap = [row for row in rows if not row.startswith("2,0,")]
+        with pytest.raises(InvalidValueError) as exc:
+            read_train_log_csv(self.write(tmp_path / "gap.csv", gap))
+        assert str(exc.value).endswith("missing cell (example_id=2, epoch=0)")
+
+
+_CSV_VALUES = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-3", "1.5", "1e0", "2.0", "nan", "-0.25", "x", "", "1 2"]),
+)
+
+
+@st.composite
+def _csv_fields(draw, faulty):
+    value = draw(_CSV_VALUES if faulty else st.integers(0, 12).map(str))
+    pad = draw(st.sampled_from(["", " "]))
+    quote = draw(st.sampled_from(["none", "none", "field", "comma"] if faulty else ["none", "field"]))
+    if quote == "comma":
+        return f'"{value},{value}"'
+    if quote == "field":
+        return f'"{pad}{value}{pad}"'
+    return f"{pad}{value}{pad}"
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text for one of the readers' column sets: a clean file, or one
+    with blank and space-only lines, short and long rows, quoted commas,
+    stray quotes and fields that do not convert, each line ending in LF,
+    CRLF or CR."""
+    columns = draw(st.sampled_from([_LABELS_CSV, _SCORES_CSV, _LOG_CSV]))
+    faulty = draw(st.integers(0, 3)) > 0
+    names = list(columns.names)
+    quoted = [f'"{n}"' for n in names]
+    header = ",".join(draw(st.sampled_from([names, names, names, quoted, names[::-1]])))
+    lines = [header if faulty else ",".join(names)]
+    kinds = ["row"] * 5 + (["short", "long", "blank", "spaces", "stray-quote"] if faulty else [])
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("blank", "spaces"):
+            lines.append("" if kind == "blank" else "  ")
+            continue
+        width = len(names) + {"short": -1, "long": 1}.get(kind, 0)
+        line = ",".join(draw(_csv_fields(faulty)) for _ in range(width))
+        if kind == "stray-quote":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + '"' + line[at:]
+        lines.append(line)
+    text = "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return columns, text
+
+
+def _read_outcome(reader, path, columns):
+    try:
+        return "accept", reader(path, columns).tobytes()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReadCsvAgainstLineListOracle:
+    """``read_csv`` (one read, one np.loadtxt call) against the reader it
+    replaced, which split the file into a list of lines and counted each
+    line's fields with a comma scan."""
+
+    @given(case=_csv_texts())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_same_result_or_same_error(self, case, tmp_path_factory):
+        columns, text = case
+        path = str(tmp_path_factory.mktemp("csv") / "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        assert _read_outcome(read_csv, path, columns) == _read_outcome(read_csv_oracle, path, columns)
+
+    def test_field_count_fault_outranks_an_earlier_value_fault(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("example_id,label\n0,x\n1,1\n2\n")
+        with pytest.raises(InvalidValueError, match="line 4: expected 2 fields, got 1"):
+            read_csv(str(path), _LABELS_CSV)
+
+    def test_quote_after_a_space_is_an_ordinary_character(self, tmp_path):
+        # Documented difference: the comma scan took the quote as opening a
+        # quoted field and hid the comma inside it; np.loadtxt, like the new
+        # reader, splits there.
+        path = tmp_path / "l.csv"
+        path.write_text('example_id,label\n0, "1,2"\n')
+        with pytest.raises(InvalidValueError, match="line 2: expected 2 fields, got 3"):
+            read_csv(str(path), _LABELS_CSV)
+        with pytest.raises(InvalidValueError, match=r"malformed row \(the dtype passed requires 2 columns but 3"):
+            read_csv_oracle(str(path), _LABELS_CSV)

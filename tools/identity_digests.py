@@ -13,16 +13,33 @@ Usage, from the repository root:
     python3 tools/identity_digests.py > digests.txt
 
 Run it at two commits and diff the outputs: equal lines mean equal reports.
+
+A second section, lines starting with ``cli``, drives ``svp.cli.main`` on
+fixed-seed input files written to a temporary directory: SVPT probabilities
+and features, label CSVs, and one training log as SVPL, as a row-major CSV
+and as a row-shuffled CSV. Each line digests one command's exit code,
+standard output and output file. The core-set report is digested without
+its config (which holds the temporary paths) and timing, and its rounds CSV
+without the seconds column.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from svp.cli import main as cli_main  # noqa: E402
 from svp.harness import AL_METHODS, CORESET_METHODS, execute_config, rounds_csv  # noqa: E402
+from svp.learner import SynthParams, make_synthetic  # noqa: E402
+from svp.rng import SplitMix64  # noqa: E402
+from svp.tensor_io import write_labels_csv, write_tensor, write_train_log  # noqa: E402
 
 DATA = {"synthetic": {"classes": 4, "dim": 8, "separation": 0.8, "noise": 1.2,
                       "n_train": 803, "n_test": 301, "seed": 3}}
@@ -56,10 +73,99 @@ def digest(report) -> str:
     return hashlib.sha256((doc + "\n" + "\n".join(rows)).encode()).hexdigest()
 
 
+def write_cli_inputs(d):
+    """Fixed-seed input files in directory ``d``; returns their paths."""
+    n, classes, epochs = 1203, 7, 6
+    path = {name: os.path.join(d, name) for name in (
+        "probs_a.svpt", "probs_b.svpt", "log.svpl", "log.csv", "log_shuffled.csv",
+        "features.svpt", "labels.csv", "test_features.svpt", "test_labels.csv",
+        "coreset.json", "coreset_out.json")}
+    logits = 2.0 * SplitMix64(11).normals((n, classes))
+    for name, shift in (("probs_a.svpt", 0.0), ("probs_b.svpt", 1.0)):
+        z = logits + shift * SplitMix64(12).normals((n, classes))
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        write_tensor(e / e.sum(axis=1, keepdims=True), path[name])
+    learn_rate = 0.1 + 0.85 * SplitMix64(13).doubles(n)
+    log = SplitMix64(14).doubles(n * epochs).reshape(n, epochs) < learn_rate[:, None]
+    write_train_log(log, path["log.svpl"])
+    rows = [f"{k // epochs},{k % epochs},{int(v)}" for k, v in enumerate(log.ravel())]
+    header = "example_id,epoch,correct\n"
+    with open(path["log.csv"], "w") as fh:
+        fh.write(header + "\n".join(rows) + "\n")
+    with open(path["log_shuffled.csv"], "w") as fh:
+        fh.write(header + "\n".join(rows[k] for k in SplitMix64(15).permutation(len(rows))) + "\n")
+    ds = make_synthetic(SynthParams(4, 8, 0.8, 1.2, n, 301, 3))
+    write_tensor(ds.features, path["features.svpt"])
+    write_labels_csv(ds.labels, path["labels.csv"])
+    write_tensor(ds.test_features, path["test_features.svpt"])
+    write_labels_csv(ds.test_labels, path["test_labels.csv"])
+    data = {key: path[key + ext] for key, ext in (
+        ("features", ".svpt"), ("labels", ".csv"),
+        ("test_features", ".svpt"), ("test_labels", ".csv"))}
+    coreset = {"task": "coreset", "method": "forgetting", "seed": 5, "subset_fraction": 0.3,
+               "measure_baseline": True, "proxy": PROXIES["logistic"], "target": TARGET,
+               "data": data, "output": path["coreset_out.json"]}
+    with open(path["coreset.json"], "w") as fh:
+        json.dump(coreset, fh)
+    return path
+
+
+def cli_commands(path, d):
+    """(name, argv, output file or None) for each command, in run order."""
+    out = {name: os.path.join(d, name + ".csv") for name in (
+        "entropy", "margin", "least_confidence", "kcenters", "forget_svpl", "forget_csv",
+        "forget_shuffled")}
+    commands = [(f"score {m}", ["score", "--method", m, "--probs", path[probs], "--out", out[m]],
+                 out[m])
+                for m, probs in (("entropy", "probs_a.svpt"), ("least_confidence", "probs_a.svpt"),
+                                 ("margin", "probs_b.svpt"))]
+    commands += [
+        ("correlate", ["correlate", "--a", out["entropy"], "--b", out["margin"]], None),
+        ("kcenters", ["kcenters", "--features", path["features.svpt"], "--initial-size", "3",
+                      "--seed", "4", "--budget", "40", "--out", out["kcenters"]], out["kcenters"]),
+        ("correlate --ranks", ["correlate", "--ranks", "--a", out["entropy"],
+                               "--b", out["least_confidence"]], None),
+    ]
+    for name, log in (("forget_svpl", "log.svpl"), ("forget_csv", "log.csv"),
+                      ("forget_shuffled", "log_shuffled.csv")):
+        commands.append((f"forget {log}", ["forget", "--log", path[log], "--out", out[name],
+                                           "--select", "50"], out[name]))
+    commands.append(("coreset", ["coreset", "--config", path["coreset.json"]],
+                     path["coreset_out.json"]))
+    return commands
+
+
+def output_bytes(name, out_path):
+    with open(out_path, "rb") as fh:
+        data = fh.read()
+    if name != "coreset":
+        return data
+    report = json.loads(data)["report"]
+    report.pop("timing")
+    with open(out_path[:-5] + ".rounds.csv") as fh:
+        rows = [line.rsplit(",", 1)[0] for line in fh.read().splitlines()]
+    return (json.dumps(report, sort_keys=True) + "\n" + "\n".join(rows)).encode()
+
+
+def cli_digests():
+    with tempfile.TemporaryDirectory() as d:
+        path = write_cli_inputs(d)
+        for name, argv, out_path in cli_commands(path, d):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main(argv)
+            blob = f"{code}\n{stdout.getvalue()}".encode()
+            if out_path is not None:
+                blob += output_bytes(name, out_path)
+            yield f"cli {name} {hashlib.sha256(blob).hexdigest()}"
+
+
 def main():
     for name, config in configs():
         report, _ = execute_config(config)
         print(f"{name} {digest(report)}", flush=True)
+    for line in cli_digests():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
