@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 runtime failure (bad file contents, impossible
 request), 2 usage error (unknown subcommand, missing or malformed flags).
 Diagnostics go to standard error; results go to files or standard output,
-never interleaved with logs. Every output file is written atomically, so a
-failing invocation leaves no partial output behind.
+never interleaved with logs. Every output file is written atomically, and
+a command checks its request and stages all its outputs before it renames
+any into place, so a failing invocation leaves no output behind.
 
 ``--seed`` flags fall back to the ``SVP_SEED`` environment variable.
 """
@@ -31,6 +32,7 @@ from .tensor_io import (
     read_tensor,
     read_train_log,
     read_train_log_csv,
+    staged_writes,
     write_labels_csv,
     write_scores_csv,
     write_tensor,
@@ -190,9 +192,10 @@ def _cmd_kcenters(args) -> int:
 def _cmd_forget(args) -> int:
     log = _load_train_log(args.log)
     scores = process_log(log)
+    # Select first: an impossible M must fail before the CSV is written.
+    chosen = None if args.select is None else select_most_forgotten(scores, args.select)
     write_forgetting_csv(scores, args.out)
-    if args.select is not None:
-        chosen = select_most_forgotten(scores, args.select)
+    if chosen is not None:
         sys.stdout.write("\n".join(str(int(i)) for i in chosen) + "\n")
     return 0
 
@@ -238,11 +241,12 @@ def _cmd_synth(args) -> int:
         seed=seed,
     )
     ds = make_synthetic(params)
-    write_tensor(ds.features, args.out_features)
-    write_labels_csv(ds.labels, args.out_labels)
-    if args.out_test_features is not None:
-        write_tensor(ds.test_features, args.out_test_features)
-        write_labels_csv(ds.test_labels, args.out_test_labels)
+    with staged_writes():
+        write_tensor(ds.features, args.out_features)
+        write_labels_csv(ds.labels, args.out_labels)
+        if args.out_test_features is not None:
+            write_tensor(ds.test_features, args.out_test_features)
+            write_labels_csv(ds.test_labels, args.out_test_labels)
     return 0
 
 

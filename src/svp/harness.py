@@ -47,7 +47,7 @@ from .learner import (
     predict_proba,
 )
 from .rng import SplitMix64, derive_seed
-from .tensor_io import atomic_write_text, read_labels_csv, read_tensor
+from .tensor_io import atomic_write_text, read_labels_csv, read_tensor, staged_writes
 
 AL_METHODS = ("least_confidence", "kcenters", "random")
 CORESET_METHODS = ("entropy", "kcenters", "forgetting", "random")
@@ -569,6 +569,7 @@ def execute_config(
         )
 
     if output is not None:
-        atomic_write_text(output, report_json(config, report))
-        atomic_write_text(_csv_path_for(output), rounds_csv(report))
+        with staged_writes():
+            atomic_write_text(output, report_json(config, report))
+            atomic_write_text(_csv_path_for(output), rounds_csv(report))
     return report, output

@@ -3,14 +3,22 @@
 Spearman is computed as the Pearson correlation of average-tie ranks. The
 Pearson denominator is sqrt(sum(dx^2) * sum(dy^2)), which returns exactly
 1.0 / -1.0 for identical / sign-flipped inputs: in round-to-nearest float64,
-sqrt(fl(s * s)) == s, so the ratio cancels bit-for-bit.
+sqrt(fl(s * s)) == s, so the ratio cancels bit-for-bit. Both inputs, and
+then their deviations from the mean, are scaled by powers of two so that the
+largest magnitude lies in [0.5, 1): the scaling is exact, so it changes no
+bit of the result, but the mean and the three sums neither overflow nor
+underflow at any finite magnitude.
 
 Constant input is an error, not NaN: callers must face degenerate score
 distributions (for instance, a learner that never forgets anything) rather
-than silently propagating NaN into reports.
+than silently propagating NaN into reports. Constancy is judged on the
+values themselves, since the rounded mean of equal values need not equal
+them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,15 +57,22 @@ def pearson(x, y) -> float:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    if x.min() == x.max():
+        raise DegenerateInputError("x is constant")
+    if y.min() == y.max():
+        raise DegenerateInputError("y is constant")
+    x = _unit_scaled(x)
+    y = _unit_scaled(y)
+    dx = _unit_scaled(x - x.mean())
+    dy = _unit_scaled(y - y.mean())
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
-    if sxx == 0.0:
-        raise DegenerateInputError("x is constant")
-    if syy == 0.0:
-        raise DegenerateInputError("y is constant")
     return float(dx @ dy) / np.sqrt(sxx * syy)
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that puts max |v| in [0.5, 1); v != 0."""
+    return np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
 
 
 def spearman(a, b) -> float:

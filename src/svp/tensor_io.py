@@ -30,6 +30,7 @@ error.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -85,14 +86,44 @@ class ProbMatrixError(ValueError):
         self.row = row
 
 
+# (temp file, target) pairs written inside a ``staged_writes`` block.
+_staged: Optional[list] = None
+
+
+@contextlib.contextmanager
+def staged_writes():
+    """Rename every atomic write made inside the block into place together.
+
+    Each file is staged to its temp file as it is written and renamed only
+    when the block ends without an error, so a failure part-way (a missing
+    directory, an invalid value) leaves none of the block's outputs behind.
+    Blocks do not nest.
+    """
+    global _staged
+    _staged = []
+    try:
+        yield
+        for tmp, path in _staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in _staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        _staged = None
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename into place."""
+    """Write to a temp file in the same directory, then rename into place
+    (at the end of the enclosing :func:`staged_writes` block, if any)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".svp-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        if _staged is None:
+            os.replace(tmp, path)
+        else:
+            _staged.append((tmp, path))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

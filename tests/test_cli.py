@@ -1,4 +1,5 @@
 import json
+import tempfile
 import warnings
 
 import numpy as np
@@ -214,6 +215,18 @@ class TestForget:
         # Example 2 was never learned, example 0 has one forgetting event.
         assert capsys.readouterr().out == "2\n0\n"
 
+    @pytest.mark.parametrize("m", ["11", "-1"])
+    def test_impossible_select_leaves_no_output(self, tmp_path, capsys, m):
+        log_path = tmp_path / "log.svpl"
+        write_train_log(np.tile(LOG, (4, 1))[:10], log_path)
+        out = tmp_path / "f.csv"
+        assert main(["forget", "--log", str(log_path), "--out", str(out),
+                     "--select", m]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.svpl"]
+
     def test_truncated_binary(self, tmp_path):
         log_path = tmp_path / "run.svpl"
         write_train_log(LOG, log_path)
@@ -297,6 +310,22 @@ class TestRunCommands:
         first = stripped(tmp_path / "one")
         second = stripped(tmp_path / "two")
         assert first == second
+
+    def test_failed_rounds_csv_leaves_no_report(self, tmp_path, capsys, monkeypatch):
+        cfg = coreset_config(tmp_path, output=str(tmp_path / "run.json"))
+        real_mkstemp = tempfile.mkstemp
+        calls = []
+
+        def mkstemp_failing_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("No space left on device")
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp_failing_second)
+        assert main(["coreset", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_task_mismatch(self, tmp_path):
         cfg = coreset_config(tmp_path)
@@ -478,6 +507,18 @@ class TestSynth:
                      "--out-features", str(tmp_path / "x.svpt"),
                      "--out-labels", str(tmp_path / "y.csv"),
                      "--out-test-features", str(tmp_path / "xt.svpt")]) == 2
+
+    def test_failed_test_output_leaves_no_output(self, tmp_path, capsys):
+        assert main(["synth", "--classes", "2", "--dim", "3", "--separation", "1.0",
+                     "--noise", "1.0", "--n-train", "20", "--n-test", "8", "--seed", "7",
+                     "--out-features", str(tmp_path / "x.svpt"),
+                     "--out-labels", str(tmp_path / "y.csv"),
+                     "--out-test-features", str(tmp_path / "missing" / "t.svpt"),
+                     "--out-test-labels", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_seed(self, tmp_path):
         assert main(["synth", "--classes", "2", "--dim", "3", "--separation", "1.0",

@@ -528,21 +528,42 @@ class TestReportsAndConfig:
             execute_config(good, task="al")
 
 
+_BLAS_DATA = {"synthetic": {"classes": 5, "dim": 24, "separation": 0.5, "noise": 1.0,
+                             "n_train": 3000, "n_test": 500, "seed": 9}}
+_BLAS_MLP = {"kind": "mlp", "epochs": 2, "learning_rate": 0.3,
+             "batch_size": 32, "seed": 2, "hidden_units": 32}
+
+
 class TestBlasThreadDeterminism:
     # BLAS results can depend on the thread count (how the work, and so the
     # summation, is split); k-centers ranks points with GEMV/GEMM output and
     # the learners train with matmul. The report bytes must not depend on it.
-    CONFIG = {
-        "task": "al",
-        "method": "kcenters",
-        "seed": 5,
-        "budget_fraction": 0.2,
-        "proxy": {"kind": "logistic", "epochs": 2, "learning_rate": 0.3,
-                  "batch_size": 32, "seed": 1},
-        "target": {"kind": "mlp", "epochs": 2, "learning_rate": 0.3,
-                   "batch_size": 32, "seed": 2, "hidden_units": 32},
-        "data": {"synthetic": {"classes": 5, "dim": 24, "separation": 0.5, "noise": 1.0,
-                               "n_train": 3000, "n_test": 500, "seed": 9}},
+    # AL with a logistic proxy screens the raw features and folds the initial
+    # pool in many GEMM blocks; the core-set run screens an MLP proxy's ReLU
+    # embedding over a 1499-step traversal, and its baseline pass runs the
+    # traversal again on the target's embedding.
+    CONFIGS = {
+        "al-logistic": {
+            "task": "al",
+            "method": "kcenters",
+            "seed": 5,
+            "budget_fraction": 0.2,
+            "proxy": {"kind": "logistic", "epochs": 2, "learning_rate": 0.3,
+                      "batch_size": 32, "seed": 1},
+            "target": _BLAS_MLP,
+            "data": _BLAS_DATA,
+        },
+        "coreset-mlp": {
+            "task": "coreset",
+            "method": "kcenters",
+            "seed": 5,
+            "subset_fraction": 0.5,
+            "measure_baseline": True,
+            "proxy": {"kind": "mlp", "epochs": 2, "learning_rate": 0.3,
+                      "batch_size": 32, "seed": 1, "hidden_units": 16},
+            "target": _BLAS_MLP,
+            "data": _BLAS_DATA,
+        },
     }
     SCRIPT = (
         "import json, sys\n"
@@ -551,17 +572,19 @@ class TestBlasThreadDeterminism:
         "sys.stdout.write(json.dumps(report.deterministic_dict(), sort_keys=True))\n"
     )
 
-    def run_with_threads(self, threads):
+    def run_with_threads(self, config, threads):
         src = os.path.dirname(os.path.dirname(os.path.abspath(svp.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(self.CONFIG)],
+            [sys.executable, "-c", self.SCRIPT, json.dumps(config)],
             env=env, capture_output=True, timeout=300, check=True,
         )
         return done.stdout
 
-    def test_report_bytes_equal_for_one_and_two_threads(self):
-        one = self.run_with_threads(1)
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_report_bytes_equal_for_one_and_two_threads(self, case):
+        config = self.CONFIGS[case]
+        one = self.run_with_threads(config, 1)
         assert json.loads(one)["method"] == "kcenters"
-        assert one == self.run_with_threads(2)
+        assert one == self.run_with_threads(config, 2)

@@ -121,13 +121,7 @@ class TestDifferenceFormOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(near_tie_instances())
     def test_bit_equal_to_oracle_on_near_ties(self, instance):
-        x, initial, budget = instance
-        res = greedy_kcenters(x, initial, budget)
-        order, picked, min_dists = kcenters_oracle(x, initial, budget)
-        assert res.order.tolist() == order.tolist()
-        assert res.picked_dists.tobytes() == picked.tobytes()
-        assert res.min_dists.tobytes() == min_dists.tobytes()
-
+        assert_bit_equal_to_oracle(*instance)
 
     @pytest.mark.parametrize("scale", [1e30, 1e-30])
     def test_extreme_magnitudes(self, scale):
@@ -190,6 +184,16 @@ class TestScreenBound:
         assert np.abs(screen + q[:, None] - s2 * exact).max() <= tol
         # The window must stay narrow enough to screen anything out.
         assert tol <= 4 * (d + 8) * 2.0**-24 * q.max() + 1e-30
+
+
+class TestScreenLayout:
+    def test_copy_is_column_major(self):
+        # A step's GEMV streams the copy's d+1 columns; stored row-major it
+        # is n short dot products instead, a third to a half slower per step.
+        for n, d in [(1, 1), (50, 7), (300, 32)]:
+            y = _screen_rows(np.random.default_rng(n).standard_normal((n, d)))[0]
+            assert y.shape == (n, d + 1)
+            assert y.flags.f_contiguous
 
 
 @st.composite

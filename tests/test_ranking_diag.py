@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -68,6 +70,33 @@ class TestPearson:
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=20), rng.normal(size=20)
         assert pearson(x, y) == pearson(y, x)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200, 1e300, 1e-300, 3e307])
+    def test_extreme_magnitudes_exact(self, scale):
+        base = np.array([1.0, 2.0, 3.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson(scale * base, base) == 1.0
+            assert pearson(base, -scale * base) == -1.0
+            # scale is not a power of two, so scale * base is rounded.
+            assert pearson(scale * base, scale * base[::-1]) == pytest.approx(
+                pearson(base, base[::-1]), abs=1e-15)
+
+    def test_power_of_two_scaling_changes_no_bit(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            x, y = rng.normal(size=30), rng.normal(size=30)
+            assert pearson(2.0**-600 * x, 2.0**500 * y) == pearson(x, y)
+
+    def test_constant_with_inexact_mean(self):
+        # The rounded mean of seven copies of this value is not the value,
+        # so x - mean(x) is a nonzero constant; the input is still constant.
+        x = np.full(7, -9.180529521276107)
+        assert (x - x.mean()).any()
+        with pytest.raises(DegenerateInputError, match="x is constant"):
+            pearson(x, np.arange(7.0))
+        with pytest.raises(DegenerateInputError, match="y is constant"):
+            pearson(np.arange(7.0), x)
 
     def test_errors(self):
         with pytest.raises(DegenerateInputError):
