@@ -6,6 +6,15 @@ on the picked points. Substituting the target spec into the proxy slot
 degenerates to the classical self-selecting run, and with equal seeds the two
 reports are identical apart from wall-clock fields.
 
+Both run through one skeleton: decode the data, plan the cumulative
+selected-set sizes, run the protocol's selection pass with the proxy, rerun
+it with the target in the proxy slot when the baseline is measured, fit the
+target on the selected ids and build the report. Active learning plans
+``[initial, after round 1, ..., budget]`` from its schedule and its pass runs
+one timed round per step; core-set selection plans ``[m]`` and its pass is
+one timed stage. ``execute_config`` checks a config's top-level fields
+against one table per task (``CONFIG_FIELDS``); flags must be JSON booleans.
+
 Timing contract: each selection round is bracketed by exactly two clock()
 calls covering the proxy fit, scoring, and selection. Proxy evaluation on the
 test set, bookkeeping, and the final target fit are outside the bracket.
@@ -14,8 +23,9 @@ learner), active-learning k-centers runs one farthest-first traversal for
 all rounds, so that traversal's time falls in round 1's bracket and later
 brackets hold the proxy fit and the banked picks. ``selection_seconds`` is
 the sum of round times; ``speedup`` is baseline_seconds / selection_seconds
-when a baseline measurement is supplied or taken. The clock is injectable
-for testing.
+when a baseline measurement is supplied or taken, and null when no round
+was timed (an active-learning budget equal to the initial fraction). The
+clock is injectable for testing.
 
 Determinism contract: every field of a RunReport except the timing block is a
 pure function of (config, data). All randomness flows from the run seed and
@@ -25,6 +35,7 @@ the learner-spec seeds through documented sub-seed derivations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -308,6 +319,65 @@ def _al_selection_pass(
     return labeled, proxies, round_seconds
 
 
+def _coreset_select(method: str, seed: int, x: np.ndarray, y: np.ndarray, c: int,
+                    sizes: list, proxy_spec: LearnerSpec, clock: Callable[[], float]):
+    """One timed pass picking ``sizes[0]`` ids; returns (subset ids, [proxy], [seconds])."""
+    t0 = clock()
+    spec = dataclasses.replace(proxy_spec, seed=_fit_seed(seed, "proxy-fit", proxy_spec))
+    proxy = fit(spec, x, y, n_classes=c)
+    subset = SELECTORS[method](proxy, x, np.arange(x.shape[0]), sizes[0], seed, "subset", 0)
+    t1 = clock()
+    return np.sort(subset), [proxy], [t1 - t0]
+
+
+def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerSpec,
+         data, test_data, plan: Callable[[int], list], selection_pass: Callable,
+         clock: Callable[[], float], baseline_seconds: Optional[float],
+         measure_baseline: bool, include_full_data_error: bool = False) -> RunReport:
+    """The run both protocols share: ``plan(n)`` gives the cumulative
+    selected-set sizes, and ``selection_pass(x, y, c, sizes, spec, clock)``
+    returns (selected ids, fitted proxy per round, seconds per round) with
+    ``spec`` in the proxy slot. The pass runs with the proxy, then (for a
+    measured baseline) with the target; the target is fitted on the ids."""
+    x, y = _as_xy(data)
+    xt, yt = _as_xy(test_data)
+    n = x.shape[0]
+    c = max(2, int(max(y.max(), yt.max())) + 1)
+    sizes = plan(n)
+
+    ids, proxies, round_seconds = selection_pass(x, y, c, sizes, proxy, clock)
+    proxy_errors = [error_rate(model, xt, yt) for model in proxies]
+    selection_seconds = float(sum(round_seconds))
+    if measure_baseline and baseline_seconds is None:
+        baseline_seconds = float(sum(selection_pass(x, y, c, sizes, target, clock)[2]))
+
+    target_spec = dataclasses.replace(target, seed=_fit_seed(seed, "target-fit", target))
+    test_error = error_rate(fit(target_spec, x[ids], y[ids], n_classes=c), xt, yt)
+    full_error = None
+    if include_full_data_error and len(ids) == n:
+        full_error = test_error
+    elif include_full_data_error:
+        full_error = error_rate(fit(target_spec, x, y, n_classes=c), xt, yt)
+
+    ratio = None
+    if baseline_seconds is not None and selection_seconds > 0.0:
+        ratio = speedup(baseline_seconds, selection_seconds)
+    return RunReport(
+        task=task,
+        method=method,
+        n_train=n,
+        round_sizes=[int(s) for s in sizes],
+        round_proxy_errors=proxy_errors,
+        selected_ids=[int(i) for i in ids],
+        target_test_error=test_error,
+        full_data_error=full_error,
+        round_seconds=round_seconds,
+        selection_seconds=selection_seconds,
+        baseline_seconds=baseline_seconds,
+        speedup=ratio,
+    )
+
+
 def run_active_learning(
     cfg: ALConfig,
     data,
@@ -328,63 +398,12 @@ def run_active_learning(
     the selection pass is rerun with the target spec in the proxy slot purely
     to record the classical self-selection wall-clock.
     """
-    x, y = _as_xy(data)
-    xt, yt = _as_xy(test_data)
-    c = max(2, int(max(y.max(), yt.max())) + 1)
-    sizes = plan_schedule(x.shape[0], cfg.budget_fraction, cfg.schedule)
-
-    labeled, proxies, round_seconds = _al_selection_pass(
-        cfg, x, y, c, sizes, cfg.proxy, clock
+    return _run(
+        "al", cfg.method, cfg.seed, cfg.proxy, cfg.target, data, test_data,
+        lambda n: plan_schedule(n, cfg.budget_fraction, cfg.schedule),
+        functools.partial(_al_selection_pass, cfg),
+        clock, baseline_seconds, measure_baseline,
     )
-    proxy_errors = [error_rate(proxy, xt, yt) for proxy in proxies]
-    selection_seconds = float(sum(round_seconds))
-
-    if measure_baseline and baseline_seconds is None:
-        _, _, base_rounds = _al_selection_pass(cfg, x, y, c, sizes, cfg.target, clock)
-        baseline_seconds = float(sum(base_rounds))
-
-    target_spec = dataclasses.replace(
-        cfg.target, seed=_fit_seed(cfg.seed, "target-fit", cfg.target)
-    )
-    target = fit(target_spec, x[labeled], y[labeled], n_classes=c)
-
-    ratio = None
-    if baseline_seconds is not None and selection_seconds > 0.0:
-        ratio = speedup(baseline_seconds, selection_seconds)
-    return RunReport(
-        task="al",
-        method=cfg.method,
-        n_train=x.shape[0],
-        round_sizes=[int(s) for s in sizes],
-        round_proxy_errors=proxy_errors,
-        selected_ids=[int(i) for i in labeled],
-        target_test_error=error_rate(target, xt, yt),
-        full_data_error=None,
-        round_seconds=round_seconds,
-        selection_seconds=selection_seconds,
-        baseline_seconds=baseline_seconds,
-        speedup=ratio,
-    )
-
-
-def _coreset_select(
-    method: str,
-    proxy_spec: LearnerSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    c: int,
-    m: int,
-    seed: int,
-    clock: Callable[[], float],
-):
-    """One timed selection pass; returns (subset ids, fitted proxy, seconds)."""
-    n = x.shape[0]
-    t0 = clock()
-    spec = dataclasses.replace(proxy_spec, seed=_fit_seed(seed, "proxy-fit", proxy_spec))
-    proxy = fit(spec, x, y, n_classes=c)
-    subset = SELECTORS[method](proxy, x, np.arange(n), m, seed, "subset", 0)
-    t1 = clock()
-    return np.sort(subset), proxy, t1 - t0
 
 
 def run_coreset(
@@ -410,50 +429,17 @@ def run_coreset(
         raise ValueError(f"method must be one of {CORESET_METHODS}, got {method!r}")
     if not (np.isfinite(subset_fraction) and 0.0 < subset_fraction <= 1.0):
         raise ValueError(f"subset_fraction must lie in (0, 1], got {subset_fraction}")
-    x, y = _as_xy(data)
-    xt, yt = _as_xy(test_data)
-    n = x.shape[0]
-    c = max(2, int(max(y.max(), yt.max())) + 1)
-    m = ceil_count(subset_fraction, n)
-    if m < 1:
-        raise ValueError("subset is empty")
 
-    subset, proxy_model, seconds = _coreset_select(
-        method, proxy, x, y, c, m, seed, clock
-    )
-    proxy_error = error_rate(proxy_model, xt, yt)
-    if measure_baseline and baseline_seconds is None:
-        _, _, base_seconds = _coreset_select(method, target, x, y, c, m, seed, clock)
-        baseline_seconds = float(base_seconds)
+    def plan(n):
+        m = ceil_count(subset_fraction, n)
+        if m < 1:
+            raise ValueError("subset is empty")
+        return [m]
 
-    target_spec = dataclasses.replace(target, seed=_fit_seed(seed, "target-fit", target))
-    model = fit(target_spec, x[subset], y[subset], n_classes=c)
-    test_error = error_rate(model, xt, yt)
-
-    full_error = None
-    if include_full_data_error:
-        if m == n:
-            full_error = test_error
-        else:
-            full_model = fit(target_spec, x, y, n_classes=c)
-            full_error = error_rate(full_model, xt, yt)
-
-    ratio = None
-    if baseline_seconds is not None and seconds > 0.0:
-        ratio = speedup(baseline_seconds, seconds)
-    return RunReport(
-        task="coreset",
-        method=method,
-        n_train=n,
-        round_sizes=[int(m)],
-        round_proxy_errors=[proxy_error],
-        selected_ids=[int(i) for i in subset],
-        target_test_error=test_error,
-        full_data_error=full_error,
-        round_seconds=[seconds],
-        selection_seconds=float(seconds),
-        baseline_seconds=baseline_seconds,
-        speedup=ratio,
+    return _run(
+        "coreset", method, seed, proxy, target, data, test_data,
+        plan, functools.partial(_coreset_select, method, seed),
+        clock, baseline_seconds, measure_baseline, include_full_data_error,
     )
 
 
@@ -503,6 +489,23 @@ def _csv_path_for(output: str) -> str:
     return base + ".rounds.csv"
 
 
+# Top-level config fields per task: (required, optional). Every optional
+# field has a default when absent and must be valid when present.
+_REQUIRED = ("task", "method", "proxy", "target", "seed", "data")
+_OPTIONAL = ("measure_baseline", "baseline_seconds", "output")
+CONFIG_FIELDS = {
+    "al": (_REQUIRED + ("budget_fraction",), _OPTIONAL + ("schedule",)),
+    "coreset": (_REQUIRED + ("subset_fraction",), _OPTIONAL + ("include_full_data_error",)),
+}
+
+
+def _flag(config: dict, name: str) -> bool:
+    value = config.get(name, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def execute_config(
     config: dict,
     clock: Callable[[], float] = time.perf_counter,
@@ -517,34 +520,31 @@ def execute_config(
     if task is not None and config.get("task") != task:
         raise ValueError(f"config task is {config.get('task')!r}, expected {task!r}")
     task = config.get("task")
-    if task not in ("al", "coreset"):
+    if task not in CONFIG_FIELDS:
         raise ValueError(f"task must be 'al' or 'coreset', got {task!r}")
-    for key in ("proxy", "target", "method", "seed", "data"):
-        if key not in config:
-            raise ValueError(f"config is missing {key!r}")
+    required, optional = CONFIG_FIELDS[task]
+    check_object(config, "config", required + optional, required)
     output = config.get("output")
-    if output is not None and not isinstance(output, str):
+    if "output" in config and not isinstance(output, str):
         raise ValueError(f"output must be a path string, got {output!r}")
     proxy = LearnerSpec.from_dict(config["proxy"])
     target = LearnerSpec.from_dict(config["target"])
     seed = int(check_number(config["seed"], "seed", integer=True))
+    measure = _flag(config, "measure_baseline")
+    full_data_error = _flag(config, "include_full_data_error")
+    baseline_seconds = None
+    if "baseline_seconds" in config:
+        baseline_seconds = float(check_number(config["baseline_seconds"], "baseline_seconds"))
     train, test = load_data_section(config["data"])
-    measure = bool(config.get("measure_baseline", False))
-    baseline_seconds = config.get("baseline_seconds")
-    if baseline_seconds is not None:
-        baseline_seconds = float(check_number(baseline_seconds, "baseline_seconds"))
 
     if task == "al":
-        if "budget_fraction" not in config:
-            raise ValueError("al config needs budget_fraction")
-        sched = config.get("schedule")
-        schedule = _from_object(Schedule, sched, "schedule") if sched else DEFAULT_SCHEDULE
         cfg = ALConfig(
             proxy=proxy,
             target=target,
             method=config["method"],
             budget_fraction=float(check_number(config["budget_fraction"], "budget_fraction")),
-            schedule=schedule,
+            schedule=(_from_object(Schedule, config["schedule"], "schedule")
+                      if "schedule" in config else DEFAULT_SCHEDULE),
             seed=seed,
         )
         report = run_active_learning(
@@ -552,20 +552,11 @@ def execute_config(
             baseline_seconds=baseline_seconds, measure_baseline=measure,
         )
     else:
-        if "subset_fraction" not in config:
-            raise ValueError("coreset config needs subset_fraction")
+        fraction = float(check_number(config["subset_fraction"], "subset_fraction"))
         report = run_coreset(
-            proxy,
-            target,
-            config["method"],
-            float(check_number(config["subset_fraction"], "subset_fraction")),
-            train,
-            test,
-            seed,
-            include_full_data_error=bool(config.get("include_full_data_error", False)),
-            clock=clock,
-            baseline_seconds=baseline_seconds,
-            measure_baseline=measure,
+            proxy, target, config["method"], fraction, train, test, seed,
+            include_full_data_error=full_data_error, clock=clock,
+            baseline_seconds=baseline_seconds, measure_baseline=measure,
         )
 
     if output is not None:

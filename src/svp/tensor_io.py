@@ -31,6 +31,7 @@ error.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -114,11 +115,17 @@ def staged_writes():
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write to a temp file in the same directory, then rename into place
-    (at the end of the enclosing :func:`staged_writes` block, if any)."""
+    (at the end of the enclosing :func:`staged_writes` block, if any). The
+    file gets the mode ``open(path, "w")`` gives; a directory is refused."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    umask = os.umask(0)
+    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".svp-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         if _staged is None:
             os.replace(tmp, path)

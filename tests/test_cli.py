@@ -27,7 +27,7 @@ def clean_env(monkeypatch):
     monkeypatch.delenv("SVP_SEED", raising=False)
 
 
-def coreset_config(tmp_path, **overrides):
+def coreset_config(tmp_path, drop=(), **overrides):
     cfg = {
         "task": "coreset",
         "method": "entropy",
@@ -40,6 +40,8 @@ def coreset_config(tmp_path, **overrides):
         "data": {"synthetic": {"classes": 3, "dim": 4, "separation": 2.0, "noise": 1.0,
                                "n_train": 60, "n_test": 30, "seed": 11}},
     }
+    for key in drop:
+        del cfg[key]
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -327,6 +329,15 @@ class TestRunCommands:
         assert capsys.readouterr().err == "error: No space left on device\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_directory_at_rounds_csv_leaves_no_report(self, tmp_path, capsys):
+        rounds = tmp_path / "run.rounds.csv"
+        rounds.mkdir()
+        cfg = coreset_config(tmp_path, output=str(tmp_path / "run.json"))
+        assert main(["coreset", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{rounds}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.rounds.csv"]
+        assert list(rounds.iterdir()) == []
+
     def test_task_mismatch(self, tmp_path):
         cfg = coreset_config(tmp_path)
         assert main(["al", "--config", str(cfg)]) == 1
@@ -342,6 +353,7 @@ class TestRunCommands:
     def test_al_run(self, tmp_path, capsys):
         cfg = coreset_config(
             tmp_path,
+            drop=("subset_fraction",),
             task="al",
             method="least_confidence",
             budget_fraction=0.1,
@@ -392,12 +404,31 @@ SPEC = {"kind": "logistic", "epochs": 1, "learning_rate": 0.5, "batch_size": 16,
         ({"schedule": {"initial": 0.02, "first": 0.08}}, "schedule is missing ['subsequent']"),
         ({"schedule": [0.02]}, "schedule must be a JSON object"),
         ({"output": 5}, "output must be a path string"),
+        *[({"task": task, **case}, fragment) for task in ("al", "coreset") for case, fragment in [
+            ({"mesure_baseline": True}, "unknown config fields: ['mesure_baseline']"),
+            ({"measure_baseline": "no"}, "measure_baseline must be true or false, got 'no'"),
+            ({"measure_baseline": 0}, "measure_baseline must be true or false, got 0"),
+            ({"measure_baseline": None}, "measure_baseline must be true or false, got None"),
+            ({"baseline_seconds": None}, "baseline_seconds must be a number, got None"),
+            ({"output": None}, "output must be a path string, got None"),
+        ]],
+        ({"subset_fraction": 0.5}, "unknown config fields: ['subset_fraction']"),
+        ({"include_full_data_error": True}, "unknown config fields: ['include_full_data_error']"),
+        ({"task": "coreset", "budget_fraction": 0.1}, "unknown config fields: ['budget_fraction']"),
+        ({"task": "coreset", "schedule": {"initial": 0.02, "first": 0.08, "subsequent": 0.1}},
+         "unknown config fields: ['schedule']"),
+        ({"task": "coreset", "include_full_data_error": 1},
+         "include_full_data_error must be true or false, got 1"),
+        ({"schedule": {}}, "schedule is missing ['first', 'initial', 'subsequent']"),
+        ({"schedule": None}, "schedule must be a JSON object, got NoneType"),
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, overrides, fragment):
-    base = {"task": "al", "method": "random", "budget_fraction": 0.1, "data": {"synthetic": SYNTH}}
-    cfg = coreset_config(tmp_path, **{**base, **overrides})
-    assert main(["al", "--config", str(cfg)]) == 1
+    task = overrides.get("task", "al")
+    size = {"al": {"budget_fraction": 0.1}, "coreset": {"subset_fraction": 0.5}}[task]
+    base = {"task": task, "method": "random", **size, "data": {"synthetic": SYNTH}}
+    cfg = coreset_config(tmp_path, drop=("subset_fraction",), **{**base, **overrides})
+    assert main([task, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
@@ -519,6 +550,17 @@ class TestSynth:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_directory_at_labels_path_leaves_no_output(self, tmp_path, capsys):
+        labels = tmp_path / "y.csv"
+        labels.mkdir()
+        assert main(["synth", "--classes", "2", "--dim", "3", "--separation", "1.0",
+                     "--noise", "1.0", "--n-train", "20", "--n-test", "8", "--seed", "7",
+                     "--out-features", str(tmp_path / "x.svpt"),
+                     "--out-labels", str(labels)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{labels}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
+        assert list(labels.iterdir()) == []
 
     def test_requires_seed(self, tmp_path):
         assert main(["synth", "--classes", "2", "--dim", "3", "--separation", "1.0",

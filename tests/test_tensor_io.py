@@ -1,3 +1,6 @@
+import contextlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -25,6 +28,7 @@ from svp.tensor_io import (
     read_tensor,
     read_train_log,
     read_train_log_csv,
+    staged_writes,
     validate_prob_matrix,
     write_labels_csv,
     write_scores_csv,
@@ -264,6 +268,33 @@ BOTH_READERS = pytest.mark.parametrize(
     [(read_labels_csv, "example_id,label"), (read_scores_csv, "example_id,score")],
     ids=["labels", "scores"],
 )
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("staged", [False, True], ids=["unstaged", "staged"])
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_mode_is_what_a_plain_open_gives(self, tmp_path, umask, staged):
+        previous = os.umask(umask)
+        try:
+            with staged_writes() if staged else contextlib.nullcontext():
+                write_labels_csv(np.array([0, 1]), str(tmp_path / "y.csv"))
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "y.csv").stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["unstaged", "staged"])
+    def test_directory_target_is_refused_before_any_write(self, tmp_path, staged):
+        target = tmp_path / "y.csv"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            with staged_writes() if staged else contextlib.nullcontext():
+                write_labels_csv(np.array([0, 1]), str(target))
+        assert caught.value.filename == str(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
+        assert list(target.iterdir()) == []
 
 
 class TestScoreAndLabelCsv:

@@ -21,6 +21,13 @@ and as a row-shuffled CSV. Each line digests one command's exit code,
 standard output and output file. The core-set report is digested without
 its config (which holds the temporary paths) and timing, and its rounds CSV
 without the seconds column.
+
+A third section, lines starting with ``edge``, runs the branches the first
+one misses: an active-learning budget equal to the initial fraction (no
+rounds, so no speedup), a core-set of the whole pool with
+``include_full_data_error`` (the target's test error is reused) and a
+core-set with neither flag. These lines also say whether the report has a
+speedup.
 """
 
 import contextlib
@@ -65,6 +72,18 @@ def configs():
                     config["subset_fraction"] = 0.3
                     config["include_full_data_error"] = True
                 yield f"{task} {method} seed={seed} proxy={proxy_name}", config
+
+
+def edge_configs():
+    base = {"seed": 5, "proxy": PROXIES["logistic"], "target": TARGET, "data": DATA}
+    yield "edge al random budget=initial", {
+        **base, "task": "al", "method": "random", "budget_fraction": 0.02,
+        "measure_baseline": True}
+    yield "edge coreset kcenters subset=1.0", {
+        **base, "task": "coreset", "method": "kcenters", "subset_fraction": 1.0,
+        "include_full_data_error": True, "measure_baseline": True}
+    yield "edge coreset entropy no flags", {
+        **base, "task": "coreset", "method": "entropy", "subset_fraction": 0.3}
 
 
 def digest(report) -> str:
@@ -166,6 +185,10 @@ def main():
         print(f"{name} {digest(report)}", flush=True)
     for line in cli_digests():
         print(line, flush=True)
+    for name, config in edge_configs():
+        report, _ = execute_config(config)
+        ratio = "null" if report.speedup is None else "set"
+        print(f"{name} speedup={ratio} {digest(report)}", flush=True)
 
 
 if __name__ == "__main__":
