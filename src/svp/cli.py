@@ -25,6 +25,8 @@ from .kcenters import KCentersResult, greedy_kcenters, write_order_csv
 from .ranking_diag import pearson, scores_to_ranks, spearman
 from .tensor_io import (
     LOG_MAGIC,
+    ORDER_CSV,
+    SCORES_CSV,
     InvalidValueError,
     read_csv,
     read_csv_header,
@@ -88,10 +90,6 @@ def _load_train_log(path: str) -> np.ndarray:
     return read_train_log_csv(path)
 
 
-# k-centers order file, as written by ``kcenters.write_order_csv``.
-_ORDER_CSV = np.dtype([("rank", np.float64), ("example_id", np.int64), ("min_dist", np.float64)])
-
-
 def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load scores keyed by example id from either CSV layout.
 
@@ -100,11 +98,11 @@ def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     so earlier-added points score higher.
     """
     header = read_csv_header(path)
-    if header == ["example_id", "score"]:
+    if header == list(SCORES_CSV.names):
         scores = read_scores_csv(path)
         return np.arange(scores.shape[0], dtype=np.int64), scores
-    if header == list(_ORDER_CSV.names):
-        rows = read_csv(path, _ORDER_CSV)
+    if header == list(ORDER_CSV.names):
+        rows = read_csv(path, ORDER_CSV)
         ids = rows["example_id"]
         if np.unique(ids).size != ids.size:
             raise InvalidValueError(f"{path}: duplicate example ids")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_io import check_train_log
+from .tensor_io import FORGETTING_CSV, check_train_log, write_csv
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,5 @@ def select_most_forgotten(scores: ForgettingScores, m: int) -> np.ndarray:
 
 def write_forgetting_csv(scores: ForgettingScores, path: str) -> None:
     """Export as CSV ``example_id,never_learned,count``."""
-    from .tensor_io import atomic_write_text
-
-    lines = ["example_id,never_learned,count"]
-    rows = zip(scores.never_learned.astype(np.int64).tolist(),
-               scores.counts.astype(np.int64, copy=False).tolist())
-    lines.extend(f"{i},{never},{count}" for i, (never, count) in enumerate(rows))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, FORGETTING_CSV.names, np.arange(scores.counts.size),
+              scores.never_learned.astype(np.int64), scores.counts)

@@ -23,9 +23,9 @@ learner), active-learning k-centers runs one farthest-first traversal for
 all rounds, so that traversal's time falls in round 1's bracket and later
 brackets hold the proxy fit and the banked picks. ``selection_seconds`` is
 the sum of round times; ``speedup`` is baseline_seconds / selection_seconds
-when a baseline measurement is supplied or taken, and null when no round
-was timed (an active-learning budget equal to the initial fraction). The
-clock is injectable for testing.
+when a baseline is supplied (finite and positive, checked before any fit) or
+measured, and null when no round was timed (an active-learning budget equal
+to the initial fraction). The clock is injectable for testing.
 
 Determinism contract: every field of a RunReport except the timing block is a
 pure function of (config, data). All randomness flows from the run seed and
@@ -339,6 +339,8 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
     returns (selected ids, fitted proxy per round, seconds per round) with
     ``spec`` in the proxy slot. The pass runs with the proxy, then (for a
     measured baseline) with the target; the target is fitted on the ids."""
+    if baseline_seconds is not None and not (np.isfinite(baseline_seconds) and baseline_seconds > 0):
+        raise ValueError(f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
     x, y = _as_xy(data)
     xt, yt = _as_xy(test_data)
     n = x.shape[0]

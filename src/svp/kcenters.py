@@ -73,6 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_io import ORDER_CSV, write_csv
+
 
 @dataclass(frozen=True)
 class KCentersResult:
@@ -250,9 +252,5 @@ def write_order_csv(result: KCentersResult, path: str) -> None:
     min_dist is the example's distance to the nearest center at the time it
     was added, i.e. the max-min value the greedy step maximized.
     """
-    from .tensor_io import atomic_write_text
-
-    lines = ["rank,example_id,min_dist"]
-    for rank, (ex, dist) in enumerate(zip(result.order, result.picked_dists), start=1):
-        lines.append(f"{rank},{int(ex)},{float(dist)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    ranks = np.arange(1, result.order.size + 1)
+    write_csv(path, ORDER_CSV.names, ranks, result.order, result.picked_dists)

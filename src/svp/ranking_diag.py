@@ -36,11 +36,10 @@ def _check_vector(v, what: str) -> np.ndarray:
     return v
 
 
-def scores_to_ranks(scores, descending: bool = True) -> np.ndarray:
-    """Average-tie ranks in [1, n]; rank 1 = highest score when descending."""
+def scores_to_ranks(scores) -> np.ndarray:
+    """Average-tie ranks in [1, n]; rank 1 = highest score."""
     s = _check_vector(scores, "scores")
-    key = -s if descending else s
-    uniq, inverse = np.unique(key, return_inverse=True)
+    uniq, inverse = np.unique(-s, return_inverse=True)
     counts = np.bincount(inverse)
     # Rank of a group = number of strictly better values + average position
     # within the group: (before + 1 + before + count) / 2.

@@ -19,13 +19,14 @@ SVPL training-log file (per-example per-step correctness)
     bytes 16-23  E (observation steps), u64 LE
     then         n * E bytes, each 0 or 1, example-major
 
-A training log may also be imported from CSV with header
-``example_id,epoch,correct``; the (id, epoch) grid must be complete with no
-duplicates. Every CSV reader goes through :func:`read_csv`, which enforces
-one set of rules: an exact header, one typed field per column on every data
-row, no blank lines. All writes go to a temporary file in the target
-directory and are renamed into place, so no partial output survives an
-error.
+Each CSV layout is one structured dtype (``SCORES_CSV`` ... ``FORGETTING_CSV``)
+naming the header's fields and their types. :func:`write_csv` writes every
+layout and :func:`read_csv` reads every layout, with one set of rules: an
+exact header, one typed field per column on every data row, no blank lines,
+and the first faulty line reported. A training log may also be imported from
+CSV (``LOG_CSV``); its (id, epoch) grid must be complete with no duplicates.
+All writes go to a temporary file in the target directory and are renamed
+into place, so no partial output survives an error.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ TENSOR_MAGIC = b"SVPT"
 LOG_MAGIC = b"SVPL"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
+PROB_TOL = 1e-5  # how far from 1 a probability row may sum
 
 _HEADER = struct.Struct("<4sHBBQQ")  # magic, version, dtype, reserved, rows, cols
 _LOG_HEADER = struct.Struct("<4sHHQQ")  # magic, version, reserved, n, E
@@ -195,10 +197,10 @@ def read_tensor(path: str) -> np.ndarray:
     return matrix
 
 
-def validate_prob_matrix(matrix: np.ndarray, tol: float = 1e-5) -> np.ndarray:
+def validate_prob_matrix(matrix: np.ndarray) -> np.ndarray:
     """Accept a matrix as per-row categorical distributions or reject it.
 
-    Every entry must lie in [0, 1] and every row must sum to 1 within ``tol``.
+    Every entry must lie in [0, 1] and every row must sum to 1 within ``PROB_TOL``.
     Rejection reports the first offending row (and its sum, for sum failures).
     """
     m = check_matrix(matrix)
@@ -209,10 +211,11 @@ def validate_prob_matrix(matrix: np.ndarray, tol: float = 1e-5) -> np.ndarray:
         row = int(np.nonzero(bad_entry.any(axis=1))[0][0])
         raise ProbMatrixError(f"row {row} has an entry outside [0, 1]", row=row)
     sums = m.sum(axis=1)
-    off = np.abs(sums - 1.0) > tol
+    off = np.abs(sums - 1.0) > PROB_TOL
     if off.any():
         row = int(np.nonzero(off)[0][0])
-        raise ProbMatrixError(f"row {row} sums to {sums[row]!r}, expected 1 within {tol}", row=row)
+        raise ProbMatrixError(f"row {row} sums to {sums[row]!r}, expected 1 within {PROB_TOL}",
+                              row=row)
     return m
 
 
@@ -222,12 +225,9 @@ def check_train_log(log: np.ndarray) -> np.ndarray:
         raise ValueError(f"train log must be 2-D, got ndim={log.ndim}")
     if log.shape[0] < 1 or log.shape[1] < 1:
         raise ValueError(f"train log must be nonempty, got shape {log.shape}")
-    if log.dtype != np.bool_:
-        as_int = np.asarray(log)
-        if not np.isin(as_int, (0, 1)).all():
-            raise ValueError("train log values must be 0 or 1")
-        log = as_int.astype(np.bool_)
-    return log
+    if log.dtype != np.bool_ and not np.isin(log, (0, 1)).all():
+        raise ValueError("train log values must be 0 or 1")
+    return log.astype(np.bool_, copy=False)
 
 
 def write_train_log(log: np.ndarray, path: str) -> None:
@@ -266,15 +266,18 @@ def read_train_log(path: str) -> np.ndarray:
     return payload.reshape(n, steps).astype(np.bool_)
 
 
-_LABELS_CSV = np.dtype([("example_id", np.int64), ("label", np.int64)])
-_SCORES_CSV = np.dtype([("example_id", np.int64), ("score", np.float64)])
-_LOG_CSV = np.dtype([("example_id", np.int64), ("epoch", np.int64), ("correct", np.int64)])
+# Every CSV layout: the header names the fields in order, and each column
+# is read as its field's type.
+SCORES_CSV = np.dtype([("example_id", "i8"), ("score", "f8")])
+LABELS_CSV = np.dtype([("example_id", "i8"), ("label", "i8")])
+LOG_CSV = np.dtype([("example_id", "i8"), ("epoch", "i8"), ("correct", "i8")])
+ORDER_CSV = np.dtype([("rank", "f8"), ("example_id", "i8"), ("min_dist", "f8")])
+FORGETTING_CSV = np.dtype([("example_id", "i8"), ("never_learned", "i8"), ("count", "i8")])
 
 # Where np.loadtxt reports a field it could not convert (0-based data row,
-# 1-based column).
+# 1-based column) and a row with the wrong number of fields (fields found,
+# 1-based data row).
 _LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
-# Where np.loadtxt reports a row with the wrong number of fields (fields
-# found, 1-based data row).
 _LOADTXT_COUNT = re.compile(r"requires \d+ columns but (\d+) were found at row (\d+)")
 
 
@@ -291,14 +294,27 @@ def read_csv_header(path: str) -> Optional[list]:
     return _split_fields(line) if line else None
 
 
-def _loadtxt(body: bytes, columns: np.dtype) -> np.ndarray:
-    """``body``, one data row per line, parsed by np.loadtxt into ``columns``."""
-    with warnings.catch_warnings():
-        # numpy parses text such as "1.5" in an integer column as a float
-        # and only warns; as an error it is a ValueError like any other.
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(io.BytesIO(body), dtype=columns, delimiter=",", quotechar='"',
-                          comments=None, ndmin=1, encoding="utf-8")
+def _loadtxt(path: str, body: bytes, columns: np.dtype) -> np.ndarray:
+    """``body``, one data row per line, parsed by np.loadtxt into ``columns``;
+    the first row it cannot read is reported as that row's fault."""
+    try:
+        with warnings.catch_warnings():
+            # numpy parses text such as "1.5" in an integer column as a float
+            # and only warns; as an error it is a ValueError like any other.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(io.BytesIO(body), dtype=columns, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1, encoding="utf-8")
+    except ValueError as exc:
+        count, at = _LOADTXT_COUNT.search(str(exc)), _LOADTXT_AT.search(str(exc))
+        if count is not None:
+            message = f"line {int(count[2]) + 1}: expected {len(columns)} fields, got {count[1]}"
+        elif at is not None:
+            column = columns.names[int(at[2]) - 1]
+            kind = "non-integer" if columns[column].kind == "i" else "non-numeric"
+            message = f"line {int(at[1]) + 2}: malformed row, {kind} field {column}"
+        else:
+            message = f"malformed row ({exc})"
+        raise InvalidValueError(f"{path}: {message}") from exc
 
 
 def _first_unparsable_line(body: bytes) -> Optional[tuple[int, int, bool]]:
@@ -323,20 +339,6 @@ def _first_unparsable_line(body: bytes) -> Optional[tuple[int, int, bool]]:
     return bad
 
 
-def _check_field_counts(path: str, body: bytes, names: list) -> None:
-    """Raise for the first line of ``body`` without one field per column."""
-    if not body:
-        return
-    try:
-        _loadtxt(body, np.dtype([(name, "U1") for name in names]))  # any text converts
-    except ValueError as exc:
-        count = _LOADTXT_COUNT.search(str(exc))
-        if count is not None:
-            raise InvalidValueError(
-                f"{path}: line {int(count[2]) + 1}: expected {len(names)} fields, got {count[1]}"
-            ) from exc
-
-
 def read_csv(path: str, columns: np.dtype) -> np.ndarray:
     """Read a CSV file into a structured array typed by ``columns``.
 
@@ -345,13 +347,13 @@ def read_csv(path: str, columns: np.dtype) -> np.ndarray:
     is a row with no fields and is rejected. Lines may end in LF, CRLF or
     CR, a field may be double-quoted within its line, and numbers may carry
     surrounding spaces. Integer columns take integers only. Errors name the
-    file and, for a bad row, its line; a line with the wrong number of
-    fields or an unbalanced quote is reported before any field that does
-    not convert.
+    file and, for a bad row, its line; of several faulty lines the first is
+    reported.
 
-    The file is read once. Checks on that buffer find what np.loadtxt would
-    not (blank lines, unbalanced quotes), and one np.loadtxt call over the
-    same bytes splits, counts and converts the fields.
+    The file is read once. A check on that buffer finds the first line
+    np.loadtxt would misread (a blank line or an unbalanced quote), and one
+    np.loadtxt call over the bytes before that line, or over all of them,
+    splits, counts and converts the fields.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -365,24 +367,14 @@ def read_csv(path: str, columns: np.dtype) -> np.ndarray:
     if not body:
         raise InvalidValueError(f"{path}: CSV holds no data rows")
     bad = _first_unparsable_line(body)
-    if bad is not None:
-        i, start, open_quote = bad
-        _check_field_counts(path, body[:start], names)
-        if open_quote:
-            raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
-        raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got 0")
-    try:
-        return _loadtxt(body, columns)
-    except ValueError as exc:
-        _check_field_counts(path, body, names)
-        at = _LOADTXT_AT.search(str(exc))
-        if at is None:
-            raise InvalidValueError(f"{path}: malformed row ({exc})") from exc
-        column = names[int(at[2]) - 1]
-        kind = "non-integer" if columns[column].kind == "i" else "non-numeric"
-        raise InvalidValueError(
-            f"{path}: line {int(at[1]) + 2}: malformed row, {kind} field {column}"
-        ) from exc
+    if bad is None:
+        return _loadtxt(path, body, columns)
+    i, start, open_quote = bad
+    if start:  # a fault in the lines before the first one np.loadtxt would misread
+        _loadtxt(path, body[:start], columns)
+    if open_quote:
+        raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
+    raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got 0")
 
 
 def _by_example_id(path: str, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -401,7 +393,7 @@ def read_train_log_csv(path: str) -> np.ndarray:
     The (example_id, epoch) grid must be complete: ids 0..n-1 and epochs
     0..E-1 with every cell present exactly once.
     """
-    rows = read_csv(path, _LOG_CSV)
+    rows = read_csv(path, LOG_CSV)
     ex, ep, correct = rows["example_id"], rows["epoch"], rows["correct"]
     bad = np.flatnonzero((ex < 0) | (ep < 0) | (correct < 0) | (correct > 1))
     if bad.size:
@@ -431,39 +423,44 @@ def read_train_log_csv(path: str) -> np.ndarray:
     return (correct == 1).reshape(n, steps)
 
 
+def write_csv(path: str, names, *columns) -> None:
+    """Write a CSV file with header ``names`` and one row per entry of the
+    equal-length ``columns``; each cell is the repr of a ``.tolist()`` value."""
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
+
+
 def write_scores_csv(scores: np.ndarray, path: str) -> None:
     """Export per-example scores as CSV ``example_id,score``."""
     scores = np.asarray(scores, dtype=np.float64)
-    lines = ["example_id,score"]
-    lines.extend(f"{i},{v!r}" for i, v in enumerate(scores.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, SCORES_CSV.names, np.arange(scores.size), scores)
 
 
 def read_scores_csv(path: str) -> np.ndarray:
     """Read a CSV written by :func:`write_scores_csv` back to a float vector."""
-    rows = read_csv(path, _SCORES_CSV)
+    rows = read_csv(path, SCORES_CSV)
     return _by_example_id(path, rows["example_id"], rows["score"])
 
 
 def write_labels_csv(labels: np.ndarray, path: str) -> None:
     """Export integer class labels as CSV ``example_id,label``.
 
-    Labels must be nonnegative integers (an integral float such as 2.0 is
-    written as 2), the values ``read_labels_csv`` accepts; anything else
-    raises ``ValueError`` and writes nothing.
+    Labels must be nonnegative integers below 2**63 (an integral float such
+    as 2.0 is written as 2), the values ``read_labels_csv`` accepts; anything
+    else raises ``ValueError`` and writes nothing.
     """
     labels = np.asarray(labels)
-    if labels.dtype.kind not in "biuf" or not (
-        np.isfinite(labels) & (labels >= 0) & (labels == np.round(labels))
+    if labels.dtype.kind == "b":  # compared with 2**63 below, a bool would overflow
+        labels = labels.astype(np.int64)
+    if labels.dtype.kind not in "iuf" or not (
+        np.isfinite(labels) & (labels >= 0) & (labels == np.round(labels)) & (labels < 2**63)
     ).all():
         raise ValueError("labels must be nonnegative integers")
-    lines = ["example_id,label"]
-    lines.extend(f"{i},{int(v)}" for i, v in enumerate(labels.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, LABELS_CSV.names, np.arange(labels.size), labels.astype(np.int64))
 
 
 def read_labels_csv(path: str) -> np.ndarray:
-    rows = read_csv(path, _LABELS_CSV)
+    rows = read_csv(path, LABELS_CSV)
     labels = _by_example_id(path, rows["example_id"], rows["label"])
     if (labels < 0).any():
         raise InvalidValueError(f"{path}: labels must be nonnegative")

@@ -306,10 +306,12 @@ def read_csv_oracle(path: str, columns: np.dtype) -> np.ndarray:
     is a row with no fields and is rejected. Lines may end in LF, CRLF or
     CR, a field may be double-quoted within its line, and numbers may carry
     surrounding spaces. Integer columns take integers only. Errors name the
-    file and, for a bad row, its line.
+    file and, for a bad row, its line; of several faulty lines the first is
+    reported.
 
     The reference for ``svp.tensor_io.read_csv``: the file as a list of
-    lines, a comma scan for the field counts, then np.loadtxt on the lines.
+    lines, a comma scan for the field counts, then np.loadtxt on the lines
+    before the first line the scan rejects.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -324,18 +326,15 @@ def read_csv_oracle(path: str, columns: np.dtype) -> np.ndarray:
         raise InvalidValueError(f"{path}: CSV holds no data rows")
     counts, open_quote = _fields_per_line(body)
     bad = np.flatnonzero((counts != len(names)) | open_quote)
-    if bad.size:
-        i = int(bad[0])
-        if open_quote[i]:
-            raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
-        raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got {counts[i]}")
+    end = int(bad[0]) if bad.size else len(body)
     try:
         with warnings.catch_warnings():
             # numpy parses text such as "1.5" in an integer column as a float
             # and only warns; as an error it is a ValueError like any other.
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(body, dtype=columns, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+            if end:
+                rows = np.loadtxt(body[:end], dtype=columns, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
     except ValueError as exc:
         at = _LOADTXT_AT.search(str(exc))
         if at is None:
@@ -345,3 +344,8 @@ def read_csv_oracle(path: str, columns: np.dtype) -> np.ndarray:
         raise InvalidValueError(
             f"{path}: line {int(at[1]) + 2}: malformed row, {kind} field {column}"
         ) from exc
+    if end == len(body):
+        return rows
+    if open_quote[end]:
+        raise InvalidValueError(f"{path}: line {end + 2}: unterminated quoted field")
+    raise InvalidValueError(f"{path}: line {end + 2}: expected {len(names)} fields, got {counts[end]}")

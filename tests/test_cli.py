@@ -421,6 +421,8 @@ SPEC = {"kind": "logistic", "epochs": 1, "learning_rate": 0.5, "batch_size": 16,
          "include_full_data_error must be true or false, got 1"),
         ({"schedule": {}}, "schedule is missing ['first', 'initial', 'subsequent']"),
         ({"schedule": None}, "schedule must be a JSON object, got NoneType"),
+        *[({"task": task, "baseline_seconds": value}, "baseline_seconds must be finite and positive")
+          for task in ("al", "coreset") for value in (-5, 0, float("nan"), float("inf"))],
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, overrides, fragment):

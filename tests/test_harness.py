@@ -351,6 +351,12 @@ class TestCoreset:
         assert report.selection_seconds == 25.0
         assert report.speedup == 4.0
 
+    def test_bad_supplied_baseline_fails_before_timed_work(self):
+        train, test = small_data()
+        with pytest.raises(ValueError, match="baseline_seconds must be finite and positive"):
+            run_coreset(PROXY, TARGET, "entropy", 0.3, train, test, seed=5,
+                        clock=ScriptClock([]), baseline_seconds=-1.0)
+
 
 class TestSeedSalts:
     """The named salts are part of the determinism contract: changing one

@@ -17,9 +17,6 @@ class TestRanks:
         assert scores_to_ranks([1, 1, 2]).tolist() == [2.5, 2.5, 1]
         assert scores_to_ranks([4, 4, 4, 4]).tolist() == [2.5] * 4
 
-    def test_ascending_flag(self):
-        assert scores_to_ranks([0.9, 0.1, 0.5], descending=False).tolist() == [3, 1, 2]
-
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=40))
     @settings(max_examples=150)
     def test_rank_sum_invariant(self, vals):

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import read_csv_oracle
+from svp.forgetting import process_log, write_forgetting_csv
+from svp.kcenters import greedy_kcenters, write_order_csv
+from svp.rng import SplitMix64
 from svp.tensor_io import (
-    _LABELS_CSV,
-    _LOG_CSV,
-    _SCORES_CSV,
+    FORGETTING_CSV,
+    LABELS_CSV,
+    LOG_CSV,
+    ORDER_CSV,
+    SCORES_CSV,
     BadMagicError,
     FormatError,
     InvalidHeaderError,
@@ -30,6 +35,7 @@ from svp.tensor_io import (
     read_train_log_csv,
     staged_writes,
     validate_prob_matrix,
+    write_csv,
     write_labels_csv,
     write_scores_csv,
     write_tensor,
@@ -95,6 +101,8 @@ class TestTensorFormat:
             (tensor_bytes(magic=b"XXXX"), BadMagicError),
             (tensor_bytes(version=2), UnsupportedVersionError),
             (tensor_bytes(dtype=1), UnsupportedDtypeError),
+            # The dtype is checked before the payload length.
+            (tensor_bytes(dtype=1, payload=np.zeros(3, "<f4").tobytes()), UnsupportedDtypeError),
             (tensor_bytes(reserved=9), InvalidHeaderError),
             (tensor_bytes(rows=0), InvalidHeaderError),
             (tensor_bytes(cols=0), InvalidHeaderError),
@@ -324,8 +332,9 @@ class TestScoreAndLabelCsv:
 
     @pytest.mark.parametrize(
         "labels",
-        [[1.7, 0.2], [0, -1], [-1.0], [0.0, np.nan], [np.inf], ["1", "0"]],
-        ids=["fractional", "negative-int", "negative-float", "nan", "inf", "strings"],
+        [[1.7, 0.2], [0, -1], [-1.0], [0.0, np.nan], [np.inf], ["1", "0"], [2**63], [2.0**63]],
+        ids=["fractional", "negative-int", "negative-float", "nan", "inf", "strings",
+             "uint64-2^63", "float-2^63"],
     )
     def test_write_labels_rejects_what_read_rejects(self, tmp_path, labels):
         path = tmp_path / "l.csv"
@@ -375,6 +384,54 @@ class TestScoreAndLabelCsv:
         p.write_text("example_id,label\n1,0\n")
         with pytest.raises(InvalidValueError):
             read_labels_csv(str(p))
+
+
+def _write_scores(path):
+    scores = np.array([-0.0, 1e-310, 1e300, np.nan, 0.1, -2.5])
+    write_scores_csv(scores, path)
+    return [np.arange(6), scores]
+
+
+def _write_labels(path, labels=np.array([2, 0, 1, 1])):
+    write_labels_csv(labels, path)
+    return [np.arange(labels.size), labels]
+
+
+def _write_log(path):
+    ex, ep = np.divmod(np.arange(12), 3)
+    correct = np.array([1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1])
+    write_csv(path, LOG_CSV.names, ex, ep, correct)
+    return [ex, ep, correct]
+
+
+def _write_order(path):
+    x = SplitMix64(3).normals((40, 3))
+    result = greedy_kcenters(x, np.array([5]), 12)
+    write_order_csv(result, path)
+    return [np.arange(1, 13), result.order, result.picked_dists]
+
+
+def _write_forgetting(path):
+    scores = process_log(SplitMix64(4).doubles(150).reshape(30, 5) < 0.3)
+    write_forgetting_csv(scores, path)
+    return [np.arange(30), scores.never_learned, scores.counts]
+
+
+@pytest.mark.parametrize(
+    "layout,write",
+    [(SCORES_CSV, _write_scores), (LABELS_CSV, _write_labels),
+     (LABELS_CSV, lambda path: _write_labels(path, np.array([True, False, True]))),
+     (LOG_CSV, _write_log), (ORDER_CSV, _write_order), (FORGETTING_CSV, _write_forgetting)],
+    ids=["scores", "labels", "labels-bool", "log", "order", "forgetting"],
+)
+def test_every_layout_round_trips_bit_equal(tmp_path, layout, write):
+    """Each layout's writer, read back by ``read_csv`` with that layout,
+    gives every column bit for bit, cast to the layout's type."""
+    path = str(tmp_path / "t.csv")
+    expected = write(path)
+    rows = read_csv(path, layout)
+    for name, column in zip(layout.names, expected):
+        assert rows[name].tobytes() == np.asarray(column, dtype=layout[name]).tobytes(), name
 
 
 def _log_csv_rows(log):
@@ -439,7 +496,7 @@ def _csv_texts(draw):
     with blank and space-only lines, short and long rows, quoted commas,
     stray quotes and fields that do not convert, each line ending in LF,
     CRLF or CR."""
-    columns = draw(st.sampled_from([_LABELS_CSV, _SCORES_CSV, _LOG_CSV]))
+    columns = draw(st.sampled_from([LABELS_CSV, SCORES_CSV, LOG_CSV]))
     faulty = draw(st.integers(0, 3)) > 0
     names = list(columns.names)
     quoted = [f'"{n}"' for n in names]
@@ -484,11 +541,12 @@ class TestReadCsvAgainstLineListOracle:
             fh.write(text.encode())
         assert _read_outcome(read_csv, path, columns) == _read_outcome(read_csv_oracle, path, columns)
 
-    def test_field_count_fault_outranks_an_earlier_value_fault(self, tmp_path):
+    def test_first_faulty_line_is_reported(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("example_id,label\n0,x\n1,1\n2\n")
-        with pytest.raises(InvalidValueError, match="line 4: expected 2 fields, got 1"):
-            read_csv(str(path), _LABELS_CSV)
+        for reader in (read_csv, read_csv_oracle):
+            with pytest.raises(InvalidValueError, match="line 2: malformed row, non-integer field label"):
+                reader(str(path), LABELS_CSV)
 
     def test_quote_after_a_space_is_an_ordinary_character(self, tmp_path):
         # Documented difference: the comma scan took the quote as opening a
@@ -497,6 +555,6 @@ class TestReadCsvAgainstLineListOracle:
         path = tmp_path / "l.csv"
         path.write_text('example_id,label\n0, "1,2"\n')
         with pytest.raises(InvalidValueError, match="line 2: expected 2 fields, got 3"):
-            read_csv(str(path), _LABELS_CSV)
+            read_csv(str(path), LABELS_CSV)
         with pytest.raises(InvalidValueError, match=r"malformed row \(the dtype passed requires 2 columns but 3"):
-            read_csv_oracle(str(path), _LABELS_CSV)
+            read_csv_oracle(str(path), LABELS_CSV)

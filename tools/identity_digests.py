@@ -28,6 +28,11 @@ rounds, so no speedup), a core-set of the whole pool with
 ``include_full_data_error`` (the target's test error is reused) and a
 core-set with neither flag. These lines also say whether the report has a
 speedup.
+
+A last section digests the files the library writes: a ``file <name>`` line
+for each input above written by ``write_tensor``, ``write_train_log`` or
+``write_labels_csv``, and a ``cli synth`` line for one ``svp synth`` call
+(exit code, standard output and its four output files).
 """
 
 import contextlib
@@ -166,6 +171,34 @@ def output_bytes(name, out_path):
     return (json.dumps(report, sort_keys=True) + "\n" + "\n".join(rows)).encode()
 
 
+LIBRARY_INPUTS = ("probs_a.svpt", "probs_b.svpt", "log.svpl", "features.svpt", "labels.csv",
+                  "test_features.svpt", "test_labels.csv")
+SYNTH_OUTPUTS = ("features.svpt", "labels.csv", "test_features.svpt", "test_labels.csv")
+
+
+def file_digests():
+    with tempfile.TemporaryDirectory() as d:
+        path = write_cli_inputs(d)
+        for name in LIBRARY_INPUTS:
+            with open(path[name], "rb") as fh:
+                yield f"file {name} {hashlib.sha256(fh.read()).hexdigest()}"
+    with tempfile.TemporaryDirectory() as d:
+        out = [os.path.join(d, "synth_" + name) for name in SYNTH_OUTPUTS]
+        argv = ["synth", "--classes", "5", "--dim", "6", "--separation", "1.5", "--noise", "0.9",
+                "--n-train", "407", "--n-test", "133", "--seed", "21"]
+        for flag, out_path in zip(("--out-features", "--out-labels", "--out-test-features",
+                                   "--out-test-labels"), out):
+            argv += [flag, out_path]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(argv)
+        blob = f"{code}\n{stdout.getvalue()}".encode()
+        for out_path in out:
+            with open(out_path, "rb") as fh:
+                blob += fh.read()
+        yield f"cli synth {hashlib.sha256(blob).hexdigest()}"
+
+
 def cli_digests():
     with tempfile.TemporaryDirectory() as d:
         path = write_cli_inputs(d)
@@ -189,6 +222,8 @@ def main():
         report, _ = execute_config(config)
         ratio = "null" if report.speedup is None else "set"
         print(f"{name} speedup={ratio} {digest(report)}", flush=True)
+    for line in file_digests():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
