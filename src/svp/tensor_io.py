@@ -23,8 +23,13 @@ Each CSV layout is one structured dtype (``SCORES_CSV`` ... ``FORGETTING_CSV``)
 naming the header's fields and their types. :func:`write_csv` writes every
 layout and :func:`read_csv` reads every layout, with one set of rules: an
 exact header, one typed field per column on every data row, no blank lines,
-and the first faulty line reported. A training log may also be imported from
-CSV (``LOG_CSV``); its (id, epoch) grid must be complete with no duplicates.
+UTF-8 bytes, and the first faulty line reported. It checks a file from one
+read into a buffer, then parses it with one np.loadtxt call: a regular file
+from its path, which numpy reads in chunks in C, and stamped (device, inode,
+size, mtime) so that a change between the two reads is refused; anything
+else, such as a pipe, from the buffer. A training log may also be imported
+from CSV (``LOG_CSV``); its (id, epoch) grid must be complete with no
+duplicates.
 All writes go to a temporary file in the target directory and are renamed
 into place, so no partial output survives an error.
 """
@@ -36,6 +41,7 @@ import errno
 import io
 import os
 import re
+import stat
 import struct
 import tempfile
 import warnings
@@ -287,46 +293,39 @@ def _split_fields(line: str) -> list:
                       ndmin=1).tolist()
 
 
+def _check_utf8(path: str, data: bytes) -> None:
+    """Reject ``data`` unless it is UTF-8, naming the line of the first bad
+    byte and the byte's position in that line."""
+    if data.isascii():
+        return
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        in_line = UnicodeDecodeError(exc.encoding, data[start:exc.end], exc.start - start,
+                                     exc.end - start, exc.reason)
+        line = data.count(b"\n", 0, start) + 1
+        raise InvalidValueError(f"{path}: line {line}: malformed row ({in_line})") from None
+
+
 def read_csv_header(path: str) -> Optional[list]:
     """Fields of the first line of a CSV file; None when that line is empty."""
-    with open(path) as fh:
-        line = fh.readline().rstrip("\n")
-    return _split_fields(line) if line else None
+    with open(path, "rb") as fh:
+        line = fh.readline().split(b"\r", 1)[0].rstrip(b"\n")
+    _check_utf8(path, line)
+    return _split_fields(line.decode()) if line else None
 
 
-def _loadtxt(path: str, body: bytes, columns: np.dtype) -> np.ndarray:
-    """``body``, one data row per line, parsed by np.loadtxt into ``columns``;
-    the first row it cannot read is reported as that row's fault."""
-    try:
-        with warnings.catch_warnings():
-            # numpy parses text such as "1.5" in an integer column as a float
-            # and only warns; as an error it is a ValueError like any other.
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(io.BytesIO(body), dtype=columns, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1, encoding="utf-8")
-    except ValueError as exc:
-        count, at = _LOADTXT_COUNT.search(str(exc)), _LOADTXT_AT.search(str(exc))
-        if count is not None:
-            message = f"line {int(count[2]) + 1}: expected {len(columns)} fields, got {count[1]}"
-        elif at is not None:
-            column = columns.names[int(at[2]) - 1]
-            kind = "non-integer" if columns[column].kind == "i" else "non-numeric"
-            message = f"line {int(at[1]) + 2}: malformed row, {kind} field {column}"
-        else:
-            message = f"malformed row ({exc})"
-        raise InvalidValueError(f"{path}: {message}") from exc
-
-
-def _first_unparsable_line(body: bytes) -> Optional[tuple[int, int, bool]]:
+def _first_unparsable_line(body: bytes) -> Optional[tuple[int, bool]]:
     """The first line np.loadtxt would misread: a blank line, which it skips,
     or one with an odd number of double quotes, whose open quoted field it
-    would run on into the next line. Returns (line index, offset of the
-    line's first byte, whether the line has an unbalanced quote), or None."""
+    would run on into the next line. Returns (line index, whether the line
+    has an unbalanced quote), or None."""
     gap = body.find(b"\n\n")
     if body.startswith(b"\n"):
-        bad = (0, 0, False)
+        bad = (0, False)
     elif gap >= 0:
-        bad = (body.count(b"\n", 0, gap + 1), gap + 1, False)
+        bad = (body.count(b"\n", 0, gap + 1), False)
     else:
         bad = None
     if b'"' in body:
@@ -334,9 +333,49 @@ def _first_unparsable_line(body: bytes) -> Optional[tuple[int, int, bool]]:
         ends = np.flatnonzero(raw == ord("\n"))
         odd = np.flatnonzero(np.bincount(np.searchsorted(ends, np.flatnonzero(raw == ord('"')))) % 2)
         if odd.size and (bad is None or odd[0] < bad[0]):
-            i = int(odd[0])
-            bad = (i, int(ends[i - 1]) + 1 if i else 0, True)
+            bad = (int(odd[0]), True)
     return bad
+
+
+def _stamp(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _loadtxt(path: str, data: bytes, st: os.stat_result, columns: np.dtype,
+             rows: int) -> np.ndarray:
+    """The first ``rows`` data rows of the file at ``path``, parsed by
+    np.loadtxt into ``columns``: from the path for a regular file, which must
+    still carry the stamp of ``st`` once the parse is done, otherwise from
+    ``data``, the bytes it was read into. The first row np.loadtxt cannot
+    read is reported as that row's fault."""
+    regular = stat.S_ISREG(st.st_mode)
+    try:
+        with warnings.catch_warnings():
+            # numpy parses text such as "1.5" in an integer column as a float
+            # and only warns; as an error it is a ValueError like any other.
+            warnings.simplefilter("error", DeprecationWarning)
+            parsed = np.loadtxt(path if regular else io.BytesIO(data), dtype=columns,
+                                delimiter=",", quotechar='"', comments=None, ndmin=1,
+                                skiprows=1, max_rows=rows, encoding="utf-8")
+    except ValueError as exc:
+        parsed, error = None, exc
+    else:
+        error = None
+    if (regular and _stamp(os.stat(path)) != _stamp(st)) or (
+            parsed is not None and parsed.size != rows):
+        raise InvalidValueError(f"{path}: file changed while it was read")
+    if error is None:
+        return parsed
+    count, at = _LOADTXT_COUNT.search(str(error)), _LOADTXT_AT.search(str(error))
+    if count is not None:
+        message = f"line {int(count[2]) + 1}: expected {len(columns)} fields, got {count[1]}"
+    elif at is not None:
+        column = columns.names[int(at[2]) - 1]
+        kind = "non-integer" if columns[column].kind == "i" else "non-numeric"
+        message = f"line {int(at[1]) + 2}: malformed row, {kind} field {column}"
+    else:
+        message = f"malformed row ({error})"
+    raise InvalidValueError(f"{path}: {message}") from error
 
 
 def read_csv(path: str, columns: np.dtype) -> np.ndarray:
@@ -348,18 +387,26 @@ def read_csv(path: str, columns: np.dtype) -> np.ndarray:
     CR, a field may be double-quoted within its line, and numbers may carry
     surrounding spaces. Integer columns take integers only. Errors name the
     file and, for a bad row, its line; of several faulty lines the first is
-    reported.
+    reported, except that a byte that is not UTF-8 is reported before any
+    other fault.
 
-    The file is read once. A check on that buffer finds the first line
-    np.loadtxt would misread (a blank line or an unbalanced quote), and one
-    np.loadtxt call over the bytes before that line, or over all of them,
-    splits, counts and converts the fields.
+    The file is read once as bytes, and the checks run on that buffer: the
+    encoding, the header, and the first line np.loadtxt would misread (a
+    blank line or an unbalanced quote). Then one np.loadtxt call splits,
+    counts and converts the fields of every data row before that line. For
+    a regular file it parses from the path, which numpy reads in chunks in
+    C. As the file is then read twice, its device, inode, size and mtime
+    are taken when the buffer is read and must be unchanged after the
+    parse, with one parsed row per checked line. Any other file, such as a
+    pipe, can be read only once, so it is parsed from the buffer.
     """
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
         data = fh.read()
     if b"\r" in data:  # CRLF and CR end a line, as text mode reads them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     names = list(columns.names)
+    _check_utf8(path, data)
     head, _, body = data.partition(b"\n")
     header = _split_fields(head.decode()) if head else None
     if header != names:
@@ -367,11 +414,12 @@ def read_csv(path: str, columns: np.dtype) -> np.ndarray:
     if not body:
         raise InvalidValueError(f"{path}: CSV holds no data rows")
     bad = _first_unparsable_line(body)
+    rows = body.count(b"\n") + (not body.endswith(b"\n")) if bad is None else bad[0]
+    if rows:  # the rows before the first line np.loadtxt would misread, or all of them
+        parsed = _loadtxt(path, data, st, columns, rows)
     if bad is None:
-        return _loadtxt(path, body, columns)
-    i, start, open_quote = bad
-    if start:  # a fault in the lines before the first one np.loadtxt would misread
-        _loadtxt(path, body[:start], columns)
+        return parsed
+    i, open_quote = bad
     if open_quote:
         raise InvalidValueError(f"{path}: line {i + 2}: unterminated quoted field")
     raise InvalidValueError(f"{path}: line {i + 2}: expected {len(names)} fields, got 0")
@@ -425,9 +473,16 @@ def read_train_log_csv(path: str) -> np.ndarray:
 
 def write_csv(path: str, names, *columns) -> None:
     """Write a CSV file with header ``names`` and one row per entry of the
-    equal-length ``columns``; each cell is the repr of a ``.tolist()`` value."""
-    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
-    atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
+    equal-length 1-D ``columns``; each cell is the repr of a ``.tolist()``
+    value. Columns of any other shape raise ``ValueError`` and write nothing."""
+    if any(np.ndim(c) != 1 for c in columns) or len({len(c) for c in columns}) > 1:
+        raise ValueError(f"CSV columns must be 1-D and of one length, got shapes "
+                         f"{[np.shape(c) for c in columns]}")
+    cells = [None] * sum(len(c) for c in columns)
+    for j, column in enumerate(columns):
+        cells[j::len(columns)] = column.tolist()
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    atomic_write_text(path, ",".join(names) + "\n" + row * len(columns[0]) % tuple(cells))
 
 
 def write_scores_csv(scores: np.ndarray, path: str) -> None:

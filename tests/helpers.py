@@ -1,7 +1,8 @@
 """Shared test utilities: the generator's scalar draws, scripted clocks,
 geometry builders, gradient probes, the per-batch SGD oracle, the
 difference-form k-centers oracle, the per-round active-learning k-centers
-oracle, the streaming forgetting oracle, and the line-list CSV reader."""
+oracle, the streaming forgetting oracle, the line-list CSV reader and the
+per-row CSV writer."""
 
 import dataclasses
 import warnings
@@ -14,7 +15,7 @@ from svp.harness import _fit_seed, random_select
 from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, TrainedModel, embed, fit, init_params
 from svp.rng import SplitMix64, derive_seed
-from svp.tensor_io import _LOADTXT_AT, InvalidValueError, _split_fields
+from svp.tensor_io import _LOADTXT_AT, InvalidValueError, _split_fields, atomic_write_text
 
 
 def next_double(rng: SplitMix64) -> float:
@@ -349,3 +350,10 @@ def read_csv_oracle(path: str, columns: np.dtype) -> np.ndarray:
     if open_quote[end]:
         raise InvalidValueError(f"{path}: line {end + 2}: unterminated quoted field")
     raise InvalidValueError(f"{path}: line {end + 2}: expected {len(names)} fields, got {counts[end]}")
+
+
+def write_csv_oracle(path: str, names, *columns) -> None:
+    """The reference for ``svp.tensor_io.write_csv``: each row joined from the
+    repr of every column's ``.tolist()`` cell."""
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")

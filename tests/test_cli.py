@@ -282,6 +282,21 @@ class TestCorrelate:
         b.write_text("id,value\n0,1.0\n1,2.0\n")
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
 
+    @pytest.mark.parametrize(
+        "data,line,position",
+        [(b"example_id,sc\xffore\n0,1.0\n1,2.0\n", 1, 13),
+         (b"example_id,score\n0,1.0\n1,\xff2.0\n", 3, 2)],
+        ids=["header", "body"],
+    )
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys, data, line, position):
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0])
+        b = tmp_path / "b.csv"
+        b.write_bytes(data)
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {b}: line {line}: malformed row ('utf-8' codec can't decode byte 0xff "
+            f"in position {position}: invalid start byte)\n")
+
     def test_constant_input_fails_cleanly(self, tmp_path, capsys):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 1.0, 1.0])
         b = self.scores_file(tmp_path, "b.csv", [1.0, 2.0, 3.0])

@@ -2,6 +2,7 @@ import contextlib
 import os
 import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import read_csv_oracle
+import svp.tensor_io as tensor_io
+from helpers import read_csv_oracle, write_csv_oracle
 from svp.forgetting import process_log, write_forgetting_csv
 from svp.kcenters import greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
@@ -434,6 +436,37 @@ def test_every_layout_round_trips_bit_equal(tmp_path, layout, write):
         assert rows[name].tobytes() == np.asarray(column, dtype=layout[name]).tobytes(), name
 
 
+@st.composite
+def _csv_columns(draw):
+    """A layout and one column per field: floats with nan, inf and -0.0, or
+    ints across the whole int64 range; from zero rows up."""
+    layout = draw(st.sampled_from([SCORES_CSV, LABELS_CSV, LOG_CSV, ORDER_CSV, FORGETTING_CSV]))
+    n = draw(st.integers(0, 20))
+    columns = [draw(arrays(np.float64, n, elements=st.floats())) if layout[name].kind == "f"
+               else draw(arrays(np.int64, n, elements=st.integers(-2**63, 2**63 - 1)))
+               for name in layout.names]
+    return layout, columns
+
+
+@given(case=_csv_columns())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_writer_bytes_equal_the_per_row_writer(case, tmp_path_factory):
+    layout, columns = case
+    directory = tmp_path_factory.mktemp("w")
+    write_csv(str(directory / "new.csv"), layout.names, *columns)
+    write_csv_oracle(str(directory / "old.csv"), layout.names, *columns)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+def test_writer_rejects_columns_its_reader_rejects(tmp_path):
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        write_scores_csv(np.ones((2, 2)), str(path))
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        write_csv(str(path), LABELS_CSV.names, np.arange(3), np.arange(2))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _log_csv_rows(log):
     return [f"{ex},{ep},{int(log[ex, ep])}" for ex in range(log.shape[0]) for ep in range(log.shape[1])]
 
@@ -558,3 +591,70 @@ class TestReadCsvAgainstLineListOracle:
             read_csv(str(path), LABELS_CSV)
         with pytest.raises(InvalidValueError, match=r"malformed row \(the dtype passed requires 2 columns but 3"):
             read_csv_oracle(str(path), LABELS_CSV)
+
+
+class TestReadCsvSources:
+    """A regular file is checked from one read and parsed from its path; any
+    other file is parsed from the buffer it was read into."""
+
+    @pytest.mark.parametrize(
+        "data,line,position",
+        [(b"example_id,sc\xffore\n0,1.5\n", 1, 13),
+         (b"example_id,score\r\n0,1.5\r\n1,2\xff.5\r\n", 3, 3),
+         (b"example_id,score\n0,x\n\n1,\xff\n", 4, 2)],
+        ids=["header", "body", "after-a-faulty-line"],
+    )
+    def test_non_utf8_byte_names_its_line_and_position(self, tmp_path, data, line, position):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(InvalidValueError) as exc:
+            read_csv(str(path), SCORES_CSV)
+        assert str(exc.value) == (f"{path}: line {line}: malformed row ('utf-8' codec can't decode "
+                                  f"byte 0xff in position {position}: invalid start byte)")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'example_id,label\r\n0, 2\n1,"0"\r2,1\n', b"example_id,label\n0,1\n1,x\n",
+         b"example_id,label\n0,1\n1,0\n\n"],
+        ids=["valid", "bad-field", "blank-line"],
+    )
+    def test_fifo_parses_as_a_regular_file(self, tmp_path, data):
+        regular, fifo = tmp_path / "l.csv", tmp_path / "l.fifo"
+        regular.write_bytes(data)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            from_fifo = _read_outcome(read_csv, str(fifo), LABELS_CSV)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        expected = _read_outcome(read_csv, str(regular), LABELS_CSV)
+        if expected[0] != "accept":
+            expected = (expected[0], expected[1].replace(str(regular), str(fifo)))
+        assert from_fifo == expected
+
+    def test_a_new_stamp_after_the_parse_is_refused(self, tmp_path, monkeypatch):
+        path, other = tmp_path / "l.csv", tmp_path / "other"
+        path.write_text("example_id,label\n0,1\n1,0\n")
+        other.write_text("x")
+        real_stat = os.stat
+        monkeypatch.setattr(tensor_io.os, "stat", lambda p, *args, **kwargs: real_stat(
+            other if os.fspath(p) == str(path) else p, *args, **kwargs))
+        with pytest.raises(InvalidValueError, match="file changed while it was read"):
+            read_csv(str(path), LABELS_CSV)
+
+    def test_a_change_the_stamp_misses_is_caught_by_the_row_count(self, tmp_path, monkeypatch):
+        path = tmp_path / "l.csv"
+        path.write_text("example_id,label\n0,1\n1,0\n")
+        st0 = path.stat()
+        split = tensor_io._split_fields
+
+        def rewrite_then_split(line):  # runs between the read and the parse
+            path.write_text("example_id,label\n0,11111\n")  # same size, one row
+            os.utime(path, ns=(st0.st_atime_ns, st0.st_mtime_ns))
+            return split(line)
+
+        monkeypatch.setattr(tensor_io, "_split_fields", rewrite_then_split)
+        with pytest.raises(InvalidValueError, match="file changed while it was read"):
+            read_csv(str(path), LABELS_CSV)
