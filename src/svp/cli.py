@@ -28,6 +28,7 @@ from .tensor_io import (
     ORDER_CSV,
     SCORES_CSV,
     InvalidValueError,
+    _check_utf8,
     read_csv,
     read_csv_header,
     read_scores_csv,
@@ -66,16 +67,18 @@ def _require_seed(value) -> int:
 
 def _read_index_file(path: str) -> np.ndarray:
     """One integer index per line; blank lines ignored."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    _check_utf8(path, data)
     indices = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                indices.append(int(line))
-            except ValueError as exc:
-                raise InvalidValueError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+    for lineno, line in enumerate(data.decode().split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            indices.append(int(line))
+        except ValueError as exc:
+            raise InvalidValueError(f"{path}:{lineno}: not an integer: {line!r}") from exc
     if not indices:
         raise InvalidValueError(f"{path}: no indices found")
     return np.asarray(indices, dtype=np.int64)

@@ -14,6 +14,7 @@ target on the selected ids and build the report. Active learning plans
 one timed round per step; core-set selection plans ``[m]`` and its pass is
 one timed stage. ``execute_config`` checks a config's top-level fields
 against one table per task (``CONFIG_FIELDS``); flags must be JSON booleans.
+The run checks its method against ``METHODS[task]`` before any fit.
 
 Timing contract: each selection round is bracketed by exactly two clock()
 calls covering the proxy fit, scoring, and selection. Proxy evaluation on the
@@ -60,9 +61,6 @@ from .learner import (
 from .rng import SplitMix64, derive_seed
 from .tensor_io import atomic_write_text, read_labels_csv, read_tensor, staged_writes
 
-AL_METHODS = ("least_confidence", "kcenters", "random")
-CORESET_METHODS = ("entropy", "kcenters", "forgetting", "random")
-
 
 class ScheduleError(ValueError):
     """Budget not reachable by the configured round schedule."""
@@ -94,8 +92,6 @@ class ALConfig:
     seed: int
 
     def __post_init__(self):
-        if self.method not in AL_METHODS:
-            raise ValueError(f"method must be one of {AL_METHODS}, got {self.method!r}")
         if not (np.isfinite(self.budget_fraction) and 0.0 < self.budget_fraction <= 1.0):
             raise ValueError(f"budget_fraction must lie in (0, 1], got {self.budget_fraction}")
 
@@ -279,6 +275,14 @@ SELECTORS = {
     "random": _random_selector,
 }
 
+# The methods each task takes: every selector, except that forgetting needs
+# a proxy log of every pool row, and an AL proxy is fitted on the labeled
+# rows only.
+METHODS = {
+    "coreset": tuple(SELECTORS),
+    "al": tuple(m for m in SELECTORS if m != "forgetting"),
+}
+
 
 def _al_selection_pass(
     cfg: ALConfig,
@@ -339,6 +343,8 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
     returns (selected ids, fitted proxy per round, seconds per round) with
     ``spec`` in the proxy slot. The pass runs with the proxy, then (for a
     measured baseline) with the target; the target is fitted on the ids."""
+    if method not in METHODS[task]:
+        raise ValueError(f"{task} method must be one of {METHODS[task]}, got {method!r}")
     if baseline_seconds is not None and not (np.isfinite(baseline_seconds) and baseline_seconds > 0):
         raise ValueError(f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
     x, y = _as_xy(data)
@@ -427,8 +433,6 @@ def run_coreset(
     subset is the identity and the target fit equals full-data training
     exactly, seed for seed.
     """
-    if method not in CORESET_METHODS:
-        raise ValueError(f"method must be one of {CORESET_METHODS}, got {method!r}")
     if not (np.isfinite(subset_fraction) and 0.0 < subset_fraction <= 1.0):
         raise ValueError(f"subset_fraction must lie in (0, 1], got {subset_fraction}")
 

@@ -17,8 +17,8 @@ All training math runs in float64.
 The SGD loop works in place, but each step makes the same float operations
 in the same order as a textbook step that gathers its batch by fancy index,
 computes the softmax and gradients into fresh arrays and updates each
-parameter by ``p -= lr * grad``; parameters, log and losses are bit-equal to
-that reference. Each epoch gathers the shuffled rows once, so a batch is a
+parameter by ``p -= lr * grad``; parameters and log are bit-equal to that
+reference. Each epoch gathers the shuffled rows once, so a batch is a
 contiguous slice; parameters and gradients each live in one flat buffer, so
 the update is two vector operations. An epoch that ends with a non-finite
 parameter raises ValueError instead of returning a diverged model.
@@ -87,18 +87,6 @@ class LearnerSpec:
         elif self.hidden_units is not None:
             raise ValueError("hidden_units applies only to mlp")
 
-    def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
-        if self.kind == "mlp":
-            d["hidden_units"] = self.hidden_units
-        return d
-
     @staticmethod
     def from_dict(d: dict) -> "LearnerSpec":
         check_object(d, "learner", _SPEC_FIELDS, required=_SPEC_FIELDS[:-1])
@@ -120,7 +108,6 @@ class TrainedModel:
     n_features: int
     params: dict
     train_log: Optional[np.ndarray]  # (n, epochs) bool; None when epochs == 0
-    loss_history: np.ndarray  # mean cross-entropy per epoch
 
 
 def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -184,35 +171,29 @@ def forward_logits(kind: str, params: dict, x: np.ndarray) -> np.ndarray:
     return hidden @ params["W2"] + params["b2"]
 
 
-def _softmax_xent_grad(z: np.ndarray, yb: np.ndarray, rows: np.ndarray, top: np.ndarray) -> float:
-    """Mean cross-entropy of the logits ``z`` whose row-wise argmax is
-    ``top``; overwrites ``z`` with the loss gradient with respect to them."""
-    m = z.shape[0]
+def _softmax_xent_grad(z: np.ndarray, yb: np.ndarray, rows: np.ndarray, top: np.ndarray) -> None:
+    """Overwrite the logits ``z``, whose row-wise argmax is ``top``, with the
+    gradient of their mean cross-entropy with respect to them."""
     z -= z[rows, top][:, None]  # the row maximum, read at its argmax
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
-    p = z[rows, yb]
-    loss = -float(np.add.reduce(np.log(p))) / m  # == float(-np.mean(np.log(p)))
-    p -= 1.0
-    z[rows, yb] = p
-    z /= m
-    return loss
+    z[rows, yb] -= 1.0
+    z /= z.shape[0]
 
 
 def _sgd_grads(kind: str, params: dict, grads: dict, xb: np.ndarray, yb: np.ndarray,
-               rows: np.ndarray, correct: np.ndarray) -> float:
+               rows: np.ndarray, correct: np.ndarray) -> None:
     """Forward and backward pass of one mini-batch: records the pre-update
-    accuracy into ``correct``, writes the gradients into ``grads`` and
-    returns the batch's mean loss."""
+    accuracy into ``correct`` and writes the gradients into ``grads``."""
     if kind == "logistic":
         z = xb @ params["W"]
         z += params["b"]
         top = z.argmax(axis=1)
         np.equal(top, yb, out=correct)
-        loss = _softmax_xent_grad(z, yb, rows, top)
+        _softmax_xent_grad(z, yb, rows, top)
         np.matmul(xb.T, z, out=grads["W"])
         np.add.reduce(z, axis=0, out=grads["b"])
-        return loss
+        return
     z1 = xb @ params["W1"]
     z1 += params["b1"]
     hidden = np.maximum(z1, 0.0)
@@ -220,14 +201,13 @@ def _sgd_grads(kind: str, params: dict, grads: dict, xb: np.ndarray, yb: np.ndar
     z += params["b2"]
     top = z.argmax(axis=1)
     np.equal(top, yb, out=correct)
-    loss = _softmax_xent_grad(z, yb, rows, top)
+    _softmax_xent_grad(z, yb, rows, top)
     dh = z @ params["W2"].T
     np.multiply(dh, z1 > 0.0, out=dh)
     np.matmul(xb.T, dh, out=grads["W1"])
     np.add.reduce(dh, axis=0, out=grads["b1"])
     np.matmul(hidden.T, z, out=grads["W2"])
     np.add.reduce(z, axis=0, out=grads["b2"])
-    return loss
 
 
 def _views(buf: np.ndarray, shapes: dict) -> dict:
@@ -256,7 +236,6 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     bs, lr = spec.batch_size, spec.learning_rate
 
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
-    losses = np.zeros(spec.epochs)
     rows = np.arange(min(bs, n))
     correct = np.empty(n, dtype=np.bool_)
 
@@ -264,16 +243,13 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
         for epoch in range(spec.epochs):
             perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
             xp, yp = x[perm], y[perm]
-            epoch_loss = 0.0
             for start in range(0, n, bs):
                 stop = min(start + bs, n)
-                loss = _sgd_grads(spec.kind, params, grads, xp[start:stop], yp[start:stop],
-                                  rows[: stop - start], correct[start:stop])
+                _sgd_grads(spec.kind, params, grads, xp[start:stop], yp[start:stop],
+                           rows[: stop - start], correct[start:stop])
                 flat_grad *= lr
                 flat -= flat_grad
-                epoch_loss += loss * (stop - start)
             train_log[perm, epoch] = correct
-            losses[epoch] = epoch_loss / n
             if not np.isfinite(flat).all():
                 raise ValueError(f"training diverged at epoch {epoch}: non-finite parameters")
 
@@ -283,7 +259,6 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
         n_features=x.shape[1],
         params=params,
         train_log=train_log,
-        loss_history=losses,
     )
 
 

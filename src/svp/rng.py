@@ -106,12 +106,8 @@ class SplitMix64:
         """n uniforms in [0, 1)."""
         return (self.raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def shuffle(self, values: list) -> None:
-        """In-place Fisher-Yates shuffle (back to front, modulo bound)."""
-        values[:] = [values[k] for k in self.permutation(len(values))]
-
     def permutation(self, n: int) -> np.ndarray:
-        """The order ``shuffle`` gives ``list(range(n))``, in closed form."""
+        """The shuffle of ``range(n)`` by the recipe above, in closed form."""
         if n < 2:
             return np.arange(n, dtype=np.int64)
         # j[i] is step i's target: draw k serves step n-1-k, bound n-k. Keys

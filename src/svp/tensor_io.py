@@ -55,8 +55,9 @@ FORMAT_VERSION = 1
 DTYPE_F32 = 0
 PROB_TOL = 1e-5  # how far from 1 a probability row may sum
 
-_HEADER = struct.Struct("<4sHBBQQ")  # magic, version, dtype, reserved, rows, cols
-_LOG_HEADER = struct.Struct("<4sHHQQ")  # magic, version, reserved, n, E
+# The frame both binary formats share: magic, version, two flag bytes (SVPT:
+# dtype and reserved; SVPL: reserved), two dims, then the payload.
+_FRAME = struct.Struct("<4sHBBQQ")
 
 
 class FormatError(ValueError):
@@ -161,6 +162,48 @@ def check_matrix(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
+def _pack_frame(magic: bytes, flags: tuple, rows: int, cols: int, payload: bytes) -> bytes:
+    return _FRAME.pack(magic, FORMAT_VERSION, *flags, rows, cols) + payload
+
+
+def _read_frame(path: str, magic: bytes, itemsize: int, check_flags) -> tuple:
+    """The (payload, rows, cols) of a binary file framed as ``magic``, whose
+    payload holds rows * cols items of ``itemsize`` bytes. Faults are checked
+    in order: length, magic, version, ``check_flags(flag0, flag1)``, dims,
+    truncation, trailing bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < _FRAME.size:
+        raise TruncatedPayloadError(f"file is {len(data)} bytes, header needs {_FRAME.size}")
+    found, version, flag0, flag1, rows, cols = _FRAME.unpack_from(data)
+    if found != magic:
+        raise BadMagicError(f"bad magic {found!r}, expected {magic!r}")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(f"unsupported version {version}")
+    check_flags(flag0, flag1)
+    if rows < 1 or cols < 1:
+        raise InvalidHeaderError(f"dimensions must be positive, got {rows}x{cols}")
+    expected = rows * cols * itemsize
+    actual = len(data) - _FRAME.size
+    if actual < expected:
+        raise TruncatedPayloadError(f"payload holds {actual} bytes, header promises {expected}")
+    if actual > expected:
+        raise FormatError(f"{actual - expected} trailing bytes after payload")
+    return memoryview(data)[_FRAME.size:], rows, cols
+
+
+def _check_tensor_flags(dtype: int, reserved: int) -> None:
+    if dtype != DTYPE_F32:
+        raise UnsupportedDtypeError(f"unsupported dtype code {dtype}")
+    if reserved != 0:
+        raise InvalidHeaderError("reserved byte must be 0")
+
+
+def _check_log_flags(reserved0: int, reserved1: int) -> None:
+    if reserved0 or reserved1:
+        raise InvalidHeaderError("reserved bytes must be 0")
+
+
 def write_tensor(matrix: np.ndarray, path: str) -> None:
     """Write a matrix as an SVPT file. Values are stored as float32."""
     m = check_matrix(matrix)
@@ -168,36 +211,14 @@ def write_tensor(matrix: np.ndarray, path: str) -> None:
         payload = np.ascontiguousarray(m, dtype="<f4")
     if not np.isfinite(payload).all():
         raise ValueError("matrix values overflow float32")
-    rows, cols = payload.shape
-    header = _HEADER.pack(TENSOR_MAGIC, FORMAT_VERSION, DTYPE_F32, 0, rows, cols)
-    atomic_write_bytes(path, header + payload.tobytes())
+    atomic_write_bytes(path, _pack_frame(TENSOR_MAGIC, (DTYPE_F32, 0), *payload.shape,
+                                         payload.tobytes()))
 
 
 def read_tensor(path: str) -> np.ndarray:
     """Read an SVPT file into an (n, d) float32 matrix."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise TruncatedPayloadError(f"file is {len(data)} bytes, header needs {_HEADER.size}")
-    magic, version, dtype, reserved, rows, cols = _HEADER.unpack_from(data)
-    if magic != TENSOR_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
-    if dtype != DTYPE_F32:
-        raise UnsupportedDtypeError(f"unsupported dtype code {dtype}")
-    if reserved != 0:
-        raise InvalidHeaderError("reserved byte must be 0")
-    if rows < 1 or cols < 1:
-        raise InvalidHeaderError(f"dimensions must be positive, got {rows}x{cols}")
-    expected = rows * cols * 4
-    actual = len(data) - _HEADER.size
-    if actual < expected:
-        raise TruncatedPayloadError(f"payload holds {actual} bytes, header promises {expected}")
-    if actual > expected:
-        raise FormatError(f"{actual - expected} trailing bytes after payload")
-    flat = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    matrix = flat.reshape(rows, cols).astype(np.float32)
+    payload, rows, cols = _read_frame(path, TENSOR_MAGIC, 4, _check_tensor_flags)
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
     if not np.isfinite(matrix).all():
         raise InvalidValueError("tensor payload contains non-finite values")
     return matrix
@@ -239,33 +260,14 @@ def check_train_log(log: np.ndarray) -> np.ndarray:
 def write_train_log(log: np.ndarray, path: str) -> None:
     """Write an (n, E) boolean correctness record as an SVPL file."""
     log = check_train_log(log)
-    n, steps = log.shape
-    header = _LOG_HEADER.pack(LOG_MAGIC, FORMAT_VERSION, 0, n, steps)
-    atomic_write_bytes(path, header + log.astype(np.uint8).tobytes())
+    atomic_write_bytes(path, _pack_frame(LOG_MAGIC, (0, 0), *log.shape,
+                                         log.astype(np.uint8).tobytes()))
 
 
 def read_train_log(path: str) -> np.ndarray:
     """Read an SVPL file into an (n, E) boolean array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _LOG_HEADER.size:
-        raise TruncatedPayloadError(f"file is {len(data)} bytes, header needs {_LOG_HEADER.size}")
-    magic, version, reserved, n, steps = _LOG_HEADER.unpack_from(data)
-    if magic != LOG_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {LOG_MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
-    if reserved != 0:
-        raise InvalidHeaderError("reserved bytes must be 0")
-    if n < 1 or steps < 1:
-        raise InvalidHeaderError(f"dimensions must be positive, got {n}x{steps}")
-    expected = n * steps
-    actual = len(data) - _LOG_HEADER.size
-    if actual < expected:
-        raise TruncatedPayloadError(f"payload holds {actual} bytes, header promises {expected}")
-    if actual > expected:
-        raise FormatError(f"{actual - expected} trailing bytes after payload")
-    payload = np.frombuffer(data, dtype=np.uint8, offset=_LOG_HEADER.size)
+    payload, n, steps = _read_frame(path, LOG_MAGIC, 1, _check_log_flags)
+    payload = np.frombuffer(payload, dtype=np.uint8)
     if not np.isin(payload, (0, 1)).all():
         bad = int(payload[~np.isin(payload, (0, 1))][0])
         raise InvalidValueError(f"log byte must be 0 or 1, found {bad}")

@@ -1,8 +1,8 @@
-"""Shared test utilities: the generator's scalar draws, scripted clocks,
-geometry builders, gradient probes, the per-batch SGD oracle, the
-difference-form k-centers oracle, the per-round active-learning k-centers
-oracle, the streaming forgetting oracle, the line-list CSV reader and the
-per-row CSV writer."""
+"""Shared test utilities: the generator's scalar draws, learner-spec JSON,
+scripted clocks, geometry builders, gradient probes, the per-batch SGD
+oracle with its per-epoch losses, the difference-form k-centers oracle, the
+per-round active-learning k-centers oracle, the streaming forgetting oracle,
+the line-list CSV reader and the per-row CSV writer."""
 
 import dataclasses
 import warnings
@@ -28,6 +28,14 @@ def next_below(rng: SplitMix64, n: int) -> int:
     if n <= 0:
         raise ValueError("bound must be positive")
     return rng.next_u64() % n
+
+
+def spec_dict(spec: LearnerSpec) -> dict:
+    """The config JSON object ``LearnerSpec.from_dict`` reads back as ``spec``."""
+    d = dataclasses.asdict(spec)
+    if d["hidden_units"] is None:
+        del d["hidden_units"]
+    return d
 
 
 class ScriptClock:
@@ -101,7 +109,8 @@ def loss_and_grads(kind, params, x, y):
 
 
 def fit_oracle(spec, features, labels, n_classes=None):
-    """``svp.learner.fit`` as one ``loss_and_grads`` call per batch.
+    """``svp.learner.fit`` as one ``loss_and_grads`` call per batch; returns
+    the model and its mean cross-entropy per epoch.
 
     The reference for the in-place loop: each batch is gathered by fancy
     index from the epoch's permutation, its pre-update accuracy is scattered
@@ -127,7 +136,7 @@ def fit_oracle(spec, features, labels, n_classes=None):
             epoch_loss += loss * idx.shape[0]
         losses[epoch] = epoch_loss / n
     return TrainedModel(spec=spec, n_classes=c, n_features=x.shape[1], params=params,
-                        train_log=train_log, loss_history=losses)
+                        train_log=train_log), losses
 
 
 def draw_gradient_case(rng, kind, warmup_steps=3, kink_margin=1e-2):

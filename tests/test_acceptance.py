@@ -21,6 +21,7 @@ from helpers import (
     kcenter_radius,
     max_gradient_mismatch,
     next_below,
+    spec_dict,
     streaming_update,
     three_blob,
 )
@@ -370,10 +371,10 @@ def test_criterion_11_speedup_accounting(capsys):
     real_cfg = {
         "task": "coreset",
         "method": "entropy",
-        "proxy": LearnerSpec(kind="logistic", epochs=10, learning_rate=0.5,
-                             batch_size=64, seed=1).to_dict(),
-        "target": LearnerSpec(kind="mlp", epochs=10, learning_rate=0.3, batch_size=64,
-                              seed=2, hidden_units=32).to_dict(),
+        "proxy": spec_dict(LearnerSpec(kind="logistic", epochs=10, learning_rate=0.5,
+                                       batch_size=64, seed=1)),
+        "target": spec_dict(LearnerSpec(kind="mlp", epochs=10, learning_rate=0.3,
+                                        batch_size=64, seed=2, hidden_units=32)),
         "subset_fraction": 0.1,
         "seed": 3,
         "data": {"synthetic": {"classes": 4, "dim": 10, "separation": 1.0, "noise": 1.0,

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from svp import scoring
+from helpers import spec_dict
+from svp import harness, scoring
 from svp.cli import main
 from svp.forgetting import process_log, write_forgetting_csv
+from svp.harness import METHODS
 from svp.learner import LearnerSpec, SynthParams
 from svp.tensor_io import (
     read_labels_csv,
@@ -31,10 +33,10 @@ def coreset_config(tmp_path, drop=(), **overrides):
     cfg = {
         "task": "coreset",
         "method": "entropy",
-        "proxy": LearnerSpec(kind="logistic", epochs=3, learning_rate=0.5,
-                             batch_size=16, seed=1).to_dict(),
-        "target": LearnerSpec(kind="mlp", epochs=3, learning_rate=0.3,
-                              batch_size=16, seed=2, hidden_units=8).to_dict(),
+        "proxy": spec_dict(LearnerSpec(kind="logistic", epochs=3, learning_rate=0.5,
+                                       batch_size=16, seed=1)),
+        "target": spec_dict(LearnerSpec(kind="mlp", epochs=3, learning_rate=0.3,
+                                        batch_size=16, seed=2, hidden_units=8)),
         "subset_fraction": 0.5,
         "seed": 5,
         "data": {"synthetic": {"classes": 3, "dim": 4, "separation": 2.0, "noise": 1.0,
@@ -183,6 +185,16 @@ class TestKCenters:
         init.write_text("zero\n")
         assert main(["kcenters", "--features", str(feats), "--initial", str(init),
                      "--budget", "1", "--out", str(tmp_path / "o.csv")]) == 1
+
+    def test_non_utf8_initial_file_names_file_and_line(self, tmp_path, capsys):
+        feats = self.features_file(tmp_path)
+        init = tmp_path / "init.txt"
+        init.write_bytes(b"1\n2\xff\n")
+        assert main(["kcenters", "--features", str(feats), "--initial", str(init),
+                     "--budget", "1", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {init}: line 2: malformed row ('utf-8' codec can't decode byte 0xff "
+            f"in position 1: invalid start byte)\n")
 
 
 class TestForget:
@@ -438,9 +450,14 @@ SPEC = {"kind": "logistic", "epochs": 1, "learning_rate": 0.5, "batch_size": 16,
         ({"schedule": None}, "schedule must be a JSON object, got NoneType"),
         *[({"task": task, "baseline_seconds": value}, "baseline_seconds must be finite and positive")
           for task in ("al", "coreset") for value in (-5, 0, float("nan"), float("inf"))],
+        ({"method": "forgetting"}, f"al method must be one of {METHODS['al']}, got 'forgetting'"),
+        *[({"task": task, "method": "bogus"}, f"{task} method must be one of {METHODS[task]}")
+          for task in ("al", "coreset")],
     ],
 )
-def test_malformed_config_is_one_line_error(tmp_path, capsys, overrides, fragment):
+def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overrides, fragment):
+    fits = []
+    monkeypatch.setattr(harness, "fit", lambda *args, **kwargs: fits.append(args))
     task = overrides.get("task", "al")
     size = {"al": {"budget_fraction": 0.1}, "coreset": {"subset_fraction": 0.5}}[task]
     base = {"task": task, "method": "random", **size, "data": {"synthetic": SYNTH}}
@@ -449,6 +466,7 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, overrides, fragmen
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
+    assert fits == []
 
 
 def test_top_level_list_config_is_one_line_error(tmp_path, capsys):

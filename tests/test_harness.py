@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import svp
-from helpers import ScriptClock, al_kcenters_pass_oracle, three_blob
+from helpers import ScriptClock, al_kcenters_pass_oracle, spec_dict, three_blob
 from svp.forgetting import process_log, select_most_forgotten
 from svp.harness import (
     ALConfig,
@@ -169,7 +169,8 @@ class TestActiveLearning:
         assert report.full_data_error is None
         assert report.speedup is None
 
-    @pytest.mark.parametrize("method", ["least_confidence", "kcenters", "random"])
+    @pytest.mark.parametrize("method", ["least_confidence", "kcenters", "random",
+                                        "confidence", "entropy", "margin"])
     def test_every_method_is_deterministic(self, method):
         train, test = small_data()
         cfg = ALConfig(proxy=PROXY, target=TARGET, method=method,
@@ -281,7 +282,8 @@ class TestKCentersLookAhead:
 
 
 class TestCoreset:
-    @pytest.mark.parametrize("method", ["entropy", "kcenters", "forgetting", "random"])
+    @pytest.mark.parametrize("method", ["entropy", "kcenters", "forgetting", "random",
+                                        "least_confidence", "margin"])
     def test_methods_produce_valid_subsets(self, method):
         train, test = small_data()
         a = run_coreset(PROXY, TARGET, method, 0.3, train, test, seed=5)
@@ -338,7 +340,7 @@ class TestCoreset:
     def test_rejects_bad_arguments(self):
         train, test = small_data()
         with pytest.raises(ValueError):
-            run_coreset(PROXY, TARGET, "margin", 0.3, train, test, seed=5)
+            run_coreset(PROXY, TARGET, "bogus", 0.3, train, test, seed=5)
         with pytest.raises(ValueError):
             run_coreset(PROXY, TARGET, "entropy", 0.0, train, test, seed=5)
         with pytest.raises(ValueError):
@@ -462,8 +464,8 @@ class TestReportsAndConfig:
         cfg = {
             "task": "coreset",
             "method": "entropy",
-            "proxy": PROXY.to_dict(),
-            "target": TARGET.to_dict(),
+            "proxy": spec_dict(PROXY),
+            "target": spec_dict(TARGET),
             "subset_fraction": 0.3,
             "seed": 5,
             "data": {"synthetic": dataclasses.asdict(DATA_PARAMS)},
@@ -497,8 +499,8 @@ class TestReportsAndConfig:
         cfg = {
             "task": "al",
             "method": "random",
-            "proxy": PROXY.to_dict(),
-            "target": TARGET.to_dict(),
+            "proxy": spec_dict(PROXY),
+            "target": spec_dict(TARGET),
             "budget_fraction": 0.1,
             "seed": 3,
             "data": paths,
@@ -512,8 +514,8 @@ class TestReportsAndConfig:
         good = {
             "task": "coreset",
             "method": "entropy",
-            "proxy": PROXY.to_dict(),
-            "target": TARGET.to_dict(),
+            "proxy": spec_dict(PROXY),
+            "target": spec_dict(TARGET),
             "subset_fraction": 0.3,
             "seed": 5,
             "data": {"synthetic": dataclasses.asdict(DATA_PARAMS)},

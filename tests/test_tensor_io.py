@@ -213,6 +213,63 @@ class TestTrainLogFormat:
             write_train_log(np.array([[0, 2]]), str(tmp_path / "x.svpl"))
 
 
+def log_bytes(magic=b"SVPL", version=1, reserved=0, n=1, steps=3, payload=bytes([1, 0, 1])):
+    return struct.pack("<4sHHQQ", magic, version, reserved, n, steps) + payload
+
+
+# Files with two or more faults: each reader reports the first in the order
+# length, magic, version, flag bytes, dims, truncation, trailing bytes, values.
+MULTI_FAULT = {
+    "svpt-short-bad-magic": (read_tensor, tensor_bytes(magic=b"XXXX")[:10],
+                             TruncatedPayloadError, "file is 10 bytes, header needs 24"),
+    "svpt-magic-version": (read_tensor, tensor_bytes(magic=b"SVPL", version=2),
+                           BadMagicError, "bad magic b'SVPL', expected b'SVPT'"),
+    "svpt-version-trailing": (read_tensor, tensor_bytes(version=2, payload=bytes(20)),
+                              UnsupportedVersionError, "unsupported version 2"),
+    "svpt-dtype-truncated": (read_tensor, tensor_bytes(dtype=1, payload=bytes(4)),
+                             UnsupportedDtypeError, "unsupported dtype code 1"),
+    "svpt-dtype-reserved": (read_tensor, tensor_bytes(dtype=1, reserved=1),
+                            UnsupportedDtypeError, "unsupported dtype code 1"),
+    "svpt-reserved-zero-dims": (read_tensor, tensor_bytes(reserved=1, rows=0),
+                                InvalidHeaderError, "reserved byte must be 0"),
+    "svpt-zero-dims-trailing": (read_tensor, tensor_bytes(cols=0, payload=bytes(8)),
+                                InvalidHeaderError, "dimensions must be positive, got 2x0"),
+    "svpt-truncated-nonfinite": (
+        read_tensor, tensor_bytes(payload=np.full(3, np.inf, "<f4").tobytes()),
+        TruncatedPayloadError, "payload holds 12 bytes, header promises 16"),
+    "svpt-trailing-nonfinite": (
+        read_tensor, tensor_bytes(payload=np.full(5, np.nan, "<f4").tobytes()),
+        FormatError, "4 trailing bytes after payload"),
+    "svpl-short-bad-magic": (read_train_log, b"SVPT" + log_bytes()[4:12],
+                             TruncatedPayloadError, "file is 12 bytes, header needs 24"),
+    "svpl-magic-reserved": (read_train_log, log_bytes(magic=b"SVPT", reserved=1),
+                            BadMagicError, "bad magic b'SVPT', expected b'SVPL'"),
+    "svpl-version-trailing": (read_train_log, log_bytes(version=3, payload=bytes(5)),
+                              UnsupportedVersionError, "unsupported version 3"),
+    "svpl-version-reserved": (read_train_log, log_bytes(version=3, reserved=1),
+                              UnsupportedVersionError, "unsupported version 3"),
+    "svpl-high-reserved-zero-dims": (read_train_log, log_bytes(reserved=0x100, n=0),
+                                     InvalidHeaderError, "reserved bytes must be 0"),
+    "svpl-zero-dims-truncated": (read_train_log, log_bytes(steps=0, payload=b""),
+                                 InvalidHeaderError, "dimensions must be positive, got 1x0"),
+    "svpl-truncated-bad-value": (read_train_log, log_bytes(payload=bytes([2, 1])),
+                                 TruncatedPayloadError, "payload holds 2 bytes, header promises 3"),
+    "svpl-trailing-bad-value": (read_train_log, log_bytes(payload=bytes([2, 1, 0, 1])),
+                                FormatError, "1 trailing bytes after payload"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT))
+def test_first_of_several_header_faults_is_reported(tmp_path, case):
+    reader, blob, error, message = MULTI_FAULT[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as caught:
+        reader(str(path))
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 class TestTrainLogCsv:
     def test_valid_import(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -48,7 +48,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from svp.cli import main as cli_main  # noqa: E402
-from svp.harness import AL_METHODS, CORESET_METHODS, execute_config, rounds_csv  # noqa: E402
+from svp.harness import METHODS, execute_config, rounds_csv  # noqa: E402
 from svp.learner import SynthParams, make_synthetic  # noqa: E402
 from svp.rng import SplitMix64  # noqa: E402
 from svp.tensor_io import write_labels_csv, write_tensor, write_train_log  # noqa: E402
@@ -65,7 +65,7 @@ TARGET = {"kind": "mlp", "epochs": 4, "learning_rate": 0.3, "batch_size": 24, "s
 
 
 def configs():
-    pairs = [("al", m) for m in AL_METHODS] + [("coreset", m) for m in CORESET_METHODS]
+    pairs = [(task, m) for task in ("al", "coreset") for m in METHODS[task]]
     for task, method in pairs:
         for seed in (5, 17):
             for proxy_name, proxy in PROXIES.items():
