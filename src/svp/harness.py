@@ -14,7 +14,8 @@ target on the selected ids and build the report. Active learning plans
 one timed round per step; core-set selection plans ``[m]`` and its pass is
 one timed stage. ``execute_config`` checks a config's top-level fields
 against one table per task (``CONFIG_FIELDS``); flags must be JSON booleans.
-The run checks its method against ``METHODS[task]`` before any fit.
+The run checks its method against ``METHODS[task]`` before any fit, and
+``execute_config`` checks it before any data file is read.
 
 Timing contract: each selection round is bracketed by exactly two clock()
 calls covering the proxy fit, scoring, and selection. Proxy evaluation on the
@@ -284,6 +285,12 @@ METHODS = {
 }
 
 
+def _check_method(task: str, method) -> None:
+    """Raise ValueError unless ``method`` is one that ``task`` accepts."""
+    if method not in METHODS[task]:
+        raise ValueError(f"{task} method must be one of {METHODS[task]}, got {method!r}")
+
+
 def _al_selection_pass(
     cfg: ALConfig,
     x: np.ndarray,
@@ -343,8 +350,7 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
     returns (selected ids, fitted proxy per round, seconds per round) with
     ``spec`` in the proxy slot. The pass runs with the proxy, then (for a
     measured baseline) with the target; the target is fitted on the ids."""
-    if method not in METHODS[task]:
-        raise ValueError(f"{task} method must be one of {METHODS[task]}, got {method!r}")
+    _check_method(task, method)
     if baseline_seconds is not None and not (np.isfinite(baseline_seconds) and baseline_seconds > 0):
         raise ValueError(f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
     x, y = _as_xy(data)
@@ -530,6 +536,7 @@ def execute_config(
         raise ValueError(f"task must be 'al' or 'coreset', got {task!r}")
     required, optional = CONFIG_FIELDS[task]
     check_object(config, "config", required + optional, required)
+    _check_method(task, config["method"])
     output = config.get("output")
     if "output" in config and not isinstance(output, str):
         raise ValueError(f"output must be a path string, got {output!r}")

@@ -14,6 +14,15 @@ W2 row-major) and biases at zero.
 
 All training math runs in float64.
 
+Inference works in place on fresh arrays: the hidden layer is ``x @ W1``,
+then ``+= b1`` and a ReLU into itself, and the softmax overwrites the
+logits. So ``predict_proba`` and ``error_rate`` hold one n-by-h and one
+n-by-c array, ``embed`` the hidden layer alone (the logistic ``embed``
+returns the features themselves), and the caller's features are never
+written. The float operations are those of the textbook out-of-place pass,
+so values are bit-equal to it; products are never split into row blocks,
+which would not be.
+
 The SGD loop works in place, but each step makes the same float operations
 in the same order as a textbook step that gathers its batch by fancy index,
 computes the softmax and gradients into fresh arrays and updates each
@@ -138,10 +147,12 @@ def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, n
     return x, y, c
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Overwrite the logits ``z`` with their row-wise softmax; returns ``z``."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def init_params(spec: LearnerSpec, n_features: int, n_classes: int) -> dict:
@@ -164,11 +175,23 @@ def init_params(spec: LearnerSpec, n_features: int, n_classes: int) -> dict:
     }
 
 
+def _hidden(params: dict, x: np.ndarray) -> np.ndarray:
+    """The ReLU layer ``max(x @ W1 + b1, 0)``, built in one fresh array."""
+    h = x @ params["W1"]
+    h += params["b1"]
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
 def forward_logits(kind: str, params: dict, x: np.ndarray) -> np.ndarray:
+    """Fresh logits ``x @ W + b`` (logistic) or ``hidden @ W2 + b2`` (mlp)."""
     if kind == "logistic":
-        return x @ params["W"] + params["b"]
-    hidden = np.maximum(x @ params["W1"] + params["b1"], 0.0)
-    return hidden @ params["W2"] + params["b2"]
+        z = x @ params["W"]
+        z += params["b"]
+        return z
+    z = _hidden(params, x) @ params["W2"]
+    z += params["b2"]
+    return z
 
 
 def _softmax_xent_grad(z: np.ndarray, yb: np.ndarray, rows: np.ndarray, top: np.ndarray) -> None:
@@ -194,16 +217,14 @@ def _sgd_grads(kind: str, params: dict, grads: dict, xb: np.ndarray, yb: np.ndar
         np.matmul(xb.T, z, out=grads["W"])
         np.add.reduce(z, axis=0, out=grads["b"])
         return
-    z1 = xb @ params["W1"]
-    z1 += params["b1"]
-    hidden = np.maximum(z1, 0.0)
+    hidden = _hidden(params, xb)
     z = hidden @ params["W2"]
     z += params["b2"]
     top = z.argmax(axis=1)
     np.equal(top, yb, out=correct)
     _softmax_xent_grad(z, yb, rows, top)
     dh = z @ params["W2"].T
-    np.multiply(dh, z1 > 0.0, out=dh)
+    np.multiply(dh, hidden > 0.0, out=dh)  # hidden > 0 exactly where x @ W1 + b1 > 0
     np.matmul(xb.T, dh, out=grads["W1"])
     np.add.reduce(dh, axis=0, out=grads["b1"])
     np.matmul(hidden.T, z, out=grads["W2"])
@@ -282,7 +303,7 @@ def embed(model: TrainedModel, features) -> np.ndarray:
     x = _check_dims(model, features)
     if model.spec.kind == "logistic":
         return x
-    return np.maximum(x @ model.params["W1"] + model.params["b1"], 0.0)
+    return _hidden(model.params, x)
 
 
 def error_rate(model: TrainedModel, features, labels) -> float:
@@ -347,7 +368,14 @@ def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> S
 
     def split(n: int) -> tuple[np.ndarray, np.ndarray]:
         y = np.arange(n, dtype=np.int64) % params.classes
-        x = means[y] + params.noise * rng.normals((n, params.dim))
+        x = rng.normals((n, params.dim))
+        x *= params.noise
+        # Each run of ``classes`` rows holds the classes in order, so the
+        # means add by broadcast, with no n-by-d gather of means[y].
+        whole = n - n % params.classes
+        runs = x[:whole].reshape(-1, params.classes, params.dim)
+        runs += means
+        x[whole:] += means[: n - whole]
         return x, y
 
     x_train, y_train = split(params.n_train)

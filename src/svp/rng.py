@@ -16,7 +16,11 @@ Derived quantities are defined as:
   ``sqrt(-2 ln u1) * cos(2 pi u2)`` with u1 in (0, 1] from the first draw
   and u2 in [0, 1) from the second. The sine half is discarded.
 
-Arrays are filled in row-major order.
+Arrays are filled in row-major order. ``doubles`` and ``normals`` allocate
+their output first and fill it in blocks of 2**16 values, each from its own
+raw block, so their temporaries stay a few MiB at any size; the stream is
+counter-based, so the values and the stream position afterwards equal a
+fill from one raw block. ``raw_block`` mixes its counters in place.
 
 Shuffles are computed in closed form rather than by running the swaps. Add
 a step 0 that swaps position 0 with ``j_0 = 0``, a no-op, so that steps
@@ -48,6 +52,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
+_BLOCK = 1 << 16  # values per block in doubles and normals
 
 
 def _mix64_scalar(z: int) -> int:
@@ -57,10 +62,40 @@ def _mix64_scalar(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, matching the scalar path.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT2)
-    return z ^ (z >> np.uint64(31))
+    """mix64 of every element of the uint64 array ``z``, in place; returns
+    ``z``. uint64 arithmetic wraps mod 2**64, matching the scalar path."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(_MULT1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MULT2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _uniforms_into(raw: np.ndarray, out: np.ndarray) -> None:
+    """Write the doubles in [0, 1) of the raw draws ``raw`` into ``out``."""
+    raw >>= np.uint64(11)
+    np.multiply(raw, 2.0**-53, out=out)
+
+
+def _normals_into(raw: np.ndarray, out: np.ndarray) -> None:
+    """Write the Box-Muller normals of the raw draw pairs ``raw`` into
+    ``out``, with the float operations of
+    ``sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2)`` on contiguous arrays."""
+    raw >>= np.uint64(11)
+    u1 = raw[0::2] + 1.0
+    u2 = raw[1::2] * 2.0**-53
+    del raw  # freed before the float work, so a block holds at most two raw-sized arrays
+    u1 *= 2.0**-53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    np.multiply(u1, u2, out=out)
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -98,13 +133,26 @@ class SplitMix64:
 
     def raw_block(self, n: int) -> np.ndarray:
         """Next n raw outputs as a uint64 array (advances the stream by n)."""
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return _mix64_array(np.uint64(self._seed) + ks * np.uint64(_GAMMA))
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._seed)
+        return _mix64_array(z)
+
+    def _fill(self, shape, draws: int, kernel) -> np.ndarray:
+        """A fresh float64 array of ``shape`` filled in row-major order, one
+        block of at most ``_BLOCK`` values at a time, by ``kernel(raw, part)``
+        from ``draws`` raw outputs per value."""
+        out = np.empty(shape, dtype=np.float64)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            part = flat[start : start + _BLOCK]
+            kernel(self.raw_block(draws * part.size), part)
+        return out
 
     def doubles(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1)."""
-        return (self.raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return self._fill(n, 1, _uniforms_into)
 
     def permutation(self, n: int) -> np.ndarray:
         """The shuffle of ``range(n)`` by the recipe above, in closed form."""
@@ -132,9 +180,4 @@ class SplitMix64:
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Standard normals via Box-Muller, row-major fill."""
-        size = int(np.prod(shape))
-        raw = self.raw_block(2 * size)
-        u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return out.reshape(shape)
+        return self._fill(shape, 2, _normals_into)

@@ -20,7 +20,7 @@ def least_confidence(p: np.ndarray) -> np.ndarray:
 
 def entropy(p: np.ndarray) -> np.ndarray:
     """-sum p ln p per row, with 0 ln 0 := 0. Range [0, ln c]."""
-    p = validate_prob_matrix(p).astype(np.float64)
+    p = validate_prob_matrix(p).astype(np.float64, copy=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)
     return -terms.sum(axis=1)
@@ -28,7 +28,7 @@ def entropy(p: np.ndarray) -> np.ndarray:
 
 def margin(p: np.ndarray) -> np.ndarray:
     """1 - (top probability - second probability) per row. Range [0, 1]."""
-    p = validate_prob_matrix(p).astype(np.float64)
+    p = validate_prob_matrix(p).astype(np.float64, copy=False)
     top_two = np.partition(p, p.shape[1] - 2, axis=1)[:, -2:]
     return 1.0 - (top_two[:, 1] - top_two[:, 0])
 

@@ -1,10 +1,13 @@
-"""Shared test utilities: the generator's scalar draws, learner-spec JSON,
-scripted clocks, geometry builders, gradient probes, the per-batch SGD
-oracle with its per-epoch losses, the difference-form k-centers oracle, the
-per-round active-learning k-centers oracle, the streaming forgetting oracle,
-the line-list CSV reader and the per-row CSV writer."""
+"""Shared test utilities: the generator's scalar draws and one-shot
+uniform and normal recipes, a tracemalloc peak probe, learner-spec JSON,
+scripted clocks, geometry builders, the textbook forward pass and softmax,
+gradient probes, the per-batch SGD oracle with its per-epoch losses, the
+difference-form k-centers oracle, the per-round active-learning k-centers
+oracle, the streaming forgetting oracle, the line-list CSV reader and the
+per-row CSV writer."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -71,34 +74,36 @@ def three_blob(n, n_test, d, delta, big_radius, noise, seed, pattern=(0, 1, 2, 2
     return (x, y), (x_test, y_test)
 
 
-def _softmax(logits):
+def softmax_oracle(logits):
+    """Textbook row-wise softmax into fresh arrays; ``logits`` is left as is."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
+def forward_oracle(kind, params, x):
+    """Textbook out-of-place forward pass: (representation, logits), where
+    the representation is ``x`` for the logistic learner and the ReLU
+    hidden layer for the mlp. The reference for ``svp.learner``'s in-place
+    inference."""
+    if kind == "logistic":
+        return x, x @ params["W"] + params["b"]
+    hidden = np.maximum(x @ params["W1"] + params["b1"], 0.0)
+    return hidden, hidden @ params["W2"] + params["b2"]
+
+
 def loss_and_grads(kind, params, x, y):
     """Mean cross-entropy, its parameter gradients, and the batch logits."""
     m = x.shape[0]
-    if kind == "logistic":
-        logits = x @ params["W"] + params["b"]
-        probs = _softmax(logits)
-        loss = -np.mean(np.log(probs[np.arange(m), y]))
-        dlogits = probs.copy()
-        dlogits[np.arange(m), y] -= 1.0
-        dlogits /= m
-        grads = {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}
-        return float(loss), grads, logits
-    z1 = x @ params["W1"] + params["b1"]
-    hidden = np.maximum(z1, 0.0)
-    logits = hidden @ params["W2"] + params["b2"]
-    probs = _softmax(logits)
+    hidden, logits = forward_oracle(kind, params, x)
+    probs = softmax_oracle(logits)
     loss = -np.mean(np.log(probs[np.arange(m), y]))
     dlogits = probs.copy()
     dlogits[np.arange(m), y] -= 1.0
     dlogits /= m
-    dhidden = dlogits @ params["W2"].T
-    dz1 = dhidden * (z1 > 0.0)
+    if kind == "logistic":
+        return float(loss), {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}, logits
+    dz1 = (dlogits @ params["W2"].T) * (hidden > 0.0)
     grads = {
         "W1": x.T @ dz1,
         "b1": dz1.sum(axis=0),
@@ -137,6 +142,32 @@ def fit_oracle(spec, features, labels, n_classes=None):
         losses[epoch] = epoch_loss / n
     return TrainedModel(spec=spec, n_classes=c, n_features=x.shape[1], params=params,
                         train_log=train_log), losses
+
+
+def doubles_oracle(rng: SplitMix64, n: int) -> np.ndarray:
+    """``SplitMix64.doubles`` by the one-shot recipe: one raw block for all n."""
+    return (rng.raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def normals_oracle(rng: SplitMix64, shape) -> np.ndarray:
+    """``SplitMix64.normals`` by the one-shot recipe: one raw block for all
+    values, then Box-Muller into fresh arrays."""
+    size = int(np.prod(shape))
+    raw = rng.raw_block(2 * size)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return out.reshape(shape)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def draw_gradient_case(rng, kind, warmup_steps=3, kink_margin=1e-2):

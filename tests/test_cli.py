@@ -469,6 +469,22 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overr
     assert fits == []
 
 
+@pytest.mark.parametrize("task", ["al", "coreset"])
+def test_bad_method_is_reported_before_any_data_file_is_read(tmp_path, capsys, monkeypatch, task):
+    reads = []
+    monkeypatch.setattr(harness, "read_tensor", lambda *args, **kwargs: reads.append(args))
+    size = {"al": {"budget_fraction": 0.1}, "coreset": {"subset_fraction": 0.5}}[task]
+    files = {"features": "nope.svpt", "labels": "nope.csv",
+             "test_features": "nope-test.svpt", "test_labels": "nope-test.csv"}
+    data = {key: str(tmp_path / name) for key, name in files.items()}
+    cfg = coreset_config(tmp_path, drop=("subset_fraction",), task=task, method="bogus",
+                         data=data, **size)
+    assert main([task, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {task} method must be one of {METHODS[task]}, got 'bogus'\n"
+    assert reads == []
+
+
 def test_top_level_list_config_is_one_line_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text("[]")
@@ -489,19 +505,6 @@ def test_diverged_fit_is_one_line_error(tmp_path, capsys, role):
     assert caught == []
     err = capsys.readouterr().err
     assert err == "error: training diverged at epoch 0: non-finite parameters\n"
-
-
-@pytest.fixture
-def address_space_cap():
-    """Cap this process's address space at 1 TiB while the test runs, so an
-    oversized allocation fails under every overcommit policy, not only
-    under the kernel's default heuristic."""
-    resource = pytest.importorskip("resource")
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = 2**40 if hard == resource.RLIM_INFINITY else min(2**40, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    yield
-    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.mark.usefixtures("address_space_cap")

@@ -3,21 +3,31 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import draw_gradient_case, fit_oracle, max_gradient_mismatch, spec_dict
+from helpers import (
+    draw_gradient_case,
+    fit_oracle,
+    forward_oracle,
+    max_gradient_mismatch,
+    softmax_oracle,
+    spec_dict,
+    traced_peak,
+)
 from svp.learner import (
     KINDS,
     LearnerSpec,
     SynthParams,
+    TrainedModel,
     embed,
     error_rate,
     fit,
+    init_params,
     make_synthetic,
     predict_proba,
 )
-from svp.rng import SplitMix64
+from svp.rng import SplitMix64, derive_seed
 
 LOGISTIC = LearnerSpec(kind="logistic", epochs=30, learning_rate=0.5, batch_size=16, seed=1)
 MLP = LearnerSpec(kind="mlp", epochs=30, learning_rate=0.3, batch_size=16, seed=2, hidden_units=12)
@@ -221,6 +231,51 @@ class TestPredictAndEmbed:
             embed(model, ds.features[:, :3])
 
 
+def _inference_case(kind, n, d, c, h, seed, scale):
+    """A model with standard normal parameters and features, both times
+    ``scale``, and random labels; a large scale drives softmax entries to 0."""
+    rng = np.random.default_rng(seed)
+    spec = LearnerSpec(kind=kind, epochs=0, learning_rate=0.5, batch_size=4, seed=seed,
+                       hidden_units=h if kind == "mlp" else None)
+    params = {key: scale * rng.standard_normal(p.shape)
+              for key, p in init_params(spec, d, c).items()}
+    model = TrainedModel(spec=spec, n_classes=c, n_features=d, params=params, train_log=None)
+    return model, scale * rng.standard_normal((n, d)), rng.integers(0, c, size=n)
+
+
+@st.composite
+def inference_cases(draw):
+    return _inference_case(
+        kind=draw(st.sampled_from(KINDS)), n=draw(st.integers(1, 60)), d=draw(st.integers(1, 7)),
+        c=draw(st.integers(2, 6)), h=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32 - 1)), scale=draw(st.sampled_from([0.1, 1.0, 30.0])))
+
+
+class TestInPlaceInference:
+    """``predict_proba``, ``embed`` and ``error_rate`` build each array in
+    place, with the float operations of the textbook out-of-place pass."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(inference_cases())
+    @example(_inference_case("logistic", n=1, d=3, c=2, h=None, seed=1, scale=1.0))
+    @example(_inference_case("mlp", n=1, d=3, c=2, h=5, seed=2, scale=30.0))
+    @example(_inference_case("mlp", n=3000, d=32, c=10, h=64, seed=3, scale=1.0))
+    def test_bit_equal_to_textbook_pass(self, case):
+        model, x, y = case
+        before = x.copy()
+        hidden, logits = forward_oracle(model.spec.kind, model.params, x)
+        assert predict_proba(model, x).tobytes() == softmax_oracle(logits).tobytes()
+        assert embed(model, x).tobytes() == hidden.tobytes()
+        assert error_rate(model, x, y) == float(np.mean(logits.argmax(axis=1) != y))
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("infer", [predict_proba, embed])
+    def test_mlp_inference_holds_one_hidden_sized_array(self, infer):
+        n, h = 20000, 64
+        model, x, _ = _inference_case("mlp", n=n, d=8, c=10, h=h, seed=4, scale=1.0)
+        assert traced_peak(infer, model, x) < 1.5 * n * h * 8
+
+
 class TestGradients:
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_analytic_matches_numeric(self, kind):
@@ -247,6 +302,17 @@ class TestSynthetic:
         assert np.array_equal(a.labels, b.labels)
         c = make_synthetic(dataclasses.replace(EASY, seed=4))
         assert a.features.tobytes() != c.features.tobytes()
+
+    @pytest.mark.parametrize("n_train", [1, 6, 7, 50])
+    def test_equals_textbook_recipe(self, n_train):
+        params = SynthParams(classes=7, dim=3, separation=2.0, noise=0.5, n_train=n_train,
+                             n_test=13, seed=9)
+        ds = make_synthetic(params)
+        rng = SplitMix64(derive_seed(9, "synth"))
+        means = 2.0 * rng.normals((7, 3))
+        for n, x in ((n_train, ds.features), (13, ds.test_features)):
+            y = np.arange(n) % 7
+            assert x.tobytes() == (means[y] + 0.5 * rng.normals((n, 3))).tobytes()
 
     def test_round_robin_balance(self):
         params = SynthParams(classes=3, dim=2, separation=1.0, noise=1.0, n_train=100, n_test=10, seed=1)

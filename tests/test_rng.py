@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import next_below, next_double
+from helpers import doubles_oracle, next_below, next_double, normals_oracle, traced_peak
 from svp.rng import SplitMix64, _mix64_array, _mix64_scalar, derive_seed
 
 # Published reference outputs for the splitmix64 finalizer sequence.
@@ -113,6 +113,46 @@ class TestDerived:
         grid = SplitMix64(6).normals((2, 3))
         assert grid.shape == (2, 3)
         assert np.array_equal(grid.ravel(), flat)
+
+
+class TestBlockwiseDraws:
+    """``doubles`` and ``normals`` fill their output in blocks of 2**16
+    values; the values and the stream position after the call equal the
+    one-shot recipe's, across every block boundary."""
+
+    SHAPES = [1, 2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16 + 1, (3, 70000)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_normals_equal_one_shot_recipe(self, shape):
+        got, want = SplitMix64(21), SplitMix64(21)
+        got.raw_block(3)
+        want.raw_block(3)
+        out = got.normals(shape)
+        expected = normals_oracle(want, shape)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert got.next_u64() == want.next_u64()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_doubles_equal_one_shot_recipe(self, shape):
+        n = int(np.prod(shape))
+        got, want = SplitMix64(22), SplitMix64(22)
+        got.next_u64()
+        want.next_u64()
+        assert got.doubles(n).tobytes() == doubles_oracle(want, n).tobytes()
+        assert got.next_u64() == want.next_u64()
+
+    @pytest.mark.usefixtures("address_space_cap")
+    def test_huge_request_fails_at_once(self):
+        g = SplitMix64(1)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            g.normals(10**13)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            g.doubles(10**13)
+        assert g.next_u64() == SplitMix64(1).next_u64()
+
+    def test_normals_hold_one_output_sized_array(self):
+        assert traced_peak(SplitMix64(3).normals, 10**6) < 8 * 10**6 + 4 * 2**20
 
 
 def fisher_yates_reference(seed, n):
