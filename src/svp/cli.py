@@ -46,23 +46,17 @@ class UsageError(Exception):
     """Flag combinations argparse cannot express (e.g. a missing seed)."""
 
 
-def _resolve_seed(value) -> int | None:
+def _require_seed(value) -> int:
+    """The ``--seed`` value, else ``SVP_SEED``; a usage error when neither is set."""
     if value is not None:
         return int(value)
     env = os.environ.get("SVP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"SVP_SEED must be an integer, got {env!r}") from exc
-    return None
-
-
-def _require_seed(value) -> int:
-    seed = _resolve_seed(value)
-    if seed is None:
+    if env is None:
         raise UsageError("a seed is required: pass --seed or set SVP_SEED")
-    return seed
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise UsageError(f"SVP_SEED must be an integer, got {env!r}") from exc
 
 
 def _read_index_file(path: str) -> np.ndarray:
@@ -76,9 +70,12 @@ def _read_index_file(path: str) -> np.ndarray:
         if not line:
             continue
         try:
-            indices.append(int(line))
+            index = int(line)
         except ValueError as exc:
             raise InvalidValueError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+        if not -(2**63) <= index < 2**63:
+            raise InvalidValueError(f"{path}:{lineno}: index outside the int64 range: {line!r}")
+        indices.append(index)
     if not indices:
         raise InvalidValueError(f"{path}: no indices found")
     return np.asarray(indices, dtype=np.int64)
@@ -218,8 +215,11 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_run(args, task: str) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{args.config}: {exc}") from exc
     report, output = harness.execute_config(config, task=task)
     if output is None:
         sys.stdout.write(harness.report_json(config, report))

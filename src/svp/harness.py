@@ -547,7 +547,7 @@ def execute_config(
     full_data_error = _flag(config, "include_full_data_error")
     baseline_seconds = None
     if "baseline_seconds" in config:
-        baseline_seconds = float(check_number(config["baseline_seconds"], "baseline_seconds"))
+        baseline_seconds = check_number(config["baseline_seconds"], "baseline_seconds")
     train, test = load_data_section(config["data"])
 
     if task == "al":
@@ -555,7 +555,7 @@ def execute_config(
             proxy=proxy,
             target=target,
             method=config["method"],
-            budget_fraction=float(check_number(config["budget_fraction"], "budget_fraction")),
+            budget_fraction=check_number(config["budget_fraction"], "budget_fraction"),
             schedule=(_from_object(Schedule, config["schedule"], "schedule")
                       if "schedule" in config else DEFAULT_SCHEDULE),
             seed=seed,
@@ -565,7 +565,7 @@ def execute_config(
             baseline_seconds=baseline_seconds, measure_baseline=measure,
         )
     else:
-        fraction = float(check_number(config["subset_fraction"], "subset_fraction"))
+        fraction = check_number(config["subset_fraction"], "subset_fraction")
         report = run_coreset(
             proxy, target, config["method"], fraction, train, test, seed,
             include_full_data_error=full_data_error, clock=clock,

@@ -1,26 +1,28 @@
 """Desk-scale trainable models sharing one contract: fit, predict_proba, embed.
 
-Two learners: softmax (multinomial logistic) regression and a one-hidden-layer
-ReLU network. Both train with mini-batch SGD on mean cross-entropy at a fixed
-learning rate, shuffling with a seeded permutation each epoch, and record a
-per-epoch correctness log with accuracy observed on the forward pass of each
-gradient step, before the parameter update.
+One network: a softmax over ``r @ W + b``, where the representation ``r``
+is the features themselves for ``logistic`` (multinomial logistic
+regression, no hidden layer) or the ReLU layer ``max(x @ W1 + b1, 0)`` for
+``mlp``. Of the passes, only ``init_params`` reads the kind; the rest read
+the parameters alone. Training is mini-batch SGD on mean cross-entropy at a
+fixed learning rate, shuffling with a seeded permutation each epoch, and
+records a per-epoch correctness log with accuracy observed on the forward
+pass of each gradient step, before the parameter update. All training math
+runs in float64.
 
 Determinism contract: fit is a pure function of (spec, features, labels,
 n_classes). The logistic learner initializes at zero, so with epochs=0 its
-predictions are exactly uniform. The network initializes weights uniformly in
-[-1/sqrt(fan_in), +1/sqrt(fan_in)] from the seeded stream (W1 row-major, then
-W2 row-major) and biases at zero.
-
-All training math runs in float64.
+predictions are exactly uniform. The mlp initializes weights uniformly in
+[-1/sqrt(fan_in), +1/sqrt(fan_in)] from the seeded stream (W1 row-major,
+then W row-major) and biases at zero.
 
 Inference works in place on fresh arrays: the hidden layer is ``x @ W1``,
 then ``+= b1`` and a ReLU into itself, and the softmax overwrites the
 logits. So ``predict_proba`` and ``error_rate`` hold one n-by-h and one
-n-by-c array, ``embed`` the hidden layer alone (the logistic ``embed``
-returns the features themselves), and the caller's features are never
-written. The float operations are those of the textbook out-of-place pass,
-so values are bit-equal to it; products are never split into row blocks,
+n-by-c array, ``embed`` the representation alone (without a hidden layer,
+the features themselves), and the caller's features are never written.
+The float operations are those of the textbook out-of-place pass, so
+values are bit-equal to it; products are never split into row blocks,
 which would not be.
 
 The SGD loop works in place, but each step makes the same float operations
@@ -35,6 +37,7 @@ parameter raises ValueError instead of returning a diverged model.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -62,14 +65,19 @@ def check_object(d, what: str, fields=None, required=()) -> dict:
 
 
 def check_number(value, name: str, integer: bool = False):
-    """A config number, unconverted: an integer where ``integer`` is set,
-    else an integer or a real. Booleans, strings and null are rejected,
-    never coerced."""
+    """A config number: an integer, unconverted, where ``integer`` is set,
+    else an integer or a real as a float. Booleans, strings and null are
+    rejected, never coerced, and so is a real too large for a float64."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if integer else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is too large for a float64") from exc
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class LearnerSpec:
         return LearnerSpec(
             kind=d["kind"],
             epochs=int(check_number(d["epochs"], "epochs", integer=True)),
-            learning_rate=float(check_number(d["learning_rate"], "learning_rate")),
+            learning_rate=check_number(d["learning_rate"], "learning_rate"),
             batch_size=int(check_number(d["batch_size"], "batch_size", integer=True)),
             seed=int(check_number(d["seed"], "seed", integer=True)),
             hidden_units=(int(check_number(d["hidden_units"], "hidden_units", integer=True))
@@ -147,88 +155,67 @@ def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, n
     return x, y, c
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Overwrite the logits ``z`` with their row-wise softmax; returns ``z``."""
-    z -= z.max(axis=1, keepdims=True)
+def _softmax(z: np.ndarray, zmax: np.ndarray) -> np.ndarray:
+    """Overwrite the logits ``z``, row maxima ``zmax``, with their softmax; returns ``z``."""
+    z -= zmax
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
 
 
 def init_params(spec: LearnerSpec, n_features: int, n_classes: int) -> dict:
+    """The zero-hidden-layer network for ``logistic``, with ``W`` at zero;
+    ``W1, b1`` ahead of the output layer ``W, b`` for ``mlp``."""
     if spec.kind == "logistic":
-        return {
-            "W": np.zeros((n_features, n_classes)),
-            "b": np.zeros(n_classes),
-        }
+        return {"W": np.zeros((n_features, n_classes)), "b": np.zeros(n_classes)}
     h = spec.hidden_units
     rng = SplitMix64(derive_seed(spec.seed, "init"))
-    w1_bound = 1.0 / np.sqrt(n_features)
-    w2_bound = 1.0 / np.sqrt(h)
-    w1 = (rng.doubles(n_features * h) * 2.0 - 1.0) * w1_bound
-    w2 = (rng.doubles(h * n_classes) * 2.0 - 1.0) * w2_bound
+    w1 = (rng.doubles(n_features * h) * 2.0 - 1.0) * (1.0 / math.sqrt(n_features))
+    w = (rng.doubles(h * n_classes) * 2.0 - 1.0) * (1.0 / math.sqrt(h))
     return {
         "W1": w1.reshape(n_features, h),
         "b1": np.zeros(h),
-        "W2": w2.reshape(h, n_classes),
-        "b2": np.zeros(n_classes),
+        "W": w.reshape(h, n_classes),
+        "b": np.zeros(n_classes),
     }
 
 
-def _hidden(params: dict, x: np.ndarray) -> np.ndarray:
-    """The ReLU layer ``max(x @ W1 + b1, 0)``, built in one fresh array."""
-    h = x @ params["W1"]
-    h += params["b1"]
-    np.maximum(h, 0.0, out=h)
-    return h
+def _represent(params: dict, x: np.ndarray) -> np.ndarray:
+    """The input to the output layer: ``x`` itself without a hidden layer,
+    else the ReLU layer ``max(x @ W1 + b1, 0)`` built in one fresh array."""
+    if "W1" not in params:
+        return x
+    r = x @ params["W1"]
+    r += params["b1"]
+    np.maximum(r, 0.0, out=r)
+    return r
 
 
-def forward_logits(kind: str, params: dict, x: np.ndarray) -> np.ndarray:
-    """Fresh logits ``x @ W + b`` (logistic) or ``hidden @ W2 + b2`` (mlp)."""
-    if kind == "logistic":
-        z = x @ params["W"]
-        z += params["b"]
-        return z
-    z = _hidden(params, x) @ params["W2"]
-    z += params["b2"]
+def _logits(params: dict, r: np.ndarray) -> np.ndarray:
+    """Fresh logits ``r @ W + b`` of the representation ``r``."""
+    z = r @ params["W"]
+    z += params["b"]
     return z
 
 
-def _softmax_xent_grad(z: np.ndarray, yb: np.ndarray, rows: np.ndarray, top: np.ndarray) -> None:
-    """Overwrite the logits ``z``, whose row-wise argmax is ``top``, with the
-    gradient of their mean cross-entropy with respect to them."""
-    z -= z[rows, top][:, None]  # the row maximum, read at its argmax
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    z[rows, yb] -= 1.0
-    z /= z.shape[0]
-
-
-def _sgd_grads(kind: str, params: dict, grads: dict, xb: np.ndarray, yb: np.ndarray,
+def _sgd_grads(params: dict, grads: dict, xb: np.ndarray, yb: np.ndarray,
                rows: np.ndarray, correct: np.ndarray) -> None:
     """Forward and backward pass of one mini-batch: records the pre-update
     accuracy into ``correct`` and writes the gradients into ``grads``."""
-    if kind == "logistic":
-        z = xb @ params["W"]
-        z += params["b"]
-        top = z.argmax(axis=1)
-        np.equal(top, yb, out=correct)
-        _softmax_xent_grad(z, yb, rows, top)
-        np.matmul(xb.T, z, out=grads["W"])
-        np.add.reduce(z, axis=0, out=grads["b"])
-        return
-    hidden = _hidden(params, xb)
-    z = hidden @ params["W2"]
-    z += params["b2"]
+    r = _represent(params, xb)
+    z = _logits(params, r)
     top = z.argmax(axis=1)
     np.equal(top, yb, out=correct)
-    _softmax_xent_grad(z, yb, rows, top)
-    dh = z @ params["W2"].T
-    np.multiply(dh, hidden > 0.0, out=dh)  # hidden > 0 exactly where x @ W1 + b1 > 0
-    np.matmul(xb.T, dh, out=grads["W1"])
-    np.add.reduce(dh, axis=0, out=grads["b1"])
-    np.matmul(hidden.T, z, out=grads["W2"])
-    np.add.reduce(z, axis=0, out=grads["b2"])
+    _softmax(z, z[rows, top][:, None])  # the row maximum, read at its argmax
+    z[rows, yb] -= 1.0
+    z /= z.shape[0]  # the gradient of the mean cross-entropy in the logits
+    if r is not xb:
+        dr = z @ params["W"].T
+        np.multiply(dr, r > 0.0, out=dr)  # r > 0 exactly where x @ W1 + b1 > 0
+        np.matmul(xb.T, dr, out=grads["W1"])
+        np.add.reduce(dr, axis=0, out=grads["b1"])
+    np.matmul(r.T, z, out=grads["W"])
+    np.add.reduce(z, axis=0, out=grads["b"])
 
 
 def _views(buf: np.ndarray, shapes: dict) -> dict:
@@ -266,7 +253,7 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
             xp, yp = x[perm], y[perm]
             for start in range(0, n, bs):
                 stop = min(start + bs, n)
-                _sgd_grads(spec.kind, params, grads, xp[start:stop], yp[start:stop],
+                _sgd_grads(params, grads, xp[start:stop], yp[start:stop],
                            rows[: stop - start], correct[start:stop])
                 flat_grad *= lr
                 flat -= flat_grad
@@ -295,22 +282,20 @@ def _check_dims(model: TrainedModel, features) -> np.ndarray:
 def predict_proba(model: TrainedModel, features) -> np.ndarray:
     """Softmax class probabilities, rows summing to 1."""
     x = _check_dims(model, features)
-    return _softmax(forward_logits(model.spec.kind, model.params, x))
+    z = _logits(model.params, _represent(model.params, x))
+    return _softmax(z, z.max(axis=1, keepdims=True))
 
 
 def embed(model: TrainedModel, features) -> np.ndarray:
     """Final-hidden-layer representation; identity for the linear model."""
-    x = _check_dims(model, features)
-    if model.spec.kind == "logistic":
-        return x
-    return _hidden(model.params, x)
+    return _represent(model.params, _check_dims(model, features))
 
 
 def error_rate(model: TrainedModel, features, labels) -> float:
     """Fraction of rows whose arg-max class differs from the label."""
     x = _check_dims(model, features)
     y = np.asarray(labels, dtype=np.int64)
-    return float(np.mean(forward_logits(model.spec.kind, model.params, x).argmax(axis=1) != y))
+    return float(np.mean(_logits(model.params, _represent(model.params, x)).argmax(axis=1) != y))
 
 
 @dataclass(frozen=True)
@@ -326,17 +311,17 @@ class SynthParams:
     def __post_init__(self):
         for name in ("classes", "dim", "n_train", "n_test", "seed"):
             check_number(getattr(self, name), name, integer=True)
-        for name in ("separation", "noise"):
-            check_number(getattr(self, name), name)
+        separation, noise = (check_number(getattr(self, name), name)
+                             for name in ("separation", "noise"))
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("train and test sizes must be positive")
-        if not (np.isfinite(self.separation) and np.isfinite(self.noise)):
+        if not (np.isfinite(separation) and np.isfinite(noise)):
             raise ValueError("separation and noise must be finite")
-        if self.noise < 0 or self.separation < 0:
+        if noise < 0 or separation < 0:
             raise ValueError("separation and noise must be nonnegative")
 
 

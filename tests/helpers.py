@@ -89,7 +89,7 @@ def forward_oracle(kind, params, x):
     if kind == "logistic":
         return x, x @ params["W"] + params["b"]
     hidden = np.maximum(x @ params["W1"] + params["b1"], 0.0)
-    return hidden, hidden @ params["W2"] + params["b2"]
+    return hidden, hidden @ params["W"] + params["b"]
 
 
 def loss_and_grads(kind, params, x, y):
@@ -103,12 +103,12 @@ def loss_and_grads(kind, params, x, y):
     dlogits /= m
     if kind == "logistic":
         return float(loss), {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}, logits
-    dz1 = (dlogits @ params["W2"].T) * (hidden > 0.0)
+    dz1 = (dlogits @ params["W"].T) * (hidden > 0.0)
     grads = {
         "W1": x.T @ dz1,
         "b1": dz1.sum(axis=0),
-        "W2": hidden.T @ dlogits,
-        "b2": dlogits.sum(axis=0),
+        "W": hidden.T @ dlogits,
+        "b": dlogits.sum(axis=0),
     }
     return float(loss), grads, logits
 

@@ -186,6 +186,16 @@ class TestKCenters:
         assert main(["kcenters", "--features", str(feats), "--initial", str(init),
                      "--budget", "1", "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("index", [2**63, -(2**63) - 1])
+    def test_initial_index_beyond_int64_names_file_and_line(self, tmp_path, capsys, index):
+        feats = self.features_file(tmp_path)
+        init = tmp_path / "init.txt"
+        init.write_text(f"0\n{index}\n")
+        assert main(["kcenters", "--features", str(feats), "--initial", str(init),
+                     "--budget", "1", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {init}:2: index outside the int64 range: '{index}'\n")
+
     def test_non_utf8_initial_file_names_file_and_line(self, tmp_path, capsys):
         feats = self.features_file(tmp_path)
         init = tmp_path / "init.txt"
@@ -372,10 +382,29 @@ class TestRunCommands:
     def test_missing_config_file(self, tmp_path):
         assert main(["coreset", "--config", str(tmp_path / "absent.json")]) == 1
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("{not json")
         assert main(["coreset", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n")
+
+    def test_non_utf8_config_names_config(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"task": "al\xff"}')
+        assert main(["al", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 12: "
+            "invalid start byte\n")
+
+    def test_deeply_nested_config_names_config(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["al", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     def test_al_run(self, tmp_path, capsys):
         cfg = coreset_config(
@@ -395,6 +424,7 @@ class TestRunCommands:
 SYNTH = {"classes": 3, "dim": 4, "separation": 2.0, "noise": 1.0,
          "n_train": 200, "n_test": 50, "seed": 11}
 SPEC = {"kind": "logistic", "epochs": 1, "learning_rate": 0.5, "batch_size": 16, "seed": 1}
+SCHEDULE = {"initial": 0.02, "first": 0.08, "subsequent": 0.1}
 
 
 @pytest.mark.parametrize(
@@ -453,6 +483,16 @@ SPEC = {"kind": "logistic", "epochs": 1, "learning_rate": 0.5, "batch_size": 16,
         ({"method": "forgetting"}, f"al method must be one of {METHODS['al']}, got 'forgetting'"),
         *[({"task": task, "method": "bogus"}, f"{task} method must be one of {METHODS[task]}")
           for task in ("al", "coreset")],
+        *[(case, f"{field} is too large for a float64") for case, field in [
+            ({"proxy": {**SPEC, "learning_rate": 10**400}}, "learning_rate"),
+            ({"budget_fraction": 10**400}, "budget_fraction"),
+            ({"task": "coreset", "subset_fraction": 10**400}, "subset_fraction"),
+            ({"baseline_seconds": 10**400}, "baseline_seconds"),
+            *[({"schedule": {**SCHEDULE, name: 10**400}}, f"schedule {name}")
+              for name in SCHEDULE],
+            *[({"data": {"synthetic": {**SYNTH, name: 10**400}}}, name)
+              for name in ("separation", "noise")],
+        ]],
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overrides, fragment):
@@ -541,6 +581,16 @@ class TestOversizedInputs:
                   "seed": 2, "hidden_units": self.HUGE}
         cfg = coreset_config(tmp_path, target=target)
         self.assert_one_line_error(main(["coreset", "--config", str(cfg)]), capsys)
+
+    @pytest.mark.parametrize("hidden_units", [2**63, 2**64])
+    def test_config_hidden_units_beyond_int64(self, tmp_path, capsys, hidden_units):
+        target = {"kind": "mlp", "epochs": 1, "learning_rate": 0.3, "batch_size": 16,
+                  "seed": 2, "hidden_units": hidden_units}
+        cfg = coreset_config(tmp_path, target=target)
+        assert main(["coreset", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSynth:
