@@ -93,7 +93,8 @@ class ALConfig:
     seed: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.budget_fraction) and 0.0 < self.budget_fraction <= 1.0):
+        fraction = check_number(self.budget_fraction, "budget_fraction")
+        if not (np.isfinite(fraction) and 0.0 < fraction <= 1.0):
             raise ValueError(f"budget_fraction must lie in (0, 1], got {self.budget_fraction}")
 
 
@@ -439,6 +440,7 @@ def run_coreset(
     subset is the identity and the target fit equals full-data training
     exactly, seed for seed.
     """
+    subset_fraction = check_number(subset_fraction, "subset_fraction")
     if not (np.isfinite(subset_fraction) and 0.0 < subset_fraction <= 1.0):
         raise ValueError(f"subset_fraction must lie in (0, 1], got {subset_fraction}")
 

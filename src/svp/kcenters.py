@@ -6,19 +6,21 @@ lowest index.
 
 Cost model. Distances are screened on a float32 copy of the features,
 ``y = [s*(x - m) | 1]``, where m is the column means and s a power of two.
-One float32 GEMV of the copy against a center's ``[-2 y_c ; |y_c|^2]`` gives
+The product of the copy with a center's ``[-2 y_c ; |y_c|^2]`` gives
 ``|y_c|^2 - 2 y_i.y_c`` for every row i: the expanded-form squared distance
 less the row's own squared norm, which moves into the row's threshold
-instead. A greedy step is that GEMV into a preallocated buffer, one
-comparison against the thresholds and one argmax, so it streams n*(d+1)
-float32 values where a float64 pass over the features streams twice the
-bytes. The copy is stored column-major: its rows hold only d+1 floats, so a
-row-major GEMV is n short dot products, while column-major it streams d+1
-contiguous columns of n (d=32, BLAS on one thread of a 2-vCPU VM: about
-26 -> 7 us at n=4000 and 510 -> 310 us at n=50000). The initial set is
-folded in by one float32 GEMM per block of d/2 centers, against the copy's
-transpose, which is then a C-contiguous (d+1)-by-n operand.
-O((|initial| + budget) * n * d) flops in all, spent in BLAS.
+instead. Centers are folded in by blocks of up to w = max(16, d/2): one
+float32 GEMM of the block's weights against the copy's transpose (the copy
+is stored column-major, so that operand is a C-contiguous (d+1)-by-n
+array), the two window tests below, and the exact evaluation of the few
+pairs that pass. A block reads the copy once for all of its centers,
+where a float64 pass over the features would read twice the copy's bytes
+per center. From d = 32 up, the w-by-n screen is at most half the size of
+the copy. Below, blocks of 16 still spread a block's fixed cost, some 40
+numpy calls, over enough picks: with blocks of d/2, traversals at d = 1 to
+6 ran up to three times slower than one pick per GEMV. The screen is then
+at most 16*n float32 values, no more than the float64 features from d = 8
+up. O((|initial| + budget) * n * d) flops in all, spent in BLAS.
 
 - Centering: distances do not change under translation, so the copy is
   centered before rounding. The bound below then scales with the spread of
@@ -30,6 +32,26 @@ O((|initial| + budget) * n * d) flops in all, spent in BLAS.
   the squared norms are normal float64 numbers, that bound is at least 1/4,
   so small inputs are not pushed toward float32 underflow. Scaling by a
   power of two is exact, so extreme magnitudes need no second route.
+
+Blocks of picks. The initial set is folded block by block, and the greedy
+steps run through the same fold, as blocks of picks certified in advance:
+
+- Candidates: a block takes k = min(w, picks left) candidates, the first
+  k rows in (exact distance descending, index ascending) order. One
+  partition finds the k-th value in O(n); the rows strictly above it are
+  sorted, then the lowest indices at that value fill the rest, so ties
+  among many rows cost no sort.
+- Acceptance: if c_1 .. c_{j-1} are the one-pick-per-pass loop's next
+  picks and none of them strictly lowers c_j's exact distance, c_j is its
+  next pick too. Distances only fall as centers are added, and c_j's has
+  not; every other row ranked below c_j before the block (a smaller
+  distance, or an equal one at a higher index) still does, so c_j is the
+  first argmax. The k-by-k product of the candidates' copy rows with their
+  weights screens the pairs against the candidates' thresholds, the pairs
+  that pass are evaluated exactly, and the prefix that ends before the
+  first lowered candidate is accepted: at least c_1, the plain first
+  argmax. Its ``picked_dists`` are the candidates' exact distances before
+  the block, and the prefix is then folded in.
 
 Certification. Ranking and reporting use the exact difference form
 ``sum((x_i - x_c)^2)`` on the original float64 rows. Each example keeps its
@@ -44,9 +66,9 @@ sum of:
 - input rounding: each entry of the copy differs from s*(x - m) by at most
   (u + 2U) times its magnitude, plus 2^-149 below the float32 normal range,
   which moves a squared distance by at most 13 u M;
-- the float32 GEMV, in any summation order: gamma (2 |y_i||y_c| + |y_c|^2)
-  <= 3.01 gamma M;
-- rounding the squared norms, |y_c|^2 to float32 for the GEMV and |y_i|^2
+- the float32 product, in any summation order: gamma (2 |y_i||y_c| +
+  |y_c|^2) <= 3.01 gamma M;
+- rounding the squared norms, |y_c|^2 to float32 for the product and |y_i|^2
   to float64 for the threshold: u M + 2.02 d U M;
 - the float64 difference form itself: 4.04 (d+2) U M in the scaled units;
 - underflow in float32 and in float64: (d+2) (2^-126 + s^2 2^-1022);
@@ -54,11 +76,20 @@ sum of:
   1 + 2^-20 and 6 u M + 2^-140 is added, which covers rounding
   ``s^2 exact + tol - q`` and ``min + 2 tol`` to float32.
 
-An example's exact nearest center c* therefore has S <= s^2 exact + tol - q
-(its threshold) and, within a block of the initial set, S within 2 tol of
-the block's minimum; pairs failing either test are skipped, which leaves a
-handful of rows per step. Since every example's exact distance is kept
-current, each step takes the first argmax of the exact distances: the
+An example's exact nearest center c* within a block therefore has
+S <= s^2 exact + tol - q (its threshold, if c* can lower its distance at
+all) and S within 2 tol of the block's minimum; pairs failing either test
+are skipped. The candidates' screen uses the threshold test alone, which
+passes every pair that could lower a candidate's distance.
+
+Why the outputs are bit-equal. The pairs evaluated are not those of a
+one-pick-per-pass loop: a block's window skips pairs that loop would
+evaluate, and a candidate that is not accepted is screened again in a
+later block. But a pair's exact value depends on its two rows alone, not on
+which pairs are evaluated together; each row's nearest center in a block
+is evaluated whenever it lowers the row's distance; and a minimum is exact.
+So every example's exact distance after a block equals the loop's after the
+same centers, and each pick is the first argmax of those distances: the
 difference form's choice, lowest index first on ties, whatever the BLAS.
 
 Reported distances (``picked_dists``, ``min_dists``) are those exact
@@ -128,8 +159,8 @@ def _screen_rows(x: np.ndarray):
 
     Returns ``(y, q, s2, tol)``. ``y`` is ``[s*(x - m) | 1]`` rounded to
     float32, with m the column means and s a power of two, stored
-    column-major (Fortran order) so that the GEMV of a greedy step streams
-    contiguous columns instead of n rows of d+1 floats; ``q`` holds the
+    column-major (Fortran order) so that its transpose, the operand of every
+    fold's GEMM, is a C-contiguous (d+1)-by-n array; ``q`` holds the
     float64 squared norms of the rows of ``y[:, :d]``; ``s2 = s*s``. For
     every pair of rows i, c the screen value
     ``S = y[i] . [-2 y[c, :d] ; float32(q[c])]``, computed in float32 in any
@@ -164,6 +195,14 @@ def _screen_rows(x: np.ndarray):
     return y, q, s * s, tol
 
 
+def _leading(exact: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` rows in (``exact`` descending, index ascending) order."""
+    kth = np.partition(exact, exact.size - k)[exact.size - k]
+    above = np.flatnonzero(exact > kth)
+    above = above[np.argsort(-exact[above], kind="stable")]
+    return np.concatenate([above, np.flatnonzero(exact == kth)[: k - above.size]])
+
+
 def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResult:
     """Add ``budget`` points, each the current farthest-from-set example."""
     x = _check_features(features)
@@ -186,23 +225,25 @@ def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResul
     off = tol - q
     tol2 = np.float32(2.0 * tol)
 
-    # The initial set is folded in by one GEMM per block of d/2 centers, so
-    # the float32 block-by-n screen is half of the copy. A pair is evaluated
-    # exactly only if its screen value is within 2*tol of the row's block
-    # minimum and under the row's threshold, at most n pairs at a time, so
-    # the differences stay within one n-by-d pass (``np.take`` with
-    # mode="clip" gathers straight into that buffer; rows are in range). A
-    # pair's exact value depends on its two rows alone, not on which pairs
-    # are evaluated together.
-    width = min(max(1, d // 2), init.size)
-    buf = np.empty(width * n, dtype=np.float32)
+    # Centers are folded in by one GEMM per block of up to `width` of them
+    # (see the cost model above). A pair is evaluated exactly only if its
+    # screen value is within 2*tol of the row's block minimum and under the
+    # row's threshold, at most n pairs at a time, so the differences stay
+    # within one n-by-d pass (``np.take`` with mode="clip" gathers straight
+    # into that buffer; rows are in range). A pair's exact value depends on
+    # its two rows alone, not on which pairs are evaluated together.
+    width = max(16, d // 2)
+    buf = np.empty(min(width, max(init.size, budget)) * n, dtype=np.float32)
     w = np.empty((width, d + 1), dtype=np.float32)
     pairs = np.empty((n, d))
-    for start in range(0, init.size, width):
-        block = init[start : start + width]
+
+    def weigh(block):
         wb = w[: block.size]
         np.multiply(y[block], -2.0, out=wb)
         wb[:, d] = q[block]
+        return wb
+
+    def fold(block, wb):
         dots = buf[: block.size * n].reshape(block.size, n)
         np.dot(wb, y.T, out=dots)
         lim = dots.min(axis=0)
@@ -217,29 +258,36 @@ def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResul
                 diff[bounds[j] : bounds[j + 1]] -= x[c]
             np.minimum.at(exact, rows, np.einsum("ij,ij->i", diff, diff))
             thr[rows] = s2 * exact[rows] + off[rows]
-    exact[init] = -np.inf
-    thr[init] = -np.inf
 
+    for start in range(0, init.size, width):
+        block = init[start : start + width]
+        fold(block, weigh(block))
+    exact[init] = thr[init] = -np.inf
+
+    # The greedy steps, as blocks of certified picks (see "Blocks of picks"
+    # above): the candidates' prefix up to the first one an earlier
+    # candidate lowers is accepted and folded in like the initial set.
     order = np.empty(budget, dtype=np.int64)
     picked = np.empty(budget, dtype=np.float64)
-    dots = buf[:n]
-    wu = w[0]
-    for t in range(budget):
-        # exact holds every example's exact distance, so its first argmax is
-        # the difference form's choice, lowest index first on ties.
-        u = int(np.argmax(exact))
-        order[t] = u
-        picked[t] = np.sqrt(exact[u])
-        exact[u] = thr[u] = -np.inf
-        np.multiply(y[u], -2.0, out=wu)
-        wu[d] = q[u]
-        np.dot(y, wu, out=dots)
-        rows = np.flatnonzero(dots <= thr)
-        diff = np.take(x, rows, axis=0, out=pairs[: rows.size], mode="clip")
-        diff -= x[u]
-        cur = np.minimum(exact[rows], np.einsum("ij,ij->i", diff, diff))
-        exact[rows] = cur
-        thr[rows] = s2 * cur + off[rows]
+    before = np.tri(width, k=-1, dtype=bool)  # [j, i]: candidate i precedes j
+    t = 0
+    while t < budget:
+        k = min(width, budget - t)
+        cand = _leading(exact, k)
+        wb = weigh(cand)
+        a = k
+        later, prior = np.nonzero((y[cand] @ wb.T <= thr[cand, None]) & before[:k, :k])
+        if later.size:
+            diff = x[cand[later]] - x[cand[prior]]
+            lowered = np.einsum("ij,ij->i", diff, diff) < exact[cand[later]]
+            if lowered.any():
+                a = int(later[lowered].min())
+        acc = cand[:a]
+        order[t : t + a] = acc
+        picked[t : t + a] = np.sqrt(exact[acc])
+        exact[acc] = thr[acc] = -np.inf
+        fold(acc, wb[:a])
+        t += a
     exact[init] = 0.0
     exact[order] = 0.0
 

@@ -92,11 +92,16 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("epochs", "batch_size", "seed"):
+            check_number(getattr(self, name), name, integer=True)
+        if self.hidden_units is not None:
+            check_number(self.hidden_units, "hidden_units", integer=True)
+        learning_rate = check_number(self.learning_rate, "learning_rate")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.kind == "mlp":
             if self.hidden_units is None or self.hidden_units < 1:

@@ -152,6 +152,39 @@ class TestSpeedup:
             speedup(1.0, -2.0)
 
 
+def _build(field, value):
+    if field == "budget_fraction":
+        return ALConfig(proxy=PROXY, target=TARGET, method="random",
+                        budget_fraction=value, schedule=DEFAULT_SCHEDULE, seed=7)
+    if field == "subset_fraction":
+        train, test = small_data()
+        return run_coreset(PROXY, TARGET, "random", value, train, test, seed=5)
+    return LearnerSpec(**{**dataclasses.asdict(TARGET), field: value})
+
+
+class TestDirectConstruction:
+    # Built from Python rather than from a config, the numbers still pass
+    # through check_number, so a wrong type or an oversized real is the
+    # documented ValueError, never a TypeError or a silent truncation.
+    @pytest.mark.parametrize("field, value, match", [
+        ("learning_rate", 10**400, "is too large"),
+        ("learning_rate", "0.1", "must be a number"),
+        ("batch_size", "a", "must be an integer"),
+        ("epochs", "2", "must be an integer"),
+        ("epochs", 1.5, "must be an integer"),
+        ("epochs", True, "must be an integer"),
+        ("hidden_units", 2.5, "must be an integer"),
+        ("seed", None, "must be an integer"),
+        ("budget_fraction", 10**400, "is too large"),
+        ("budget_fraction", "0.2", "must be a number"),
+        ("subset_fraction", 10**400, "is too large"),
+        ("subset_fraction", "0.3", "must be a number"),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
+    def test_bad_number_is_value_error(self, field, value, match):
+        with pytest.raises(ValueError, match=f"^{field} {match}"):
+            _build(field, value)
+
+
 class TestActiveLearning:
     def test_report_shape(self):
         train, test = small_data()
@@ -544,12 +577,13 @@ _BLAS_MLP = {"kind": "mlp", "epochs": 2, "learning_rate": 0.3,
 
 class TestBlasThreadDeterminism:
     # BLAS results can depend on the thread count (how the work, and so the
-    # summation, is split); k-centers ranks points with GEMV/GEMM output and
+    # summation, is split); k-centers screens points with GEMM output and
     # the learners train with matmul. The report bytes must not depend on it.
     # AL with a logistic proxy screens the raw features and folds the initial
-    # pool in many GEMM blocks; the core-set run screens an MLP proxy's ReLU
-    # embedding over a 1499-step traversal, and its baseline pass runs the
-    # traversal again on the target's embedding.
+    # pool and its picks in many GEMM blocks; the core-set run screens an
+    # MLP proxy's ReLU embedding over a 1499-step traversal, run as blocks
+    # of certified picks, and its baseline pass runs the traversal again on
+    # the target's embedding.
     CONFIGS = {
         "al-logistic": {
             "task": "al",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import kcenter_radius, kcenters_full_ranking, kcenters_oracle, next_below
+from svp import kcenters
 from svp.kcenters import _screen_rows, greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
 
@@ -151,6 +152,117 @@ class TestDifferenceFormOracle:
 
 
 @st.composite
+def block_instances(draw):
+    """Rows that make a block's candidates interact, around a center at the
+    origin: far-out tight pairs (a pick lowers its twin, so the accepted
+    prefix ends early), and the 2d points of an integer sphere, repeated
+    (equal distances that straddle the k-th candidate, and duplicates that
+    a pick lowers to zero), scaled to ordinary or extreme magnitudes."""
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core = rng.standard_normal((draw(st.integers(0, 30)), d))
+    far = 50.0 * rng.standard_normal((draw(st.integers(0, 12)), d))
+    twins = far + 1e-3 * rng.standard_normal(far.shape)
+    sphere = np.tile(10.0 * np.concatenate([np.eye(d), -np.eye(d)]), (draw(st.integers(1, 3)), 1))
+    x = np.concatenate([np.zeros((1, d)), core, far, twins, sphere])
+    perm = rng.permutation(x.shape[0])
+    x = x[perm] * draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    # The origin alone keeps the sphere's distances tied; more initial
+    # centers from the core break some of the ties.
+    extra = draw(st.integers(0, min(3, core.shape[0])))
+    initial = np.argsort(perm)[: 1 + extra]
+    budget = draw(st.integers(0, x.shape[0] - initial.size))
+    return x, initial, budget
+
+
+def count_blocks(monkeypatch):
+    """Record the candidate count of each block the traversal runs."""
+    sizes = []
+    leading = kcenters._leading
+
+    def spy(exact, k):
+        sizes.append(k)
+        return leading(exact, k)
+
+    monkeypatch.setattr(kcenters, "_leading", spy)
+    return sizes
+
+
+def block_width(d):
+    return max(16, d // 2)
+
+
+class TestCertifiedBlocks:
+    """The greedy steps run in blocks of up to max(16, d/2) candidates, of
+    which the longest prefix that no earlier candidate lowers is accepted;
+    every output must stay bit-equal to one pick per pass."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(block_instances())
+    def test_bit_equal_to_oracle(self, instance):
+        assert_bit_equal_to_oracle(*instance)
+
+    def test_tight_pairs_cut_the_accepted_prefix(self, monkeypatch):
+        # Sixteen far-out pairs 1e-3 apart: both twins of a pair lead the
+        # ranking, and the first pick lowers the second, so blocks accept
+        # fewer than their k candidates and more blocks run.
+        rng = np.random.default_rng(40)
+        far = 100.0 * rng.standard_normal((16, 8))
+        x = np.concatenate([rng.standard_normal((50, 8)), far, far + 1e-3])
+        sizes = count_blocks(monkeypatch)
+        assert_bit_equal_to_oracle(x, [0], 60)
+        assert sizes[0] == block_width(8)
+        assert len(sizes) > -(-60 // block_width(8))
+
+    @pytest.mark.parametrize("d, copies", [(4, 3), (40, 1)])
+    def test_ties_straddle_the_kth_candidate(self, d, copies, monkeypatch):
+        # The 2d unit points, in `copies` copies, tie at distance 1 from the
+        # center: more ties than a block holds, so the candidates at the
+        # k-th value are the lowest indices among them. A copy of an
+        # accepted point is lowered to 0 and ends the prefix.
+        unit = np.concatenate([np.eye(d), -np.eye(d)])
+        x = np.concatenate([np.zeros((1, d)), np.tile(unit, (copies, 1))])
+        width = block_width(d)
+        assert x.shape[0] - 1 > width
+        sizes = count_blocks(monkeypatch)
+        assert_bit_equal_to_oracle(x, [0], x.shape[0] - 1)
+        order = greedy_kcenters(x, [0], x.shape[0] - 1).order
+        assert order[: 2 * d].tolist() == list(range(1, 2 * d + 1))
+        assert sizes[0] == width
+
+    @pytest.mark.parametrize("n, d", [(40, 8), (200, 64)])
+    def test_all_identical_rows(self, n, d):
+        # Every distance is 0 and no pick lowers another, so each block is
+        # accepted whole and the order is the index order.
+        x = np.full((n, d), 3.25)
+        res = greedy_kcenters(x, [5], n - 3)
+        assert_bit_equal_to_oracle(x, [5], n - 3)
+        assert res.order.tolist() == [i for i in range(n) if i != 5][: n - 3]
+
+    @pytest.mark.parametrize("d", [8, 40])
+    def test_budget_against_width(self, d, monkeypatch):
+        # Budgets of 1, 2, and one below, at, one above and five above the
+        # block width (16 for d=8, 20 for d=40); the last block takes only
+        # what the budget leaves.
+        width = block_width(d)
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((80, d))
+        sizes = count_blocks(monkeypatch)
+        for budget in (1, 2, width - 1, width, width + 1, width + 5):
+            sizes.clear()
+            assert_bit_equal_to_oracle(x, [7, 19], budget)
+            assert sizes[0] == min(width, budget)
+            assert max(sizes) <= min(width, budget)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_magnitudes_with_ties(self, scale):
+        rng = np.random.default_rng(42)
+        base = rng.standard_normal((60, 6))
+        x = scale * base[rng.integers(0, 60, 240)]
+        assert_bit_equal_to_oracle(x, [0, 1], 200)
+
+
+@st.composite
 def screen_instances(draw):
     """Rows for the float32 screen: d from 1 to 128, Gaussian or ReLU-like
     (nonnegative, with exact zeros), a common offset, and magnitudes near
@@ -175,8 +287,9 @@ class TestScreenBound:
         y, q, s2, tol = _screen_rows(x)
         d = x.shape[1]
         # A center c's weights are [-2 y_c ; float32(q_c)], as in the kernel;
-        # the bound holds for any summation order, so one float32 GEMM
-        # stands in for the kernel's GEMVs.
+        # the bound holds for any summation order, so one float32 GEMM over
+        # all pairs stands in for the kernel's block GEMMs and its
+        # candidates' k-by-k products.
         w = np.concatenate([y[:, :d] * np.float32(-2.0), q.astype(np.float32)[:, None]], axis=1)
         screen = (y @ w.T).astype(np.float64)
         diff = x[:, None, :] - x[None, :, :]
@@ -188,8 +301,10 @@ class TestScreenBound:
 
 class TestScreenLayout:
     def test_copy_is_column_major(self):
-        # A step's GEMV streams the copy's d+1 columns; stored row-major it
-        # is n short dot products instead, a third to a half slower per step.
+        # Every fold is a GEMM of a block's weights against the copy's
+        # transpose, which column-major storage makes a C-contiguous
+        # (d+1)-by-n operand; stored row-major, the same GEMM takes 1.5 to
+        # 1.9 times as long (n=4000 and 50000, d=32 and 64, one thread).
         for n, d in [(1, 1), (50, 7), (300, 32)]:
             y = _screen_rows(np.random.default_rng(n).standard_normal((n, d)))[0]
             assert y.shape == (n, d + 1)
