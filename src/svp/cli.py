@@ -90,19 +90,31 @@ def _load_train_log(path: str) -> np.ndarray:
     return read_train_log_csv(path)
 
 
+def _check_finite(path: str, rows: np.ndarray, field: str) -> None:
+    """Reject the first CSV data row whose ``field`` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows[field]))
+    if bad.size:
+        raise InvalidValueError(
+            f"{path}: line {bad[0] + 2}: {field} must be finite, got {rows[field][bad[0]]}")
+
+
 def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load scores keyed by example id from either CSV layout.
 
     ``example_id,score`` is used as-is. A k-centers order file
     (``rank,example_id,min_dist``) is converted to scores as negated rank,
-    so earlier-added points score higher.
+    so earlier-added points score higher. A non-finite score or rank is
+    reported with the first line that holds one.
     """
     header = read_csv_header(path)
     if header == list(SCORES_CSV.names):
         scores = read_scores_csv(path)
+        if not np.isfinite(scores).all():  # scores are in id order; find the line
+            _check_finite(path, read_csv(path, SCORES_CSV), "score")
         return np.arange(scores.shape[0], dtype=np.int64), scores
     if header == list(ORDER_CSV.names):
         rows = read_csv(path, ORDER_CSV)
+        _check_finite(path, rows, "rank")
         ids = rows["example_id"]
         if np.unique(ids).size != ids.size:
             raise InvalidValueError(f"{path}: duplicate example ids")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_io import FORGETTING_CSV, check_train_log, write_csv
+from .tensor_io import FORGETTING_CSV, check_count, check_train_log, write_csv
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,7 @@ def forgetting_order(scores: ForgettingScores) -> np.ndarray:
 
 def select_most_forgotten(scores: ForgettingScores, m: int) -> np.ndarray:
     """First m indices under the total order."""
-    n = scores.counts.shape[0]
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if m > n:
-        raise ValueError(f"m={m} exceeds n={n}")
+    check_count(m, scores.counts.shape[0])
     return forgetting_order(scores)[:m]
 
 

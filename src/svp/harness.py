@@ -14,6 +14,8 @@ target on the selected ids and build the report. Active learning plans
 one timed round per step; core-set selection plans ``[m]`` and its pass is
 one timed stage. ``execute_config`` checks a config's top-level fields
 against one table per task (``CONFIG_FIELDS``); flags must be JSON booleans.
+Numbers are checked once, where they are held: by the config dataclasses,
+by ``run_coreset`` (``subset_fraction``) and by the run (seed, baseline).
 The run checks its method against ``METHODS[task]`` before any fit, and
 ``execute_config`` checks it before any data file is read.
 
@@ -60,11 +62,19 @@ from .learner import (
     predict_proba,
 )
 from .rng import SplitMix64, derive_seed
-from .tensor_io import atomic_write_text, read_labels_csv, read_tensor, staged_writes
+from .tensor_io import atomic_write_text, check_count, read_labels_csv, read_tensor, staged_writes
 
 
 class ScheduleError(ValueError):
     """Budget not reachable by the configured round schedule."""
+
+
+def _fraction(value, name: str) -> float:
+    """A config fraction: a number in (0, 1], as a float."""
+    v = check_number(value, name)
+    if not 0.0 < v <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -75,9 +85,7 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("initial", "first", "subsequent"):
-            v = check_number(getattr(self, name), f"schedule {name}")
-            if not (np.isfinite(v) and 0.0 < v <= 1.0):
-                raise ValueError(f"schedule {name} must lie in (0, 1], got {v!r}")
+            object.__setattr__(self, name, _fraction(getattr(self, name), f"schedule {name}"))
 
 
 DEFAULT_SCHEDULE = Schedule(initial=0.02, first=0.08, subsequent=0.10)
@@ -93,9 +101,8 @@ class ALConfig:
     seed: int
 
     def __post_init__(self):
-        fraction = check_number(self.budget_fraction, "budget_fraction")
-        if not (np.isfinite(fraction) and 0.0 < fraction <= 1.0):
-            raise ValueError(f"budget_fraction must lie in (0, 1], got {self.budget_fraction}")
+        fraction = _fraction(self.budget_fraction, "budget_fraction")
+        object.__setattr__(self, "budget_fraction", fraction)
 
 
 @dataclass
@@ -189,10 +196,7 @@ def plan_schedule(n: int, budget_fraction: float, schedule: Schedule) -> list:
 def random_select(pool, m: int, seed: int) -> np.ndarray:
     """Seeded uniform sample of m pool entries without replacement."""
     pool = np.asarray(pool, dtype=np.int64).reshape(-1)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if m > pool.shape[0]:
-        raise ValueError(f"m={m} exceeds pool size {pool.shape[0]}")
+    check_count(m, pool.shape[0])
     perm = SplitMix64(seed).permutation(pool.shape[0])
     return pool[perm[:m]]
 
@@ -218,9 +222,11 @@ def _fit_seed(run_seed: int, salt: str, spec: LearnerSpec) -> int:
 
 
 def _from_object(cls, d, what: str):
-    """``cls`` built from a decoded JSON object holding exactly its fields."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    return cls(**check_object(d, what, names, required=names))
+    """``cls`` built from a decoded JSON object holding each of its fields,
+    those with a default optionally, and no other key."""
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    return cls(**check_object(d, what, [f.name for f in fields], required))
 
 
 def _scorer_selector(name: str):
@@ -350,10 +356,15 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
     selected-set sizes, and ``selection_pass(x, y, c, sizes, spec, clock)``
     returns (selected ids, fitted proxy per round, seconds per round) with
     ``spec`` in the proxy slot. The pass runs with the proxy, then (for a
-    measured baseline) with the target; the target is fitted on the ids."""
+    measured baseline) with the target; the target is fitted on the ids.
+    The run ``seed`` and a supplied ``baseline_seconds`` are checked first."""
     _check_method(task, method)
-    if baseline_seconds is not None and not (np.isfinite(baseline_seconds) and baseline_seconds > 0):
-        raise ValueError(f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
+    check_number(seed, "seed", integer=True)
+    if baseline_seconds is not None:
+        baseline_seconds = check_number(baseline_seconds, "baseline_seconds")
+        if not 0.0 < baseline_seconds < np.inf:
+            raise ValueError(
+                f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
     x, y = _as_xy(data)
     xt, yt = _as_xy(test_data)
     n = x.shape[0]
@@ -440,9 +451,7 @@ def run_coreset(
     subset is the identity and the target fit equals full-data training
     exactly, seed for seed.
     """
-    subset_fraction = check_number(subset_fraction, "subset_fraction")
-    if not (np.isfinite(subset_fraction) and 0.0 < subset_fraction <= 1.0):
-        raise ValueError(f"subset_fraction must lie in (0, 1], got {subset_fraction}")
+    subset_fraction = _fraction(subset_fraction, "subset_fraction")
 
     def plan(n):
         m = ceil_count(subset_fraction, n)
@@ -542,14 +551,13 @@ def execute_config(
     output = config.get("output")
     if "output" in config and not isinstance(output, str):
         raise ValueError(f"output must be a path string, got {output!r}")
-    proxy = LearnerSpec.from_dict(config["proxy"])
-    target = LearnerSpec.from_dict(config["target"])
-    seed = int(check_number(config["seed"], "seed", integer=True))
+    proxy = _from_object(LearnerSpec, config["proxy"], "learner")
+    target = _from_object(LearnerSpec, config["target"], "learner")
     measure = _flag(config, "measure_baseline")
     full_data_error = _flag(config, "include_full_data_error")
-    baseline_seconds = None
-    if "baseline_seconds" in config:
-        baseline_seconds = check_number(config["baseline_seconds"], "baseline_seconds")
+    baseline_seconds = config.get("baseline_seconds")
+    if "baseline_seconds" in config and baseline_seconds is None:
+        raise ValueError("baseline_seconds must be a number, got None")  # null is not absence
     train, test = load_data_section(config["data"])
 
     if task == "al":
@@ -557,19 +565,18 @@ def execute_config(
             proxy=proxy,
             target=target,
             method=config["method"],
-            budget_fraction=check_number(config["budget_fraction"], "budget_fraction"),
+            budget_fraction=config["budget_fraction"],
             schedule=(_from_object(Schedule, config["schedule"], "schedule")
                       if "schedule" in config else DEFAULT_SCHEDULE),
-            seed=seed,
+            seed=config["seed"],
         )
         report = run_active_learning(
             cfg, train, test, clock=clock,
             baseline_seconds=baseline_seconds, measure_baseline=measure,
         )
     else:
-        fraction = check_number(config["subset_fraction"], "subset_fraction")
         report = run_coreset(
-            proxy, target, config["method"], fraction, train, test, seed,
+            proxy, target, config["method"], config["subset_fraction"], train, test, config["seed"],
             include_full_data_error=full_data_error, clock=clock,
             baseline_seconds=baseline_seconds, measure_baseline=measure,
         )

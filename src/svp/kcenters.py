@@ -104,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_io import ORDER_CSV, write_csv
+from .tensor_io import ORDER_CSV, check_count, check_matrix, write_csv
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,6 @@ class KCentersResult:
     order: np.ndarray
     min_dists: np.ndarray
     picked_dists: np.ndarray
-
-
-def _check_features(features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={x.ndim}")
-    if x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError(f"features must be nonempty, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("features contain non-finite values")
-    return x
 
 
 def _check_index_set(indices, n: int, what: str) -> np.ndarray:
@@ -205,15 +194,11 @@ def _leading(exact: np.ndarray, k: int) -> np.ndarray:
 
 def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResult:
     """Add ``budget`` points, each the current farthest-from-set example."""
-    x = _check_features(features)
+    x = np.ascontiguousarray(check_matrix(features), dtype=np.float64)
     n, d = x.shape
     init = _check_index_set(initial, n, "initial set")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    if budget > n - init.size:
-        raise ValueError(f"budget {budget} exceeds pool of {n - init.size} candidates")
+    check_count(budget, n - init.size, "budget")
 
-    x = np.ascontiguousarray(x)
     y, q, s2, tol = _screen_rows(x)
 
     # Per example, the exact difference-form squared distance to the nearest

@@ -47,7 +47,6 @@ import numpy as np
 from .rng import SplitMix64, derive_seed
 
 KINDS = ("logistic", "mlp")
-_SPEC_FIELDS = ("kind", "epochs", "learning_rate", "batch_size", "seed", "hidden_units")
 
 
 def check_object(d, what: str, fields=None, required=()) -> dict:
@@ -90,37 +89,23 @@ class LearnerSpec:
     hidden_units: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("epochs", "learning_rate", "batch_size", "seed", "hidden_units"):
+            value = getattr(self, name)
+            if value is not None or name != "hidden_units":
+                object.__setattr__(self, name, check_number(value, name, name != "learning_rate"))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("epochs", "batch_size", "seed"):
-            check_number(getattr(self, name), name, integer=True)
-        if self.hidden_units is not None:
-            check_number(self.hidden_units, "hidden_units", integer=True)
-        learning_rate = check_number(self.learning_rate, "learning_rate")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not (np.isfinite(learning_rate) and learning_rate > 0):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.kind == "mlp":
             if self.hidden_units is None or self.hidden_units < 1:
                 raise ValueError("mlp requires hidden_units >= 1")
         elif self.hidden_units is not None:
             raise ValueError("hidden_units applies only to mlp")
-
-    @staticmethod
-    def from_dict(d: dict) -> "LearnerSpec":
-        check_object(d, "learner", _SPEC_FIELDS, required=_SPEC_FIELDS[:-1])
-        return LearnerSpec(
-            kind=d["kind"],
-            epochs=int(check_number(d["epochs"], "epochs", integer=True)),
-            learning_rate=check_number(d["learning_rate"], "learning_rate"),
-            batch_size=int(check_number(d["batch_size"], "batch_size", integer=True)),
-            seed=int(check_number(d["seed"], "seed", integer=True)),
-            hidden_units=(int(check_number(d["hidden_units"], "hidden_units", integer=True))
-                          if "hidden_units" in d else None),
-        )
 
 
 @dataclass
@@ -314,19 +299,18 @@ class SynthParams:
     seed: int
 
     def __post_init__(self):
-        for name in ("classes", "dim", "n_train", "n_test", "seed"):
-            check_number(getattr(self, name), name, integer=True)
-        separation, noise = (check_number(getattr(self, name), name)
-                             for name in ("separation", "noise"))
+        for name in ("classes", "dim", "n_train", "n_test", "seed", "separation", "noise"):
+            integer = name not in ("separation", "noise")
+            object.__setattr__(self, name, check_number(getattr(self, name), name, integer))
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("train and test sizes must be positive")
-        if not (np.isfinite(separation) and np.isfinite(noise)):
+        if not (np.isfinite(self.separation) and np.isfinite(self.noise)):
             raise ValueError("separation and noise must be finite")
-        if noise < 0 or separation < 0:
+        if self.noise < 0 or self.separation < 0:
             raise ValueError("separation and noise must be nonnegative")
 
 

@@ -76,10 +76,4 @@ def _unit_scaled(v: np.ndarray) -> np.ndarray:
 
 def spearman(a, b) -> float:
     """Pearson correlation of average-tie ranks of a and b."""
-    a = _check_vector(a, "a")
-    b = _check_vector(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
     return pearson(scores_to_ranks(a), scores_to_ranks(b))

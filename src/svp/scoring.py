@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_io import validate_prob_matrix
+from .tensor_io import check_count, validate_prob_matrix
 
 
 def least_confidence(p: np.ndarray) -> np.ndarray:
@@ -48,10 +48,7 @@ def top_m(scores: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"scores must be 1-D, got ndim={scores.ndim}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if m > scores.shape[0]:
-        raise ValueError(f"m={m} exceeds n={scores.shape[0]}")
+    check_count(m, scores.shape[0])
     # Stable sort on negated scores keeps equal-score indices ascending.
     order = np.argsort(-scores, kind="stable")
     return order[:m].astype(np.int64)

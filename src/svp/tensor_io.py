@@ -162,6 +162,14 @@ def check_matrix(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_count(m: int, n: int, name: str = "m") -> None:
+    """Check a number of picks from ``n`` candidates: ``0 <= m <= n``."""
+    if m < 0:
+        raise ValueError(f"{name} must be nonnegative, got {m}")
+    if m > n:
+        raise ValueError(f"{name}={m} exceeds the {n} candidates")
+
+
 def _pack_frame(magic: bytes, flags: tuple, rows: int, cols: int, payload: bytes) -> bytes:
     return _FRAME.pack(magic, FORMAT_VERSION, *flags, rows, cols) + payload
 
@@ -247,11 +255,7 @@ def validate_prob_matrix(matrix: np.ndarray) -> np.ndarray:
 
 
 def check_train_log(log: np.ndarray) -> np.ndarray:
-    log = np.asarray(log)
-    if log.ndim != 2:
-        raise ValueError(f"train log must be 2-D, got ndim={log.ndim}")
-    if log.shape[0] < 1 or log.shape[1] < 1:
-        raise ValueError(f"train log must be nonempty, got shape {log.shape}")
+    log = check_matrix(log)
     if log.dtype != np.bool_ and not np.isin(log, (0, 1)).all():
         raise ValueError("train log values must be 0 or 1")
     return log.astype(np.bool_, copy=False)

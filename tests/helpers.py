@@ -34,7 +34,7 @@ def next_below(rng: SplitMix64, n: int) -> int:
 
 
 def spec_dict(spec: LearnerSpec) -> dict:
-    """The config JSON object ``LearnerSpec.from_dict`` reads back as ``spec``."""
+    """The config JSON object that ``execute_config`` decodes back to ``spec``."""
     d = dataclasses.asdict(spec)
     if d["hidden_units"] is None:
         del d["hidden_units"]

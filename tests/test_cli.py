@@ -319,6 +319,22 @@ class TestCorrelate:
             f"error: {b}: line {line}: malformed row ('utf-8' codec can't decode byte 0xff "
             f"in position {position}: invalid start byte)\n")
 
+    @pytest.mark.parametrize("ranks", [False, True], ids=["scores", "ranks"])
+    def test_nan_score_names_file_and_line(self, tmp_path, capsys, ranks):
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
+        b = tmp_path / "b.csv"
+        b.write_text("example_id,score\n2,3.0\n0,nan\n1,inf\n")
+        argv = ["correlate", "--a", str(a), "--b", str(b)] + ["--ranks"] * ranks
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {b}: line 3: score must be finite, got nan\n"
+
+    def test_infinite_rank_names_file_and_line(self, tmp_path, capsys):
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
+        b = tmp_path / "order.csv"
+        b.write_text("rank,example_id,min_dist\n1,2,5.0\n2,0,3.0\ninf,1,1.0\n")
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
+        assert capsys.readouterr().err == f"error: {b}: line 4: rank must be finite, got inf\n"
+
     def test_constant_input_fails_cleanly(self, tmp_path, capsys):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 1.0, 1.0])
         b = self.scores_file(tmp_path, "b.csv", [1.0, 2.0, 3.0])
@@ -493,6 +509,7 @@ SCHEDULE = {"initial": 0.02, "first": 0.08, "subsequent": 0.1}
             *[({"data": {"synthetic": {**SYNTH, name: 10**400}}}, name)
               for name in ("separation", "noise")],
         ]],
+        ({"proxy": {**SPEC, "kind": "bogus", "epochs": None}}, "epochs must be an integer"),
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overrides, fragment):

@@ -184,6 +184,32 @@ class TestDirectConstruction:
         with pytest.raises(ValueError, match=f"^{field} {match}"):
             _build(field, value)
 
+    # The run seed and baseline time are checked by the run both protocols
+    # share, before any fit.
+    @pytest.mark.parametrize("route", ["al", "coreset"])
+    @pytest.mark.parametrize("field, value, match", [
+        ("seed", "7", "must be an integer"),
+        ("seed", None, "must be an integer"),
+        ("seed", 1.5, "must be an integer"),
+        ("seed", True, "must be an integer"),
+        ("baseline_seconds", "x", "must be a number"),
+        ("baseline_seconds", [1.0], "must be a number"),
+    ])
+    def test_bad_run_number_is_value_error(self, monkeypatch, route, field, value, match):
+        fits = []
+        monkeypatch.setattr(svp.harness, "fit", lambda *args, **kwargs: fits.append(args))
+        train, test = small_data()
+        run = {"seed": 7, "baseline_seconds": None, field: value}
+        with pytest.raises(ValueError, match=f"^{field} {match}"):
+            if route == "al":
+                cfg = ALConfig(proxy=PROXY, target=TARGET, method="random", budget_fraction=0.1,
+                               schedule=DEFAULT_SCHEDULE, seed=run["seed"])
+                run_active_learning(cfg, train, test, baseline_seconds=run["baseline_seconds"])
+            else:
+                run_coreset(PROXY, TARGET, "random", 0.5, train, test, seed=run["seed"],
+                            baseline_seconds=run["baseline_seconds"])
+        assert fits == []
+
 
 class TestActiveLearning:
     def test_report_shape(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from helpers import (
     spec_dict,
     traced_peak,
 )
+from svp.harness import _from_object
 from svp.learner import (
     KINDS,
     LearnerSpec,
@@ -52,9 +54,24 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         for spec in (LOGISTIC, MLP):
-            assert LearnerSpec.from_dict(spec_dict(spec)) == spec
+            assert _from_object(LearnerSpec, spec_dict(spec), "learner") == spec
         with pytest.raises(ValueError):
-            LearnerSpec.from_dict({**spec_dict(LOGISTIC), "momentum": 0.9})
+            _from_object(LearnerSpec, {**spec_dict(LOGISTIC), "momentum": 0.9}, "learner")
+
+    def test_integer_learning_rate_is_held_as_float(self):
+        # From Python and from JSON alike, the spec holds the converted value,
+        # so the two fit bit-equal.
+        direct = dataclasses.replace(MLP, learning_rate=1, epochs=3)
+        text = json.dumps({**spec_dict(MLP), "learning_rate": 1, "epochs": 3})
+        assert '"learning_rate": 1,' in text
+        decoded = _from_object(LearnerSpec, json.loads(text), "learner")
+        for spec in (direct, decoded):
+            assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
+        ds = make_synthetic(EASY)
+        a, b = (fit(spec, ds.features, ds.labels) for spec in (direct, decoded))
+        for key in a.params:
+            assert a.params[key].tobytes() == b.params[key].tobytes()
+        assert np.array_equal(a.train_log, b.train_log)
 
 
 class TestFitBasics:

@@ -25,9 +25,11 @@ without the seconds column.
 A third section, lines starting with ``edge``, runs the branches the first
 one misses: an active-learning budget equal to the initial fraction (no
 rounds, so no speedup), a core-set of the whole pool with
-``include_full_data_error`` (the target's test error is reused) and a
-core-set with neither flag. These lines also say whether the report has a
-speedup.
+``include_full_data_error`` (the target's test error is reused), a
+core-set with neither flag, and an active-learning run whose real-valued
+fields are JSON integers (the proxy's ``learning_rate``, the synthetic
+``separation`` and ``noise``), which the config dataclasses convert to
+floats. These lines also say whether the report has a speedup.
 
 A last section digests the files the library writes: a ``file <name>`` line
 for each input above written by ``write_tensor``, ``write_train_log`` or
@@ -89,6 +91,10 @@ def edge_configs():
         "include_full_data_error": True, "measure_baseline": True}
     yield "edge coreset entropy no flags", {
         **base, "task": "coreset", "method": "entropy", "subset_fraction": 0.3}
+    yield "edge al least_confidence integer reals", {
+        **base, "task": "al", "method": "least_confidence", "budget_fraction": 0.3,
+        "measure_baseline": True, "proxy": {**PROXIES["logistic"], "learning_rate": 1},
+        "data": {"synthetic": {**DATA["synthetic"], "separation": 2, "noise": 1}}}
 
 
 def digest(report) -> str:
