@@ -218,10 +218,12 @@ def _cmd_correlate(args) -> int:
     a = a[np.argsort(ids_a, kind="stable")]
     b = b[np.argsort(ids_b, kind="stable")]
     if args.ranks:
-        a = scores_to_ranks(a)
-        b = scores_to_ranks(b)
-    s = spearman(a, b)
-    r = pearson(a, b)
+        # Ranking ranks again only reverses both series, which leaves their
+        # correlation unchanged: the ranks' Pearson is their Spearman.
+        a, b = scores_to_ranks(a), scores_to_ranks(b)
+        s = r = pearson(a, b)
+    else:
+        s, r = spearman(a, b), pearson(a, b)
     sys.stdout.write(f"spearman={s:.6f} pearson={r:.6f} n={a.shape[0]}\n")
     return 0
 

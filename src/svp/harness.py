@@ -17,7 +17,10 @@ against one table per task (``CONFIG_FIELDS``); flags must be JSON booleans.
 Numbers are checked once, where they are held: by the config dataclasses,
 by ``run_coreset`` (``subset_fraction``) and by the run (seed, baseline).
 The run checks its method against ``METHODS[task]`` before any fit, and
-``execute_config`` checks it before any data file is read.
+``execute_config`` checks it before any data file is read. Before it plans
+or fits anything, the run checks every row of its train and test data with
+``check_matrix`` and ``check_labels``, and the test width against the train
+width; each message names ``train`` or ``test``.
 
 Timing contract: each selection round is bracketed by exactly two clock()
 calls covering the proxy fit, scoring, and selection. Proxy evaluation on the
@@ -62,7 +65,8 @@ from .learner import (
     predict_proba,
 )
 from .rng import SplitMix64, derive_seed
-from .tensor_io import atomic_write_text, check_count, read_labels_csv, read_tensor, staged_writes
+from .tensor_io import (atomic_write_text, check_count, check_labels, check_matrix,
+                        read_labels_csv, read_tensor, staged_writes)
 
 
 class ScheduleError(ValueError):
@@ -206,15 +210,6 @@ def speedup(baseline_time: float, svp_time: float) -> float:
     if not (baseline_time > 0.0 and svp_time > 0.0):
         raise ValueError("times must be positive")
     return baseline_time / svp_time
-
-
-def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    x, y = data
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("data must be (features (n,d), labels (n,))")
-    return x, y
 
 
 def _fit_seed(run_seed: int, salt: str, spec: LearnerSpec) -> int:
@@ -365,8 +360,13 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
         if not 0.0 < baseline_seconds < np.inf:
             raise ValueError(
                 f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
-    x, y = _as_xy(data)
-    xt, yt = _as_xy(test_data)
+    (x, y), (xt, yt) = data, test_data
+    x = check_matrix(x, "train features", np.float64)
+    y = check_labels(y, x.shape[0], "train labels")
+    xt = check_matrix(xt, "test features", np.float64)
+    yt = check_labels(yt, xt.shape[0], "test labels")
+    if xt.shape[1] != x.shape[1]:
+        raise ValueError(f"test features have {xt.shape[1]} columns, train features {x.shape[1]}")
     n = x.shape[0]
     c = max(2, int(max(y.max(), yt.max())) + 1)
     sizes = plan(n)

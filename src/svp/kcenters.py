@@ -194,7 +194,7 @@ def _leading(exact: np.ndarray, k: int) -> np.ndarray:
 
 def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResult:
     """Add ``budget`` points, each the current farthest-from-set example."""
-    x = np.ascontiguousarray(check_matrix(features), dtype=np.float64)
+    x = np.ascontiguousarray(check_matrix(features, "features"), dtype=np.float64)
     n, d = x.shape
     init = _check_index_set(initial, n, "initial set")
     check_count(budget, n - init.size, "budget")

@@ -10,6 +10,10 @@ records a per-epoch correctness log with accuracy observed on the forward
 pass of each gradient step, before the parameter update. All training math
 runs in float64.
 
+Each public entry point checks its arguments with ``tensor_io``'s one check
+per array kind, ``check_matrix`` for features and ``check_labels`` for
+labels; the learner adds only the model's feature count and the class count.
+
 Determinism contract: fit is a pure function of (spec, features, labels,
 n_classes). The logistic learner initializes at zero, so with epochs=0 its
 predictions are exactly uniform. The mlp initializes weights uniformly in
@@ -45,6 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import SplitMix64, derive_seed
+from .tensor_io import check_labels, check_matrix
 
 KINDS = ("logistic", "mlp")
 
@@ -118,30 +123,13 @@ class TrainedModel:
 
 
 def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={x.ndim}")
-    if y.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got ndim={y.ndim}")
-    if x.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"features rows {x.shape[0]} != labels {y.shape[0]}")
-    if not np.isfinite(x).all():
-        raise ValueError("features contain non-finite values")
-    if (y < 0).any():
-        raise ValueError("labels must be nonnegative")
-    if n_classes is None:
-        c = int(y.max()) + 1
-        if c < 2:
-            raise ValueError("need at least 2 classes; pass n_classes for single-class data")
-    else:
-        c = int(n_classes)
-        if c < 2:
-            raise ValueError(f"n_classes must be at least 2, got {c}")
-        if (y >= c).any():
-            raise ValueError(f"label {int(y.max())} outside [0, {c})")
+    x = check_matrix(features, "features", np.float64)
+    y = check_labels(labels, x.shape[0])
+    c = int(y.max()) + 1 if n_classes is None else int(n_classes)
+    if c < 2:
+        raise ValueError(f"need at least 2 classes, got {c} (n_classes sets the count)")
+    if (y >= c).any():  # only a given n_classes can be exceeded
+        raise ValueError(f"label {int(y.max())} outside [0, {c})")
     return x, y, c
 
 
@@ -261,9 +249,7 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
 
 
 def _check_dims(model: TrainedModel, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={x.ndim}")
+    x = check_matrix(features, "features", np.float64)
     if x.shape[1] != model.n_features:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {model.n_features}")
     return x
@@ -284,7 +270,7 @@ def embed(model: TrainedModel, features) -> np.ndarray:
 def error_rate(model: TrainedModel, features, labels) -> float:
     """Fraction of rows whose arg-max class differs from the label."""
     x = _check_dims(model, features)
-    y = np.asarray(labels, dtype=np.int64)
+    y = check_labels(labels, x.shape[0])
     return float(np.mean(_logits(model.params, _represent(model.params, x)).argmax(axis=1) != y))
 
 

@@ -22,23 +22,16 @@ import math
 
 import numpy as np
 
+from .tensor_io import check_vector
+
 
 class DegenerateInputError(ValueError):
     """Raised when a correlation input has fewer than two distinct values."""
 
 
-def _check_vector(v, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{what} must be 1-D, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{what} contains non-finite values")
-    return v
-
-
 def scores_to_ranks(scores) -> np.ndarray:
     """Average-tie ranks in [1, n]; rank 1 = highest score."""
-    s = _check_vector(scores, "scores")
+    s = check_vector(scores, "scores")
     uniq, inverse = np.unique(-s, return_inverse=True)
     counts = np.bincount(inverse)
     # Rank of a group = number of strictly better values + average position
@@ -50,8 +43,7 @@ def scores_to_ranks(scores) -> np.ndarray:
 
 def pearson(x, y) -> float:
     """Product-moment correlation; exact at the +1/-1 endpoints."""
-    x = _check_vector(x, "x")
-    y = _check_vector(y, "y")
+    x, y = check_vector(x, "x"), check_vector(y, "y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:

@@ -46,6 +46,8 @@ both nxt (the next step in the same group) and m (the group's first step).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -113,18 +115,18 @@ def derive_seed(seed: int, salt: int | str) -> int:
     """Deterministic sub-seed: mix64 of (seed XOR (salt * GAMMA)).
 
     String salts are first hashed with 64-bit FNV-1a over their UTF-8 bytes,
-    so call sites can use readable labels without a salt registry.
+    so call sites can use readable labels without a salt registry. Integer
+    seeds and salts, numpy integers included, are taken as Python integers.
     """
-    if isinstance(salt, str):
-        salt = _fnv1a64(salt)
-    return _mix64_scalar((seed & _MASK64) ^ ((salt * _GAMMA) & _MASK64))
+    salt = _fnv1a64(salt) if isinstance(salt, str) else operator.index(salt)
+    return _mix64_scalar((operator.index(seed) & _MASK64) ^ ((salt * _GAMMA) & _MASK64))
 
 
 class SplitMix64:
     """Counter-based SplitMix64 stream. Scalar and vectorized draws agree."""
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
+        self._seed = operator.index(seed) & _MASK64
         self._count = 0
 
     def next_u64(self) -> int:

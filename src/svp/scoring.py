@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_io import check_count, validate_prob_matrix
+from .tensor_io import check_count, check_vector, validate_prob_matrix
 
 
 def least_confidence(p: np.ndarray) -> np.ndarray:
@@ -43,11 +43,7 @@ SCORERS = {
 
 def top_m(scores: np.ndarray, m: int) -> np.ndarray:
     """Indices of the m largest scores, descending; ties by ascending index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"scores must be 1-D, got ndim={scores.ndim}")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
+    scores = check_vector(scores, "scores")
     check_count(m, scores.shape[0])
     # Stable sort on negated scores keeps equal-score indices ascending.
     order = np.argsort(-scores, kind="stable")

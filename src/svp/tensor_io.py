@@ -150,16 +150,44 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def check_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Validate the dense-matrix invariants: 2-D, nonempty, finite."""
-    m = np.asarray(matrix)
+def check_matrix(matrix, what: str = "matrix", dtype=None) -> np.ndarray:
+    """The matrix as an array of ``dtype``: 2-D, nonempty, finite; errors name ``what``."""
+    m = np.asarray(matrix, dtype=dtype)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise ValueError(f"{what} must be a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be nonempty, got shape {m.shape}")
+        raise ValueError(f"{what} must be nonempty, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite values")
+        raise ValueError(f"non-finite values in {what}")
     return m
+
+
+def check_labels(labels, rows: Optional[int] = None, what: str = "labels") -> np.ndarray:
+    """Class labels as int64: a 1-D array of nonnegative integers below
+    2**63 (an integral float such as 2.0 is 2), one per feature row when
+    ``rows`` is given. Errors name ``what``."""
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got ndim={y.ndim}")
+    if rows is not None and y.shape[0] != rows:
+        raise ValueError(f"{what} must be one per feature row, got {y.shape[0]} for {rows}")
+    if y.dtype.kind == "b":  # compared with 2**63 below, a bool would overflow
+        y = y.astype(np.int64)
+    if y.dtype.kind not in "iuf" or not (
+        np.isfinite(y) & (y >= 0) & (y == np.round(y)) & (y < 2**63)
+    ).all():
+        raise ValueError(f"{what} must be nonnegative integers")
+    return y.astype(np.int64, copy=False)
+
+
+def check_vector(v, what: str) -> np.ndarray:
+    """A float64 vector of scores: 1-D and finite. Errors name ``what``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got ndim={v.ndim}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"non-finite values in {what}")
+    return v
 
 
 def check_count(m: int, n: int, name: str = "m") -> None:
@@ -272,9 +300,8 @@ def read_train_log(path: str) -> np.ndarray:
     """Read an SVPL file into an (n, E) boolean array."""
     payload, n, steps = _read_frame(path, LOG_MAGIC, 1, _check_log_flags)
     payload = np.frombuffer(payload, dtype=np.uint8)
-    if not np.isin(payload, (0, 1)).all():
-        bad = int(payload[~np.isin(payload, (0, 1))][0])
-        raise InvalidValueError(f"log byte must be 0 or 1, found {bad}")
+    if (payload > 1).any():
+        raise InvalidValueError(f"log byte must be 0 or 1, found {int(payload[payload > 1][0])}")
     return payload.reshape(n, steps).astype(np.bool_)
 
 
@@ -504,25 +531,17 @@ def read_scores_csv(path: str) -> np.ndarray:
 
 
 def write_labels_csv(labels: np.ndarray, path: str) -> None:
-    """Export integer class labels as CSV ``example_id,label``.
-
-    Labels must be nonnegative integers below 2**63 (an integral float such
-    as 2.0 is written as 2), the values ``read_labels_csv`` accepts; anything
-    else raises ``ValueError`` and writes nothing.
-    """
-    labels = np.asarray(labels)
-    if labels.dtype.kind == "b":  # compared with 2**63 below, a bool would overflow
-        labels = labels.astype(np.int64)
-    if labels.dtype.kind not in "iuf" or not (
-        np.isfinite(labels) & (labels >= 0) & (labels == np.round(labels)) & (labels < 2**63)
-    ).all():
-        raise ValueError("labels must be nonnegative integers")
-    write_csv(path, LABELS_CSV.names, np.arange(labels.size), labels.astype(np.int64))
+    """Export class labels as CSV ``example_id,label``. Labels that fail
+    :func:`check_labels`, the rule ``read_labels_csv`` applies, raise
+    ``ValueError`` and write nothing."""
+    labels = check_labels(labels)
+    write_csv(path, LABELS_CSV.names, np.arange(labels.size), labels)
 
 
 def read_labels_csv(path: str) -> np.ndarray:
     rows = read_csv(path, LABELS_CSV)
     labels = _by_example_id(path, rows["example_id"], rows["label"])
-    if (labels < 0).any():
-        raise InvalidValueError(f"{path}: labels must be nonnegative")
-    return labels
+    try:
+        return check_labels(labels)
+    except ValueError as exc:
+        raise InvalidValueError(f"{path}: {exc}") from None

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import spec_dict
-from svp import harness, scoring
+from svp import cli, harness, ranking_diag, scoring
 from svp.cli import main
 from svp.forgetting import process_log, write_forgetting_csv
 from svp.harness import METHODS
 from svp.learner import LearnerSpec, SynthParams
+from svp.ranking_diag import scores_to_ranks
 from svp.tensor_io import (
     read_labels_csv,
     read_scores_csv,
@@ -291,6 +292,23 @@ class TestCorrelate:
         out = capsys.readouterr().out
         fields = dict(part.split("=") for part in out.split())
         assert fields["spearman"] == fields["pearson"]
+
+    @pytest.mark.parametrize("ranks", [False, True])
+    def test_each_series_is_ranked_once(self, tmp_path, monkeypatch, ranks):
+        # --ranks correlates the ranks directly; ranking them again only
+        # reverses both series and leaves the correlation unchanged.
+        calls = []
+
+        def counted(scores):
+            calls.append(len(scores))
+            return scores_to_ranks(scores)
+
+        monkeypatch.setattr(cli, "scores_to_ranks", counted)
+        monkeypatch.setattr(ranking_diag, "scores_to_ranks", counted)
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 5.0, 2.0, 4.0])
+        b = self.scores_file(tmp_path, "b.csv", [100.0, 3.0, 2.5, 7.0])
+        assert main(["correlate", "--a", str(a), "--b", str(b)] + ["--ranks"] * ranks) == 0
+        assert calls == [4, 4]
 
     def test_mismatched_ids(self, tmp_path):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])

@@ -454,6 +454,42 @@ class TestSeedSalts:
         assert report.selected_ids == np.sort(np.concatenate([start, order])).tolist()
 
 
+class TestNumpyIntegerSeeds:
+    """Seeds given as numpy integers (as read from an array) give the report
+    the same Python integers give, byte for byte."""
+
+    @staticmethod
+    def report_bytes(report):
+        return json.dumps(report.deterministic_dict(), sort_keys=True) + rounds_csv(report)
+
+    @pytest.mark.parametrize("method", ["random", "kcenters", "entropy"])
+    def test_al_report(self, method):
+        train, test = small_data()
+
+        def run(as_int):
+            proxy = dataclasses.replace(PROXY, seed=as_int(PROXY.seed))
+            target = dataclasses.replace(TARGET, seed=as_int(TARGET.seed))
+            cfg = ALConfig(proxy=proxy, target=target, method=method, budget_fraction=0.2,
+                           schedule=DEFAULT_SCHEDULE, seed=as_int(7))
+            return run_active_learning(cfg, train, test, clock=ScriptClock([0.0, 1.0] * 2))
+
+        assert self.report_bytes(run(np.int64)) == self.report_bytes(run(int))
+
+    @pytest.mark.parametrize("method", ["random", "kcenters", "forgetting"])
+    def test_coreset_report(self, method):
+        train, test = small_data()
+
+        def run(as_int, seed):
+            proxy = dataclasses.replace(PROXY, seed=as_int(PROXY.seed))
+            target = dataclasses.replace(TARGET, seed=as_int(TARGET.seed))
+            return run_coreset(proxy, target, method, 0.3, train, test, seed=as_int(seed),
+                               clock=ScriptClock([0.0, 1.0]))
+
+        assert self.report_bytes(run(np.int64, 5)) == self.report_bytes(run(int, 5))
+        top = 2**64 - 1
+        assert self.report_bytes(run(np.uint64, top)) == self.report_bytes(run(int, top))
+
+
 class TestForgettingKeepsHardRegion:
     def test_removed_points_come_from_easy_blob(self):
         # Heavy well-separated blob (class 2, 60% of points) against two

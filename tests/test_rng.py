@@ -204,6 +204,22 @@ class TestDeriveSeed:
         streams = {derive_seed(99, s) for s in ("a", "b", "c", 0, 1, 2)}
         assert len(streams) == 6
 
+    @pytest.mark.parametrize("seed, salt", [
+        (np.int64(5), "x"),
+        (np.int64(-3), np.int64(2)),
+        (5, np.int64(2)),
+        (np.uint64(2**64 - 1), np.uint64(2**64 - 1)),
+        (np.uint8(7), np.int32(9)),
+    ])
+    def test_numpy_integers_act_as_python_integers(self, seed, salt):
+        # A spec seed is also used as a salt (harness._fit_seed), so both
+        # arguments take numpy integers without overflowing.
+        plain = salt if isinstance(salt, str) else int(salt)
+        assert derive_seed(seed, salt) == derive_seed(int(seed), plain)
+        a, b = SplitMix64(seed), SplitMix64(int(seed))
+        assert a.raw_block(5).tolist() == b.raw_block(5).tolist()
+        assert a.next_u64() == b.next_u64()
+
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100)
     def test_deterministic(self, seed, salt):
