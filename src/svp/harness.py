@@ -368,7 +368,19 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
     if xt.shape[1] != x.shape[1]:
         raise ValueError(f"test features have {xt.shape[1]} columns, train features {x.shape[1]}")
     n = x.shape[0]
-    c = max(2, int(max(y.max(), yt.max())) + 1)
+    top = int(max(y.max(), yt.max()))
+    # Models are sized by the largest label, so every id below it must occur.
+    # At most y.size + yt.size ids occur, so a larger label leaves a gap below.
+    present = np.zeros(min(top + 1, y.size + yt.size), dtype=bool)
+    for labels in (y, yt):
+        present[labels[labels < present.size]] = True
+    missing = np.flatnonzero(~present)
+    if missing.size:
+        shown = ", ".join(str(int(i)) for i in missing[:5])
+        more = ", ..." if missing.size > 5 or present.size <= top else ""
+        raise ValueError(f"class ids below the largest label {top} appear in neither the train "
+                         f"nor the test labels: {shown}{more}")
+    c = max(2, top + 1)
     sizes = plan(n)
 
     ids, proxies, round_seconds = selection_pass(x, y, c, sizes, proxy, clock)

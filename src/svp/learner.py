@@ -224,11 +224,16 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
     rows = np.arange(min(bs, n))
     correct = np.empty(n, dtype=np.bool_)
+    # One shuffle buffer per fit, refilled each epoch; ``perm`` is always in
+    # range, and mode="clip" gathers straight into ``out`` where "raise"
+    # would buffer a copy.
+    xp, yp = np.empty(x.shape), np.empty_like(y)
 
     with np.errstate(all="ignore"):
         for epoch in range(spec.epochs):
             perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
-            xp, yp = x[perm], y[perm]
+            np.take(x, perm, axis=0, out=xp, mode="clip")
+            np.take(y, perm, out=yp, mode="clip")
             for start in range(0, n, bs):
                 stop = min(start + bs, n)
                 _sgd_grads(params, grads, xp[start:stop], yp[start:stop],

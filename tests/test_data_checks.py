@@ -67,6 +67,19 @@ CASES = [
      "test labels must be one per feature row, got 31 for 30"),
     ("2-d-test-labels", lambda d: {3: d[3][:, None]},
      "test labels must be 1-D, got ndim=2"),
+    # Models are sized by the largest label: one stray id would otherwise
+    # fit 20001 output units for 3 classes.
+    ("stray-train-label", lambda d: {1: _set(d[1], UNPICKED, 20000)},
+     "class ids below the largest label 20000 appear in neither the train nor the test "
+     "labels: 3, 4, 5, 6, 7, ..."),
+    ("stray-test-label", lambda d: {3: _set(d[3], 0, 5)},
+     "class ids below the largest label 5 appear in neither the train nor the test "
+     "labels: 3, 4"),
+    # More than the 90 labels could cover: the gap is found without an array
+    # as long as the label.
+    ("huge-train-label", lambda d: {1: _set(d[1], UNPICKED, 2**62)},
+     f"class ids below the largest label {2**62} appear in neither the train nor the "
+     "test labels: 3, 4, 5, 6, 7, ..."),
 ]
 
 
@@ -122,9 +135,11 @@ def _write_files(tmp_path, x, y, xt, yt):
 
 
 # The cases a file config can carry: SVPT and the label CSV reader already
-# refuse non-finite values and negative labels, but not shapes that disagree.
+# refuse non-finite values and negative labels, but not shapes that disagree
+# or class ids that leave gaps.
 FILE_CASES = [c for c in CASES if c[0] in
-              ("test-wider", "test-narrower", "train-labels-short", "test-labels-long")]
+              ("test-wider", "test-narrower", "train-labels-short", "test-labels-long",
+     "stray-train-label", "stray-test-label")]
 
 
 @pytest.mark.parametrize("task", ["al", "coreset"])

@@ -75,10 +75,11 @@ class TestOracleEquivalence:
     def test_final_min_dists_match_direct_evaluation(self):
         rng = SplitMix64(77)
         x = rng.normals((25, 3))
-        res = greedy_kcenters(x, [0, 5], 6)
-        centers = [0, 5] + res.order.tolist()
+        order, _, min_dists = kcenters_oracle(x, [0, 5], 6)
+        assert order.tolist() == greedy_kcenters(x, [0, 5], 6).order.tolist()
+        centers = [0, 5] + order.tolist()
         expected = np.array([min(np.linalg.norm(x[i] - x[j]) for j in centers) for i in range(25)])
-        np.testing.assert_allclose(res.min_dists, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(min_dists, expected, rtol=1e-12, atol=1e-12)
 
 
 @st.composite
@@ -112,10 +113,9 @@ def near_tie_instances(draw):
 
 def assert_bit_equal_to_oracle(x, initial, budget):
     res = greedy_kcenters(x, initial, budget)
-    order, picked, min_dists = kcenters_oracle(x, initial, budget)
+    order, picked, _ = kcenters_oracle(x, initial, budget)
     assert res.order.tolist() == order.tolist()
     assert res.picked_dists.tobytes() == picked.tobytes()
-    assert res.min_dists.tobytes() == min_dists.tobytes()
 
 
 class TestDifferenceFormOracle:
@@ -175,27 +175,29 @@ def block_instances(draw):
     return x, initial, budget
 
 
-def count_blocks(monkeypatch):
-    """Record the candidate count of each block the traversal runs."""
-    sizes = []
-    leading = kcenters._leading
+def count_rounds(monkeypatch):
+    """Record (pool size, picks) of each round of picks the traversal runs."""
+    rounds = []
+    accept = kcenters._accept
 
-    def spy(exact, k):
-        sizes.append(k)
-        return leading(exact, k)
+    def spy(pool, *args):
+        acc, got = accept(pool, *args)
+        rounds.append((pool.size, len(acc)))
+        return acc, got
 
-    monkeypatch.setattr(kcenters, "_leading", spy)
-    return sizes
+    monkeypatch.setattr(kcenters, "_accept", spy)
+    return rounds
 
 
-def block_width(d):
-    return max(16, d // 2)
+def pool_size(d):
+    return min(256, max(64, 4 * d))
 
 
 class TestCertifiedBlocks:
-    """The greedy steps run in blocks of up to max(16, d/2) candidates, of
-    which the longest prefix that no earlier candidate lowers is accepted;
-    every output must stay bit-equal to one pick per pass."""
+    """The greedy steps run in rounds over a pool of up to
+    min(256, max(64, 4d)) candidates, picking the first argmax while it
+    beats every row outside the pool; every output must stay bit-equal to
+    one pick per pass."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(block_instances())
@@ -204,31 +206,33 @@ class TestCertifiedBlocks:
 
     def test_tight_pairs_cut_the_accepted_prefix(self, monkeypatch):
         # Sixteen far-out pairs 1e-3 apart: both twins of a pair lead the
-        # ranking, and the first pick lowers the second, so blocks accept
-        # fewer than their k candidates and more blocks run.
+        # ranking, and the first pick lowers the second below the rows
+        # outside the pool, so the first round picks fewer than its pool
+        # holds and more rounds run.
         rng = np.random.default_rng(40)
         far = 100.0 * rng.standard_normal((16, 8))
         x = np.concatenate([rng.standard_normal((50, 8)), far, far + 1e-3])
-        sizes = count_blocks(monkeypatch)
+        rounds = count_rounds(monkeypatch)
         assert_bit_equal_to_oracle(x, [0], 60)
-        assert sizes[0] == block_width(8)
-        assert len(sizes) > -(-60 // block_width(8))
+        assert rounds[0][0] == min(pool_size(8), 60)
+        assert rounds[0][1] < rounds[0][0]
+        assert len(rounds) > 1
 
-    @pytest.mark.parametrize("d, copies", [(4, 3), (40, 1)])
+    @pytest.mark.parametrize("d, copies", [(4, 9), (40, 3)])
     def test_ties_straddle_the_kth_candidate(self, d, copies, monkeypatch):
         # The 2d unit points, in `copies` copies, tie at distance 1 from the
-        # center: more ties than a block holds, so the candidates at the
-        # k-th value are the lowest indices among them. A copy of an
-        # accepted point is lowered to 0 and ends the prefix.
+        # center: more ties than a pool holds, so the pool's members at the
+        # cut are the lowest indices among them, and the first row outside
+        # ties with them. A copy of a picked point is lowered to 0.
         unit = np.concatenate([np.eye(d), -np.eye(d)])
         x = np.concatenate([np.zeros((1, d)), np.tile(unit, (copies, 1))])
-        width = block_width(d)
-        assert x.shape[0] - 1 > width
-        sizes = count_blocks(monkeypatch)
+        size = pool_size(d)
+        assert x.shape[0] - 1 > size
+        rounds = count_rounds(monkeypatch)
         assert_bit_equal_to_oracle(x, [0], x.shape[0] - 1)
         order = greedy_kcenters(x, [0], x.shape[0] - 1).order
         assert order[: 2 * d].tolist() == list(range(1, 2 * d + 1))
-        assert sizes[0] == width
+        assert rounds[0][0] == size
 
     @pytest.mark.parametrize("n, d", [(40, 8), (200, 64)])
     def test_all_identical_rows(self, n, d):
@@ -242,17 +246,18 @@ class TestCertifiedBlocks:
     @pytest.mark.parametrize("d", [8, 40])
     def test_budget_against_width(self, d, monkeypatch):
         # Budgets of 1, 2, and one below, at, one above and five above the
-        # block width (16 for d=8, 20 for d=40); the last block takes only
-        # what the budget leaves.
-        width = block_width(d)
+        # pool size (64 for d=8, 160 for d=40); the last round's pool takes
+        # only what the budget leaves.
+        size = pool_size(d)
         rng = np.random.default_rng(41)
-        x = rng.standard_normal((80, d))
-        sizes = count_blocks(monkeypatch)
-        for budget in (1, 2, width - 1, width, width + 1, width + 5):
-            sizes.clear()
+        x = rng.standard_normal((size + 20, d))
+        rounds = count_rounds(monkeypatch)
+        for budget in (1, 2, size - 1, size, size + 1, size + 5):
+            rounds.clear()
             assert_bit_equal_to_oracle(x, [7, 19], budget)
-            assert sizes[0] == min(width, budget)
-            assert max(sizes) <= min(width, budget)
+            assert rounds[0][0] == min(size, budget)
+            assert max(r[0] for r in rounds) <= min(size, budget)
+            assert sum(r[1] for r in rounds) == budget
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_magnitudes_with_ties(self, scale):
@@ -260,6 +265,60 @@ class TestCertifiedBlocks:
         base = rng.standard_normal((60, 6))
         x = scale * base[rng.integers(0, 60, 240)]
         assert_bit_equal_to_oracle(x, [0, 1], 200)
+
+
+@st.composite
+def lazy_instances(draw):
+    """Rows for the pool rounds and the lazy refresh, at d = 1 to 3 and n up
+    to 300, so a traversal runs several rounds over a pool of 64: integer
+    grid points (ties that straddle the pool cut and the first row outside
+    it), duplicates of a few rows, all-identical rows, far-apart tight
+    clusters (the screen's tolerance hides every distance within a cluster,
+    so every row there is refreshed exactly) and plain Gaussian rows, scaled
+    to ordinary or extreme magnitudes."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "identical", "clusters", "gaussian"]))
+    if kind == "grid":
+        x = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    elif kind == "duplicates":
+        base = rng.standard_normal((draw(st.integers(1, 20)), d))
+        x = base[rng.integers(0, base.shape[0], n)]
+    elif kind == "identical":
+        x = np.full((n, d), -1.75)
+    elif kind == "clusters":
+        means = 1e2 * rng.standard_normal((draw(st.integers(2, 12)), d))
+        x = means[rng.integers(0, means.shape[0], n)] + 1e-3 * rng.standard_normal((n, d))
+    else:
+        x = rng.standard_normal((n, d))
+    x = x * draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    initial = rng.permutation(n)[: draw(st.integers(1, min(3, n)))]
+    budget = draw(st.integers(0, n - initial.size))
+    return x, initial, budget
+
+
+class TestLazyRounds:
+    """Exact distances are refreshed only for rows that can reach a pool, and
+    a round picks from its pool only while the pick beats every row outside;
+    both must leave every output bit-equal to one pick per pass."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lazy_instances())
+    def test_bit_equal_to_oracle(self, instance):
+        assert_bit_equal_to_oracle(*instance)
+
+    def test_tight_clusters_run_several_rounds(self, monkeypatch):
+        # Ten clusters 1e2 apart with 1e-3 noise, at d=2: each cluster's
+        # rows are alike to the screen, and the pool's picks lower each
+        # other, so rounds end before their pools are used up.
+        rng = np.random.default_rng(43)
+        means = 1e2 * rng.standard_normal((10, 2))
+        x = means[rng.integers(0, 10, 1000)] + 1e-3 * rng.standard_normal((1000, 2))
+        rounds = count_rounds(monkeypatch)
+        assert_bit_equal_to_oracle(x, [3], 400)
+        assert len(rounds) > -(-400 // pool_size(2))
+        assert all(picks >= 1 for _, picks in rounds)
 
 
 @st.composite
@@ -333,7 +392,6 @@ class TestResumption:
         assert whole.order.tolist() == first.order.tolist() + second.order.tolist()
         picked = np.concatenate([first.picked_dists, second.picked_dists])
         assert whole.picked_dists.tobytes() == picked.tobytes()
-        assert whole.min_dists.tobytes() == second.min_dists.tobytes()
 
 
 class TestApproximationAndInvariances:
