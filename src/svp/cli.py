@@ -28,6 +28,7 @@ from .tensor_io import (
     ORDER_CSV,
     SCORES_CSV,
     InvalidValueError,
+    ProbMatrixError,
     _check_utf8,
     read_csv,
     read_csv_header,
@@ -179,7 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_score(args) -> int:
     probs = read_tensor(args.probs)
-    scores = scoring.SCORERS[args.method](probs)
+    try:
+        scores = scoring.SCORERS[args.method](probs)
+    except ProbMatrixError as exc:  # a fault of the file's values: name the file
+        raise ProbMatrixError(f"{args.probs}: {exc}", exc.row) from None
     write_scores_csv(scores, args.out)
     return 0
 

@@ -56,8 +56,6 @@ from .kcenters import greedy_kcenters
 from .learner import (
     LearnerSpec,
     SynthParams,
-    check_number,
-    check_object,
     embed,
     error_rate,
     fit,
@@ -65,8 +63,8 @@ from .learner import (
     predict_proba,
 )
 from .rng import SplitMix64, derive_seed
-from .tensor_io import (atomic_write_text, check_count, check_labels, check_matrix,
-                        read_labels_csv, read_tensor, staged_writes)
+from .tensor_io import (atomic_write_text, check_count, check_indices, check_labels,
+                        check_matrix, check_number, read_labels_csv, read_tensor, staged_writes)
 
 
 class ScheduleError(ValueError):
@@ -199,7 +197,7 @@ def plan_schedule(n: int, budget_fraction: float, schedule: Schedule) -> list:
 
 def random_select(pool, m: int, seed: int) -> np.ndarray:
     """Seeded uniform sample of m pool entries without replacement."""
-    pool = np.asarray(pool, dtype=np.int64).reshape(-1)
+    pool = check_indices(pool, None, "pool")
     check_count(m, pool.shape[0])
     perm = SplitMix64(seed).permutation(pool.shape[0])
     return pool[perm[:m]]
@@ -214,6 +212,20 @@ def speedup(baseline_time: float, svp_time: float) -> float:
 
 def _fit_seed(run_seed: int, salt: str, spec: LearnerSpec) -> int:
     return derive_seed(derive_seed(run_seed, salt), spec.seed)
+
+
+def check_object(d, what: str, fields=None, required=()) -> dict:
+    """A decoded JSON value that must be an object holding every key in
+    ``required`` and, when ``fields`` is given, no key outside it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(fields) if fields is not None else set()
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ValueError(f"{what} is missing {sorted(missing)}")
+    return d
 
 
 def _from_object(cls, d, what: str):

@@ -146,7 +146,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_io import ORDER_CSV, check_count, check_matrix, write_csv
+from .tensor_io import ORDER_CSV, check_count, check_indices, check_matrix, write_csv
 
 
 @dataclass(frozen=True)
@@ -162,17 +162,6 @@ class KCentersResult:
 
     order: np.ndarray
     picked_dists: np.ndarray
-
-
-def _check_index_set(indices, n: int, what: str) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size == 0:
-        raise ValueError(f"{what} must be nonempty")
-    if (idx < 0).any() or (idx >= n).any():
-        raise ValueError(f"{what} index out of range [0, {n})")
-    if np.unique(idx).size != idx.size:
-        raise ValueError(f"{what} holds duplicate indices")
-    return idx
 
 
 _U32 = 2.0**-24  # float32 unit roundoff
@@ -400,9 +389,8 @@ class _Traversal:
 def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResult:
     """Add ``budget`` points, each the current farthest-from-set example."""
     x = np.ascontiguousarray(check_matrix(features, "features"), dtype=np.float64)
-    n = x.shape[0]
-    init = _check_index_set(initial, n, "initial set")
-    check_count(budget, n - init.size, "budget")
+    init = check_indices(initial, x.shape[0], "initial set")
+    check_count(budget, x.shape[0] - init.size, "budget")
 
     tr = _Traversal(x, init.size + budget)
     tr.fold(init)

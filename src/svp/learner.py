@@ -10,9 +10,11 @@ records a per-epoch correctness log with accuracy observed on the forward
 pass of each gradient step, before the parameter update. All training math
 runs in float64.
 
-Each public entry point checks its arguments with ``tensor_io``'s one check
-per array kind, ``check_matrix`` for features and ``check_labels`` for
-labels; the learner adds only the model's feature count and the class count.
+Every check here is ``tensor_io``'s: each public entry point checks features
+with ``check_matrix``, labels with ``check_labels`` and a given class count
+with ``check_number``, and the config dataclasses check each number with
+``check_number``. The learner adds only the model's feature count and that
+the class count covers the labels.
 
 Determinism contract: fit is a pure function of (spec, features, labels,
 n_classes). The logistic learner initializes at zero, so with epochs=0 its
@@ -42,46 +44,15 @@ parameter raises ValueError instead of returning a diverged model.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .rng import SplitMix64, derive_seed
-from .tensor_io import check_labels, check_matrix
+from .tensor_io import check_labels, check_matrix, check_number
 
 KINDS = ("logistic", "mlp")
-
-
-def check_object(d, what: str, fields=None, required=()) -> dict:
-    """A decoded JSON value that must be an object holding every key in
-    ``required`` and, when ``fields`` is given, no key outside it."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - set(fields) if fields is not None else set()
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-    missing = set(required) - set(d)
-    if missing:
-        raise ValueError(f"{what} is missing {sorted(missing)}")
-    return d
-
-
-def check_number(value, name: str, integer: bool = False):
-    """A config number: an integer, unconverted, where ``integer`` is set,
-    else an integer or a real as a float. Booleans, strings and null are
-    rejected, never coerced, and so is a real too large for a float64."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    if integer:
-        return value
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError(f"{name} is too large for a float64") from exc
 
 
 @dataclass(frozen=True)
@@ -125,7 +96,7 @@ class TrainedModel:
 def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, np.ndarray, int]:
     x = check_matrix(features, "features", np.float64)
     y = check_labels(labels, x.shape[0])
-    c = int(y.max()) + 1 if n_classes is None else int(n_classes)
+    c = int(y.max()) + 1 if n_classes is None else check_number(n_classes, "n_classes", True)
     if c < 2:
         raise ValueError(f"need at least 2 classes, got {c} (n_classes sets the count)")
     if (y >= c).any():  # only a given n_classes can be exceeded

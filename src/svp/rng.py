@@ -50,6 +50,8 @@ import operator
 
 import numpy as np
 
+from .tensor_io import check_count
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -134,9 +136,11 @@ class SplitMix64:
         return _mix64_scalar((self._seed + self._count * _GAMMA) & _MASK64)
 
     def raw_block(self, n: int) -> np.ndarray:
-        """Next n raw outputs as a uint64 array (advances the stream by n)."""
+        """Next n raw outputs as a uint64 array (advances the stream by n); n
+        must be a nonnegative integer, else the stream stays where it was."""
+        check_count(n, None, "n")
         z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
+        self._count += operator.index(n)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._seed)
         return _mix64_array(z)
@@ -157,7 +161,9 @@ class SplitMix64:
         return self._fill(n, 1, _uniforms_into)
 
     def permutation(self, n: int) -> np.ndarray:
-        """The shuffle of ``range(n)`` by the recipe above, in closed form."""
+        """The shuffle of ``range(n)`` by the recipe above, in closed form;
+        n must be a nonnegative integer."""
+        check_count(n, None, "n")
         if n < 2:
             return np.arange(n, dtype=np.int64)
         # j[i] is step i's target: draw k serves step n-1-k, bound n-k. Keys

@@ -31,7 +31,16 @@ else, such as a pipe, from the buffer. A training log may also be imported
 from CSV (``LOG_CSV``); its (id, epoch) grid must be complete with no
 duplicates.
 All writes go to a temporary file in the target directory and are renamed
-into place, so no partial output survives an error.
+into place, so no partial output survives an error. A binary file's fault
+names the file, as a CSV fault does.
+
+The checks of every argument kind live here, one rule each: ``check_matrix``
+for feature and probability matrices, ``check_labels`` for labels (its
+integer test also serves ``check_indices``, for index sets and pools),
+``check_vector`` for score vectors, and ``check_number`` for every scalar:
+config numbers, counts (through ``check_count``), class counts and random
+stream sizes. None of them coerces: a real where an integer belongs, a
+boolean or a string is refused with ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import io
+import numbers
 import os
 import re
 import stat
@@ -123,27 +133,25 @@ def staged_writes():
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename into place
-    (at the end of the enclosing :func:`staged_writes` block, if any). The
-    file gets the mode ``open(path, "w")`` gives; a directory is refused."""
+    """Write to a temp file in the same directory, then rename into place at
+    the end of the enclosing :func:`staged_writes` block; a write outside one
+    is a block of its own. The file gets the mode ``open(path, "w")`` gives;
+    a directory is refused, and so is a missing one, naming ``path``."""
+    if _staged is None:
+        with staged_writes():
+            return atomic_write_bytes(path, data)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     umask = os.umask(0)
     os.umask(umask)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".svp-tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
-        if _staged is None:
-            os.replace(tmp, path)
-        else:
-            _staged.append((tmp, path))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".svp-tmp-")
+    except OSError as exc:  # named after the temp file, which the caller never saw
+        raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, path)
+    _staged.append((tmp, path))  # the block's end removes it if anything fails
+    with os.fdopen(fd, "wb") as fh:
+        os.fchmod(fh.fileno(), 0o666 & ~umask)
+        fh.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -180,6 +188,22 @@ def check_labels(labels, rows: Optional[int] = None, what: str = "labels") -> np
     return y.astype(np.int64, copy=False)
 
 
+def check_indices(indices, n: Optional[int], what: str) -> np.ndarray:
+    """Row indices as int64: the integers :func:`check_labels` takes, where a
+    boolean array is refused as a mask. Given ``n``, they are an index set
+    into ``n`` rows: nonempty, each below ``n``, none repeated; without it, a
+    pool to draw from. Errors name ``what``."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind == "b":
+        raise ValueError(f"{what} must be integer indices, not a boolean mask")
+    idx = check_labels(idx, what=what)
+    if n is not None and (idx.size == 0 or idx.max() >= n):
+        raise ValueError(f"{what} must be nonempty, with every index in [0, {n})")
+    if n is not None and np.unique(idx).size != idx.size:
+        raise ValueError(f"{what} holds duplicate indices")
+    return idx
+
+
 def check_vector(v, what: str) -> np.ndarray:
     """A float64 vector of scores: 1-D and finite. Errors name ``what``."""
     v = np.asarray(v, dtype=np.float64)
@@ -190,11 +214,27 @@ def check_vector(v, what: str) -> np.ndarray:
     return v
 
 
-def check_count(m: int, n: int, name: str = "m") -> None:
-    """Check a number of picks from ``n`` candidates: ``0 <= m <= n``."""
-    if m < 0:
+def check_number(value, name: str, integer: bool = False):
+    """A number: an integer, unconverted, where ``integer`` is set, else an
+    integer or a real as a float. Booleans, strings and null are rejected,
+    never coerced, and so is a real too large for a float64."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is too large for a float64") from exc
+
+
+def check_count(m: int, n: Optional[int], name: str = "m") -> None:
+    """Check a count: an integer ``m >= 0``, and ``m <= n`` picks from ``n``
+    candidates unless ``n`` is None."""
+    if check_number(m, name, integer=True) < 0:
         raise ValueError(f"{name} must be nonnegative, got {m}")
-    if m > n:
+    if n is not None and m > n:
         raise ValueError(f"{name}={m} exceeds the {n} candidates")
 
 
@@ -209,22 +249,25 @@ def _read_frame(path: str, magic: bytes, itemsize: int, check_flags) -> tuple:
     truncation, trailing bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < _FRAME.size:
-        raise TruncatedPayloadError(f"file is {len(data)} bytes, header needs {_FRAME.size}")
-    found, version, flag0, flag1, rows, cols = _FRAME.unpack_from(data)
-    if found != magic:
-        raise BadMagicError(f"bad magic {found!r}, expected {magic!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
-    check_flags(flag0, flag1)
-    if rows < 1 or cols < 1:
-        raise InvalidHeaderError(f"dimensions must be positive, got {rows}x{cols}")
-    expected = rows * cols * itemsize
-    actual = len(data) - _FRAME.size
-    if actual < expected:
-        raise TruncatedPayloadError(f"payload holds {actual} bytes, header promises {expected}")
-    if actual > expected:
-        raise FormatError(f"{actual - expected} trailing bytes after payload")
+    try:
+        if len(data) < _FRAME.size:
+            raise TruncatedPayloadError(f"file is {len(data)} bytes, header needs {_FRAME.size}")
+        found, version, flag0, flag1, rows, cols = _FRAME.unpack_from(data)
+        if found != magic:
+            raise BadMagicError(f"bad magic {found!r}, expected {magic!r}")
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(f"unsupported version {version}")
+        check_flags(flag0, flag1)
+        if rows < 1 or cols < 1:
+            raise InvalidHeaderError(f"dimensions must be positive, got {rows}x{cols}")
+        expected = rows * cols * itemsize
+        actual = len(data) - _FRAME.size
+        if actual < expected:
+            raise TruncatedPayloadError(f"payload holds {actual} bytes, header promises {expected}")
+        if actual > expected:
+            raise FormatError(f"{actual - expected} trailing bytes after payload")
+    except FormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return memoryview(data)[_FRAME.size:], rows, cols
 
 
@@ -256,7 +299,7 @@ def read_tensor(path: str) -> np.ndarray:
     payload, rows, cols = _read_frame(path, TENSOR_MAGIC, 4, _check_tensor_flags)
     matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
     if not np.isfinite(matrix).all():
-        raise InvalidValueError("tensor payload contains non-finite values")
+        raise InvalidValueError(f"{path}: tensor payload contains non-finite values")
     return matrix
 
 
@@ -301,7 +344,7 @@ def read_train_log(path: str) -> np.ndarray:
     payload, n, steps = _read_frame(path, LOG_MAGIC, 1, _check_log_flags)
     payload = np.frombuffer(payload, dtype=np.uint8)
     if (payload > 1).any():
-        raise InvalidValueError(f"log byte must be 0 or 1, found {int(payload[payload > 1][0])}")
+        raise InvalidValueError(f"{path}: log byte must be 0 or 1, found {payload[payload > 1][0]}")
     return payload.reshape(n, steps).astype(np.bool_)
 
 

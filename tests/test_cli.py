@@ -108,6 +108,14 @@ class TestScore:
         assert main(["score", "--method", "entropy", "--probs", str(bad),
                      "--out", str(tmp_path / "o.csv")]) == 1
 
+    def test_probability_fault_names_the_file(self, tmp_path, capsys):
+        probs_path = tmp_path / "p.svpt"
+        write_tensor(np.array([[0.5, 0.5], [1.5, -0.5]]), probs_path)
+        assert main(["score", "--method", "entropy", "--probs", str(probs_path),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {probs_path}: row 1 has an entry outside [0, 1]\n")
+
 
 class TestKCenters:
     def features_file(self, tmp_path):
@@ -156,6 +164,22 @@ class TestKCenters:
         monkeypatch.setenv("SVP_SEED", "not-a-number")
         assert main(["kcenters", "--features", str(feats), "--initial-size", "1",
                      "--budget", "2", "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_out_in_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
+        feats = self.features_file(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["kcenters", "--features", str(feats), "--initial-size", "1", "--seed", "0",
+                     "--budget", "1", "--out", "nodir/x.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/x.csv'\n")
+        assert [p.name for p in tmp_path.rglob(".svp-tmp-*")] == []
+
+    def test_bad_features_file_is_named(self, tmp_path, capsys):
+        feats = tmp_path / "bad.svpt"
+        feats.write_bytes(b"SVPT\x01\x00")
+        assert main(["kcenters", "--features", str(feats), "--initial-size", "1", "--seed", "0",
+                     "--budget", "1", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {feats}: file is 6 bytes, header needs 24\n"
 
     def test_initial_flags_are_exclusive(self, tmp_path):
         feats = self.features_file(tmp_path)

@@ -1,7 +1,9 @@
 """A run checks its train and test data once, before any fit: every case
 below raises the documented ValueError naming ``train`` or ``test`` with no
 fit made, through both protocols and through the CLI's file configs. The
-learner's public entry points check their own inputs the same way."""
+learner's public entry points check their own inputs the same way, and
+every integer argument of the Python API (a count, an index set, a pool, a
+class count, a random stream size) is checked, never coerced."""
 
 import json
 
@@ -11,8 +13,12 @@ import pytest
 from helpers import spec_dict
 from svp import harness
 from svp.cli import main
-from svp.harness import DEFAULT_SCHEDULE, ALConfig, run_active_learning, run_coreset
+from svp.forgetting import process_log, select_most_forgotten
+from svp.harness import DEFAULT_SCHEDULE, ALConfig, random_select, run_active_learning, run_coreset
+from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, SynthParams, embed, error_rate, fit, make_synthetic, predict_proba
+from svp.rng import SplitMix64
+from svp.scoring import top_m
 from svp.tensor_io import write_labels_csv, write_tensor
 
 PROXY = LearnerSpec(kind="logistic", epochs=2, learning_rate=0.5, batch_size=16, seed=1)
@@ -183,3 +189,76 @@ def test_learner_entry_points_check_their_inputs(model, call, message):
     with pytest.raises(ValueError) as exc:
         call(model, x, y)
     assert str(exc.value) == message
+
+
+X = np.array([[0.0], [1.0], [3.0], [7.0]])
+SCORES = np.array([0.5, 0.1, 0.9, 0.3])
+LOG_SCORES = process_log(np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=bool))
+
+# (case, call, message). Each call once ran on a coerced value (a truncated
+# float, a boolean taken as 1, a string parsed as an integer) or raised
+# TypeError; each must raise ValueError naming its argument.
+INTEGER_CASES = [
+    ("kcenters-real-index", lambda: greedy_kcenters(X, [0.7], 2),
+     "initial set must be nonnegative integers"),
+    ("kcenters-boolean-mask", lambda: greedy_kcenters(X, [True], 2),
+     "initial set must be integer indices, not a boolean mask"),
+    ("kcenters-string-index", lambda: greedy_kcenters(X, ["1"], 2),
+     "initial set must be nonnegative integers"),
+    ("kcenters-real-budget", lambda: greedy_kcenters(X, [0], 2.5),
+     "budget must be an integer, got 2.5"),
+    ("random-real-pool", lambda: random_select([1.5, 2.9, 3.2], 2, 1),
+     "pool must be nonnegative integers"),
+    ("random-boolean-pool", lambda: random_select(np.array([True, False, True]), 1, 0),
+     "pool must be integer indices, not a boolean mask"),
+    ("random-real-m", lambda: random_select(np.arange(4), 1.5, 0),
+     "m must be an integer, got 1.5"),
+    ("forgotten-boolean-m", lambda: select_most_forgotten(LOG_SCORES, True),
+     "m must be an integer, got True"),
+    ("top-m-real-m", lambda: top_m(SCORES, 2.0), "m must be an integer, got 2.0"),
+    ("fit-real-n-classes", lambda: fit(PROXY, X, [0, 1, 0, 1], n_classes=2.7),
+     "n_classes must be an integer, got 2.7"),
+    ("fit-string-n-classes", lambda: fit(PROXY, X, [0, 1, 0, 1], n_classes="3"),
+     "n_classes must be an integer, got '3'"),
+    ("raw-block-real-size", lambda: SplitMix64(1).raw_block(2.5),
+     "n must be an integer, got 2.5"),
+    ("permutation-negative-size", lambda: SplitMix64(1).permutation(-3),
+     "n must be nonnegative, got -3"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in INTEGER_CASES],
+                         ids=[c[0] for c in INTEGER_CASES])
+def test_integer_arguments_are_checked_not_coerced(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_refused_stream_size_leaves_the_stream_in_place():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError):
+        rng.raw_block(2.5)
+    assert rng.raw_block(3).tolist() == SplitMix64(1).raw_block(3).tolist()
+
+
+def test_numpy_integer_sizes_and_counts_are_integers():
+    rng = SplitMix64(1)
+    rng.raw_block(np.int64(3))
+    assert rng.next_u64() == int(SplitMix64(1).raw_block(4)[3])
+    assert top_m(SCORES, np.int64(2)).tolist() == top_m(SCORES, 2).tolist()
+    assert greedy_kcenters(X, np.array([0.0]), 2).order.tolist() == [3, 2]
+
+
+def test_cli_names_the_bad_svpt_file_of_a_config(tmp_path, capsys, fits):
+    files = _write_files(tmp_path, *_data())
+    bad = files["test_features"]
+    with open(bad, "r+b") as fh:
+        fh.truncate(10)
+    cfg = {"task": "al", "method": "random", "seed": 3, "proxy": spec_dict(PROXY),
+           "target": spec_dict(TARGET), "data": files, "budget_fraction": 0.2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["al", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: file is 10 bytes, header needs 24\n"
+    assert fits == []

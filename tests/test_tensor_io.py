@@ -267,7 +267,7 @@ def test_first_of_several_header_faults_is_reported(tmp_path, case):
     with pytest.raises(FormatError) as caught:
         reader(str(path))
     assert type(caught.value) is error
-    assert str(caught.value) == message
+    assert str(caught.value) == f"{path}: {message}"
 
 
 class TestTrainLogCsv:
