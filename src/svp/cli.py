@@ -189,7 +189,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_kcenters(args) -> int:
-    features = read_tensor(args.features)
+    # greedy_kcenters works in float64; converting first holds one copy.
+    features = read_tensor(args.features).astype(np.float64)
     n = features.shape[0]
     if args.initial is not None:
         initial = _read_index_file(args.initial)

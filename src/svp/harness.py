@@ -491,7 +491,8 @@ def run_coreset(
 
 
 def load_data_section(section: dict):
-    """Resolve the config ``data`` block to (train, test) array pairs.
+    """Resolve the config ``data`` block to (train, test) array pairs, with
+    float64 features and int64 labels.
 
     Either {"synthetic": {...generator params...}} or file paths
     {"features", "labels", "test_features", "test_labels"} with SVPT tensors
@@ -508,8 +509,12 @@ def load_data_section(section: dict):
     not_paths = sorted(k for k in needed if not isinstance(section[k], str))
     if not_paths:
         raise ValueError(f"data file paths must be strings: {not_paths}")
-    train = (read_tensor(section["features"]), read_labels_csv(section["labels"]))
-    test = (read_tensor(section["test_features"]), read_labels_csv(section["test_labels"]))
+    # The run uses float64 features; converting here, once, leaves no float32
+    # copy referenced for the run's length. float32 -> float64 is exact.
+    train = (read_tensor(section["features"]).astype(np.float64),
+             read_labels_csv(section["labels"]))
+    test = (read_tensor(section["test_features"]).astype(np.float64),
+            read_labels_csv(section["test_labels"]))
     return train, test
 
 

@@ -145,10 +145,14 @@ class SplitMix64:
         z += np.uint64(self._seed)
         return _mix64_array(z)
 
-    def _fill(self, shape, draws: int, kernel) -> np.ndarray:
+    def _fill(self, shape, name: str, draws: int, kernel) -> np.ndarray:
         """A fresh float64 array of ``shape`` filled in row-major order, one
         block of at most ``_BLOCK`` values at a time, by ``kernel(raw, part)``
-        from ``draws`` raw outputs per value."""
+        from ``draws`` raw outputs per value. ``shape`` is a nonnegative
+        integer or a tuple of them, checked as ``name`` before the stream
+        moves."""
+        for dim in shape if isinstance(shape, tuple) else (shape,):
+            check_count(dim, None, name)
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
         for start in range(0, flat.size, _BLOCK):
@@ -157,8 +161,8 @@ class SplitMix64:
         return out
 
     def doubles(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1)."""
-        return self._fill(n, 1, _uniforms_into)
+        """n uniforms in [0, 1); n must be a nonnegative integer."""
+        return self._fill(n, "n", 1, _uniforms_into)
 
     def permutation(self, n: int) -> np.ndarray:
         """The shuffle of ``range(n)`` by the recipe above, in closed form;
@@ -187,5 +191,6 @@ class SplitMix64:
         return np.where(nxt > index, ptr[nxt], j)
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Standard normals via Box-Muller, row-major fill."""
-        return self._fill(shape, 2, _normals_into)
+        """Standard normals via Box-Muller, row-major fill; ``shape`` is a
+        nonnegative integer or a tuple of them."""
+        return self._fill(shape, "shape", 2, _normals_into)

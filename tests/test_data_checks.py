@@ -224,6 +224,12 @@ INTEGER_CASES = [
      "n must be an integer, got 2.5"),
     ("permutation-negative-size", lambda: SplitMix64(1).permutation(-3),
      "n must be nonnegative, got -3"),
+    ("doubles-real-size", lambda: SplitMix64(1).doubles(2.5), "n must be an integer, got 2.5"),
+    ("doubles-negative-size", lambda: SplitMix64(1).doubles(-1), "n must be nonnegative, got -1"),
+    ("normals-boolean-size", lambda: SplitMix64(1).normals(True),
+     "shape must be an integer, got True"),
+    ("normals-real-dimension", lambda: SplitMix64(1).normals((2, 1.5)),
+     "shape must be an integer, got 1.5"),
 ]
 
 
@@ -240,6 +246,19 @@ def test_refused_stream_size_leaves_the_stream_in_place():
     with pytest.raises(ValueError):
         rng.raw_block(2.5)
     assert rng.raw_block(3).tolist() == SplitMix64(1).raw_block(3).tolist()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.doubles(2.5), lambda rng: rng.doubles(-1), lambda rng: rng.normals(True),
+    lambda rng: rng.normals((2, 1.5)), lambda rng: rng.normals((3, -2)),
+], ids=["doubles-real", "doubles-negative", "normals-boolean", "normals-real-dim",
+        "normals-negative-dim"])
+def test_refused_draw_shape_leaves_the_stream_in_place(draw):
+    rng = SplitMix64(1)
+    rng.raw_block(2)
+    with pytest.raises(ValueError):
+        draw(rng)
+    assert rng.raw_block(3).tolist() == SplitMix64(1).raw_block(5)[2:].tolist()
 
 
 def test_numpy_integer_sizes_and_counts_are_integers():

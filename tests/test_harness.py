@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from svp.harness import (
     _fit_seed,
     ceil_count,
     execute_config,
+    load_data_section,
     nearest_count,
     plan_schedule,
     random_select,
@@ -39,9 +41,9 @@ from svp.learner import (
     make_synthetic,
     predict_proba,
 )
-from svp.rng import derive_seed
+from svp.rng import SplitMix64, derive_seed
 from svp.scoring import entropy, top_m
-from svp.tensor_io import write_labels_csv, write_tensor
+from svp.tensor_io import read_labels_csv, read_tensor, write_labels_csv, write_tensor
 
 PROXY = LearnerSpec(kind="logistic", epochs=5, learning_rate=0.5, batch_size=16, seed=1)
 TARGET = LearnerSpec(kind="mlp", epochs=5, learning_rate=0.3, batch_size=16, seed=2, hidden_units=8)
@@ -635,6 +637,56 @@ _BLAS_DATA = {"synthetic": {"classes": 5, "dim": 24, "separation": 0.5, "noise":
                              "n_train": 3000, "n_test": 500, "seed": 9}}
 _BLAS_MLP = {"kind": "mlp", "epochs": 2, "learning_rate": 0.3,
              "batch_size": 32, "seed": 2, "hidden_units": 32}
+
+
+def _write_file_data(tmp_path, n=20000, n_test=2000, d=16):
+    """A 3-class data section of SVPT features and label CSVs in ``tmp_path``."""
+    rng = SplitMix64(7)
+    files = {key: str(tmp_path / name) for key, name in (
+        ("features", "x.svpt"), ("labels", "y.csv"),
+        ("test_features", "xt.svpt"), ("test_labels", "yt.csv"))}
+    write_tensor(rng.normals((n, d)), files["features"])
+    write_labels_csv(np.arange(n) % 3, files["labels"])
+    write_tensor(rng.normals((n_test, d)), files["test_features"])
+    write_labels_csv(np.arange(n_test) % 3, files["test_labels"])
+    return files
+
+
+class TestFileDataIsHeldOnce:
+    """A run on file data holds one float64 copy of each feature matrix."""
+
+    def test_features_load_as_exact_float64(self, tmp_path):
+        files = _write_file_data(tmp_path)
+        (x, y), (xt, yt) = load_data_section(files)
+        for got, key in ((x, "features"), (xt, "test_features")):
+            assert got.dtype == np.float64
+            assert got.tobytes() == read_tensor(files[key]).astype(np.float64).tobytes()
+        assert np.array_equal(y, read_labels_csv(files["labels"]))
+        assert np.array_equal(yt, read_labels_csv(files["test_labels"]))
+
+    def test_no_float32_copy_is_held_through_the_run_checks(self, tmp_path, monkeypatch):
+        files = _write_file_data(tmp_path)
+        load_data_section(files)  # first-call imports are not the data's memory
+        held = []
+
+        class Checked(Exception):
+            pass
+
+        def plan_after_checks(n, budget_fraction, schedule):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise Checked
+
+        monkeypatch.setattr(svp.harness, "plan_schedule", plan_after_checks)
+        cfg = ALConfig(PROXY, TARGET, "random", 0.5, DEFAULT_SCHEDULE, 1)
+        tracemalloc.start()
+        try:
+            train, test = load_data_section(files)
+            with pytest.raises(Checked):
+                run_active_learning(cfg, train, test)
+        finally:
+            tracemalloc.stop()
+        payloads = (train[0].size + test[0].size) * 4
+        assert held[0] - train[1].nbytes - test[1].nbytes <= 2.05 * payloads
 
 
 class TestBlasThreadDeterminism:

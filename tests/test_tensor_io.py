@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svp.tensor_io as tensor_io
-from helpers import read_csv_oracle, write_csv_oracle
+from helpers import read_csv_oracle, traced_peak, write_csv_oracle
 from svp.forgetting import process_log, write_forgetting_csv
 from svp.kcenters import greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
@@ -268,6 +268,71 @@ def test_first_of_several_header_faults_is_reported(tmp_path, case):
         reader(str(path))
     assert type(caught.value) is error
     assert str(caught.value) == f"{path}: {message}"
+
+
+class TestBinaryReadIsLean:
+    """Each binary read holds about one copy of its payload, and checks
+    values and lengths the way a whole-file read did."""
+
+    def test_read_tensor_peaks_near_one_payload(self, tmp_path):
+        m = SplitMix64(5).normals((20000, 16)).astype(np.float32)
+        path = str(tmp_path / "m.svpt")
+        write_tensor(m, path)
+        read_tensor(path)  # first-call imports are not the read's memory
+        assert traced_peak(read_tensor, path) <= 1.1 * m.nbytes
+        back = read_tensor(path)
+        assert back.dtype == np.float32 and back.tobytes() == m.tobytes()
+
+    def test_read_train_log_peaks_near_one_payload(self, tmp_path):
+        log = SplitMix64(6).doubles(20000 * 64).reshape(20000, 64) < 0.3
+        path = str(tmp_path / "l.svpl")
+        write_train_log(log, path)
+        read_train_log(path)
+        assert traced_peak(read_train_log, path) <= 1.1 * log.size
+        back = read_train_log(path)
+        assert back.dtype == np.bool_ and np.array_equal(back, log)
+
+    def test_values_beyond_the_first_block_are_checked(self, tmp_path):
+        values = np.zeros(3 * 2**16 + 5, "<f4")
+        values[2**16 + 7] = np.nan
+        path = tmp_path / "m.svpt"
+        path.write_bytes(tensor_bytes(rows=values.size, cols=1, payload=values.tobytes()))
+        with pytest.raises(InvalidValueError, match="non-finite"):
+            read_tensor(str(path))
+        log = np.zeros(2**16 + 9, np.uint8)
+        log[-1], path = 7, tmp_path / "l.svpl"
+        path.write_bytes(log_bytes(n=log.size, steps=1, payload=log.tobytes()))
+        with pytest.raises(InvalidValueError) as caught:
+            read_train_log(str(path))
+        assert str(caught.value) == f"{path}: log byte must be 0 or 1, found 7"
+
+    def test_fifo_reads_as_a_regular_file(self, tmp_path):
+        blob = tensor_bytes(rows=3, cols=2, payload=np.arange(6, dtype="<f4").tobytes())
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            back = read_tensor(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_file_shrinking_after_its_length_is_taken(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.svpt"
+        path.write_bytes(tensor_bytes()[:-4])
+        fstat = os.fstat
+
+        def grown(fd):  # the length before the file lost its last value
+            st = list(fstat(fd))
+            st[stat.ST_SIZE] += 4
+            return os.stat_result(st)
+
+        monkeypatch.setattr(tensor_io.os, "fstat", grown)
+        with pytest.raises(InvalidValueError) as caught:
+            read_tensor(str(path))
+        assert str(caught.value) == f"{path}: file changed while it was read"
 
 
 class TestTrainLogCsv:

@@ -3,12 +3,17 @@ or a removed name would silently drop that layer from the trace, a shuffle
 inlined out of ``SplitMix64.permutation`` would drop its work from
 ``rng.permuted_elems``, and a k-centers call that bypassed
 ``harness.greedy_kcenters`` would drop its distance passes from the
-``kcenters`` counters; these tests make all three fail here instead."""
+``kcenters`` counters, and a feature read that bypassed
+``harness.read_tensor``, or called it with more than the path its counter
+takes, would blind or break every traced run on file data; these tests make
+all four fail here instead."""
 
 import importlib
 import os
 
 import svp.harness as harness
+from svp.learner import SynthParams, make_synthetic
+from svp.tensor_io import write_labels_csv, write_tensor
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -84,3 +89,29 @@ def test_kcenters_counters_match_the_calls_made(monkeypatch, capsys):
     counts = tracer.counts[0]
     assert counts["kcenters.calls"] == len(calls)
     assert counts["kcenters.distance_evals"] == sum((i + b) * n for n, i, b in calls)
+
+
+def test_file_data_is_read_through_the_traced_names(monkeypatch, capsys, tmp_path):
+    tracing = _tracing(monkeypatch)
+    ds = make_synthetic(SynthParams(**TINY_AL["data"]["synthetic"]))
+    files = {key: str(tmp_path / name) for key, name in (
+        ("features", "x.svpt"), ("labels", "y.csv"),
+        ("test_features", "xt.svpt"), ("test_labels", "yt.csv"))}
+    write_tensor(ds.features, files["features"])
+    write_labels_csv(ds.labels, files["labels"])
+    write_tensor(ds.test_features, files["test_features"])
+    write_labels_csv(ds.test_labels, files["test_labels"])
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    with tracing.instrument(tracer):
+        harness.execute_config({**TINY_AL, "data": files})
+    assert "trace: not found" not in capsys.readouterr().err
+
+    names = [span[3] for span in tracer.spans]
+    assert names.count("tensor_io.binary_read") == 2
+    assert names.count("tensor_io.csv_read") == 2
+    # The counter adds each file's size: the two SVPT reads and the two CSV reads.
+    sizes = {key: os.path.getsize(path) for key, path in files.items()}
+    assert tracer.counts[0]["tensor_io.bytes_read"] == sum(sizes.values())
+    assert sizes["features"] + sizes["test_features"] == 24 * 2 + 4 * (
+        ds.features.size + ds.test_features.size)
