@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -60,6 +61,11 @@ def _require_seed(value) -> int:
         raise UsageError(f"SVP_SEED must be an integer, got {env!r}") from exc
 
 
+# An integer as a CSV integer column takes it once stripped: int() alone
+# would also take "1_0" and non-ASCII digits such as "\u0663".
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _read_index_file(path: str) -> np.ndarray:
     """One integer index per line; blank lines ignored."""
     with open(path, "rb") as fh:
@@ -71,6 +77,8 @@ def _read_index_file(path: str) -> np.ndarray:
         if not line:
             continue
         try:
+            if not _INTEGER.fullmatch(line):
+                raise ValueError(line)
             index = int(line)
         except ValueError as exc:
             raise InvalidValueError(f"{path}:{lineno}: not an integer: {line!r}") from exc

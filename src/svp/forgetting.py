@@ -39,17 +39,12 @@ def process_log(log: np.ndarray) -> ForgettingScores:
     return ForgettingScores(never_learned=never, counts=counts)
 
 
-def forgetting_order(scores: ForgettingScores) -> np.ndarray:
-    """All example indices sorted by the forgetting total order."""
-    n = scores.counts.shape[0]
-    keys = (np.arange(n), -scores.counts, ~scores.never_learned)
-    return np.lexsort(keys).astype(np.int64)
-
-
 def select_most_forgotten(scores: ForgettingScores, m: int) -> np.ndarray:
     """First m indices under the total order."""
-    check_count(m, scores.counts.shape[0])
-    return forgetting_order(scores)[:m]
+    n = scores.counts.shape[0]
+    check_count(m, n)
+    order = np.lexsort((np.arange(n), -scores.counts, ~scores.never_learned))
+    return order[:m].astype(np.int64)
 
 
 def write_forgetting_csv(scores: ForgettingScores, path: str) -> None:

@@ -278,12 +278,10 @@ class SynthParams:
 
 @dataclass
 class SyntheticDataset:
-    params: SynthParams
     features: np.ndarray  # (n_train, dim) float64
     labels: np.ndarray  # (n_train,) int64
     test_features: np.ndarray
     test_labels: np.ndarray
-    means: np.ndarray  # (classes, dim) blob centers actually used
 
 
 def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> SyntheticDataset:
@@ -317,10 +315,8 @@ def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> S
     x_train, y_train = split(params.n_train)
     x_test, y_test = split(params.n_test)
     return SyntheticDataset(
-        params=params,
         features=x_train,
         labels=y_train,
         test_features=x_test,
         test_labels=y_test,
-        means=means,
     )

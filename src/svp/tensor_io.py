@@ -37,7 +37,11 @@ names the file, as a CSV fault does.
 A binary read holds about one copy of its payload: the header is read and
 checked against the file's ``os.fstat`` length, the payload is read straight
 into the result array, and its values are checked a block at a time, so
-``read_tensor`` and ``read_train_log`` peak near 1x the payload. A run that
+``read_tensor`` and ``read_train_log`` peak near 1x the payload. A binary
+write holds one copy too: the header is packed into one buffer, the values
+are cast straight into the payload behind it and checked a block at a
+time, and that buffer is what gets written, so ``write_tensor`` and
+``write_train_log`` also peak near 1x the payload. A run that
 reads its features from files converts each matrix to float64 once, in
 ``harness.load_data_section``, and holds only that copy (float32 to float64
 is exact). ``read_tensor(path)`` still returns float32 and takes one
@@ -251,10 +255,6 @@ def check_count(m: int, n: Optional[int], name: str = "m") -> None:
         raise ValueError(f"{name}={m} exceeds the {n} candidates")
 
 
-def _pack_frame(magic: bytes, flags: tuple, rows: int, cols: int, payload: bytes) -> bytes:
-    return _FRAME.pack(magic, FORMAT_VERSION, *flags, rows, cols) + payload
-
-
 def _read_exactly(src, buf):
     """Fill ``buf`` from ``src``; a short read means the file shrank after
     its length was taken."""
@@ -306,6 +306,24 @@ def _read_frame(path: str, magic: bytes, dtype: np.dtype, check_flags, check_val
     return out
 
 
+def _write_frame(path: str, magic: bytes, flags: tuple, values: np.ndarray, dtype: np.dtype,
+                 check_values=None) -> None:
+    """Write the 2-D ``values`` as a binary file framed as ``magic`` with
+    ``flags``: the header is packed into one buffer and the values are cast
+    as ``dtype`` straight into the payload behind it, then, if given,
+    ``check_values(block)`` runs on each block of ``_CHECK_BLOCK`` values.
+    That buffer is the only copy of the payload the write makes."""
+    frame = bytearray(_FRAME.size + values.size * dtype.itemsize)
+    _FRAME.pack_into(frame, 0, magic, FORMAT_VERSION, *flags, *values.shape)
+    flat = np.frombuffer(frame, dtype=dtype, offset=_FRAME.size)
+    with np.errstate(over="ignore"):
+        flat.reshape(values.shape)[...] = values
+    if check_values is not None:
+        for start in range(0, flat.size, _CHECK_BLOCK):
+            check_values(flat[start:start + _CHECK_BLOCK])
+    atomic_write_bytes(path, frame)
+
+
 def _check_tensor_flags(dtype: int, reserved: int) -> None:
     if dtype != DTYPE_F32:
         raise UnsupportedDtypeError(f"unsupported dtype code {dtype}")
@@ -323,6 +341,11 @@ def _check_finite_block(block: np.ndarray) -> None:
         raise InvalidValueError("tensor payload contains non-finite values")
 
 
+def _check_overflow_block(block: np.ndarray) -> None:
+    if not np.isfinite(block).all():  # the matrix was finite before its cast
+        raise ValueError("matrix values overflow float32")
+
+
 def _check_log_block(block: np.ndarray) -> None:
     bad = block > 1
     if bad.any():
@@ -331,13 +354,8 @@ def _check_log_block(block: np.ndarray) -> None:
 
 def write_tensor(matrix: np.ndarray, path: str) -> None:
     """Write a matrix as an SVPT file. Values are stored as float32."""
-    m = check_matrix(matrix)
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(m, dtype="<f4")
-    if not np.isfinite(payload).all():
-        raise ValueError("matrix values overflow float32")
-    atomic_write_bytes(path, _pack_frame(TENSOR_MAGIC, (DTYPE_F32, 0), *payload.shape,
-                                         payload.tobytes()))
+    _write_frame(path, TENSOR_MAGIC, (DTYPE_F32, 0), check_matrix(matrix), np.dtype("<f4"),
+                 _check_overflow_block)
 
 
 def read_tensor(path: str) -> np.ndarray:
@@ -379,9 +397,7 @@ def check_train_log(log: np.ndarray) -> np.ndarray:
 
 def write_train_log(log: np.ndarray, path: str) -> None:
     """Write an (n, E) boolean correctness record as an SVPL file."""
-    log = check_train_log(log)
-    atomic_write_bytes(path, _pack_frame(LOG_MAGIC, (0, 0), *log.shape,
-                                         log.astype(np.uint8).tobytes()))
+    _write_frame(path, LOG_MAGIC, (0, 0), check_train_log(log), np.dtype(np.uint8))
 
 
 def read_train_log(path: str) -> np.ndarray:

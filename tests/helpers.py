@@ -3,10 +3,11 @@ uniform and normal recipes, a tracemalloc peak probe, learner-spec JSON,
 scripted clocks, geometry builders, the textbook forward pass and softmax,
 gradient probes, the per-batch SGD oracle with its per-epoch losses, the
 difference-form k-centers oracle, the per-round active-learning k-centers
-oracle, the streaming forgetting oracle, the line-list CSV reader and the
-per-row CSV writer."""
+oracle, the streaming forgetting oracle, the line-list CSV reader, the
+per-row CSV writer and the copy-then-concatenate binary file writers."""
 
 import dataclasses
+import struct
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -397,3 +398,20 @@ def write_csv_oracle(path: str, names, *columns) -> None:
     repr of every column's ``.tolist()`` cell."""
     rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
     atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
+
+
+def pack_frame_oracle(magic: bytes, flags: tuple, rows: int, cols: int, payload: bytes) -> bytes:
+    """A binary file's bytes: the packed header, then the payload's bytes."""
+    return struct.pack("<4sHBBQQ", magic, 1, *flags, rows, cols) + payload
+
+
+def tensor_file_oracle(matrix) -> bytes:
+    """The reference for ``svp.tensor_io.write_tensor`` on a finite matrix
+    within float32 range: a ``<f4`` copy, its bytes, then the frame."""
+    payload = np.ascontiguousarray(matrix, dtype="<f4")
+    return pack_frame_oracle(b"SVPT", (0, 0), *payload.shape, payload.tobytes())
+
+
+def train_log_file_oracle(log) -> bytes:
+    """The reference for ``svp.tensor_io.write_train_log`` on a boolean log."""
+    return pack_frame_oracle(b"SVPL", (0, 0), *log.shape, log.astype(np.uint8).tobytes())

@@ -13,6 +13,9 @@ from svp.harness import METHODS
 from svp.learner import LearnerSpec, SynthParams
 from svp.ranking_diag import scores_to_ranks
 from svp.tensor_io import (
+    LABELS_CSV,
+    InvalidValueError,
+    read_csv,
     read_labels_csv,
     read_scores_csv,
     read_tensor,
@@ -220,6 +223,32 @@ class TestKCenters:
                      "--budget", "1", "--out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == (
             f"error: {init}:2: index outside the int64 range: '{index}'\n")
+
+    @pytest.mark.parametrize("line", ["1_0", "\u0663"])
+    def test_initial_index_spelled_otherwise_fails(self, tmp_path, capsys, line):
+        feats = tmp_path / "x.svpt"
+        write_tensor(np.arange(12.0)[:, None], feats)
+        init = tmp_path / "init.txt"
+        init.write_text(f"0\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["kcenters", "--features", str(feats), "--initial", str(init),
+                     "--budget", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {init}:2: not an integer: {line!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["+3", " 5 ", "07", "-0", "\t7", "1_0", "\u0663",
+                                      "\uff13", "- 3", "3.0", "+-3", "0x3", "1e3"])
+    def test_initial_index_takes_what_a_csv_integer_column_takes(self, tmp_path, line):
+        init, table = tmp_path / "init.txt", tmp_path / "labels.csv"
+        init.write_text(f"{line}\n", encoding="utf-8")
+        table.write_text(f"example_id,label\n0,{line}\n", encoding="utf-8")
+        try:
+            expected = read_csv(str(table), LABELS_CSV)["label"].tolist()
+        except InvalidValueError:
+            with pytest.raises(InvalidValueError, match="not an integer"):
+                cli._read_index_file(str(init))
+        else:
+            assert cli._read_index_file(str(init)).tolist() == expected
 
     def test_non_utf8_initial_file_names_file_and_line(self, tmp_path, capsys):
         feats = self.features_file(tmp_path)

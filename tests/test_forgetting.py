@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from helpers import ForgettingState, finalize, scores_as_reals, streaming_update
 from svp.forgetting import (
     ForgettingScores,
-    forgetting_order,
     process_log,
     select_most_forgotten,
     write_forgetting_csv,
@@ -107,7 +106,7 @@ class TestSelection:
 
     def test_total_order(self):
         scores = self.make([2, 0, 0, 5, 2], [False, True, False, False, False])
-        assert forgetting_order(scores).tolist() == [1, 3, 0, 4, 2]
+        assert select_most_forgotten(scores, 5).tolist() == [1, 3, 0, 4, 2]
 
     def test_deterministic_and_idempotent(self):
         scores = self.make([1, 4, 4, 0], [False, False, False, True])

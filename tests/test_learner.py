@@ -350,7 +350,6 @@ class TestSynthetic:
         params = SynthParams(classes=2, dim=2, separation=1.0, noise=0.1, n_train=40, n_test=10, seed=5)
         means = np.array([[0.0, 0.0], [100.0, 0.0]])
         ds = make_synthetic(params, means=means)
-        assert np.array_equal(ds.means, means)
         cls1 = ds.features[ds.labels == 1]
         assert (np.abs(cls1[:, 0] - 100.0) < 1.0).all()
         with pytest.raises(ValueError):

@@ -6,12 +6,18 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svp.tensor_io as tensor_io
-from helpers import read_csv_oracle, traced_peak, write_csv_oracle
+from helpers import (
+    read_csv_oracle,
+    tensor_file_oracle,
+    traced_peak,
+    train_log_file_oracle,
+    write_csv_oracle,
+)
 from svp.forgetting import process_log, write_forgetting_csv
 from svp.kcenters import greedy_kcenters, write_order_csv
 from svp.rng import SplitMix64
@@ -333,6 +339,50 @@ class TestBinaryReadIsLean:
         with pytest.raises(InvalidValueError) as caught:
             read_tensor(str(path))
         assert str(caught.value) == f"{path}: file changed while it was read"
+
+
+class TestBinaryWriteIsLean:
+    """Each binary write holds about one copy of its payload and writes the
+    bytes of the copy-then-concatenate writer in ``helpers``."""
+
+    def test_write_tensor_peaks_near_one_payload(self, tmp_path):
+        m = SplitMix64(7).normals((20000, 16))
+        path = str(tmp_path / "m.svpt")
+        write_tensor(m, path)  # first-call imports are not the write's memory
+        assert traced_peak(write_tensor, m, path) <= 1.1 * m.size * 4
+        assert open(path, "rb").read() == tensor_file_oracle(m)
+
+    def test_write_train_log_peaks_near_one_payload(self, tmp_path):
+        log = SplitMix64(8).doubles(20000 * 64).reshape(20000, 64) < 0.3
+        path = str(tmp_path / "l.svpl")
+        write_train_log(log, path)
+        assert traced_peak(write_train_log, log, path) <= 1.1 * log.size
+        assert open(path, "rb").read() == train_log_file_oracle(log)
+
+    @given(
+        m=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 9)),
+                 elements=st.floats(-3e38, 3e38)),
+        log=arrays(np.bool_, st.tuples(st.integers(1, 40), st.integers(1, 9))),
+    )
+    @example(m=np.array([[0.1]]), log=np.array([[True]]))
+    @settings(max_examples=60)
+    def test_bytes_equal_the_oracle(self, m, log, tmp_path_factory):
+        d = tmp_path_factory.mktemp("w")
+        for matrix in (m, m.T):  # C order, and a transposed view in Fortran order
+            write_tensor(matrix, str(d / "m.svpt"))
+            assert (d / "m.svpt").read_bytes() == tensor_file_oracle(matrix)
+        for table in (log, log.T):
+            write_train_log(table, str(d / "l.svpl"))
+            assert (d / "l.svpl").read_bytes() == train_log_file_oracle(table)
+
+    def test_float32_overflow_past_the_first_block_writes_nothing(self, tmp_path):
+        m = np.zeros((3 * 2**16 + 5, 1))
+        m[2**16 + 7] = 1e39
+        with pytest.raises(ValueError, match="overflow float32"):
+            write_tensor(m, str(tmp_path / "m.svpt"))
+        with pytest.raises(ValueError, match="overflow float32"):
+            write_tensor(np.array([[1e39]]), str(tmp_path / "m.svpt"))
+        assert os.listdir(tmp_path) == []
 
 
 class TestTrainLogCsv:
