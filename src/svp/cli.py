@@ -13,6 +13,7 @@ any into place, so a failing invocation leaves no output behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -22,12 +23,14 @@ import numpy as np
 
 from . import harness, scoring
 from .forgetting import process_log, select_most_forgotten, write_forgetting_csv
-from .kcenters import KCentersResult, greedy_kcenters, write_order_csv
+from .kcenters import greedy_kcenters, write_order_csv
+from .learner import SynthParams, make_synthetic
 from .ranking_diag import pearson, scores_to_ranks, spearman
 from .tensor_io import (
     LOG_MAGIC,
     ORDER_CSV,
     SCORES_CSV,
+    TENSOR_MAGIC,
     InvalidValueError,
     ProbMatrixError,
     _check_utf8,
@@ -91,10 +94,11 @@ def _read_index_file(path: str) -> np.ndarray:
 
 
 def _load_train_log(path: str) -> np.ndarray:
-    """Accept either SVPL binary (sniffed by magic) or the CSV import form."""
+    """Accept either SVPL binary or the CSV import form. A file that starts
+    with a binary magic is read as SVPL, so an SVPT file fails on its magic."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == LOG_MAGIC:
+    if head in (LOG_MAGIC, TENSOR_MAGIC):
         return read_train_log(path)
     return read_train_log_csv(path)
 
@@ -170,14 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coreset", help="run core-set selection from a JSON config")
     p.add_argument("--config", required=True)
 
+    # One flag per generator parameter, typed as the field; the seed may
+    # come from SVP_SEED instead.
     p = sub.add_parser("synth", help="generate a synthetic blob dataset")
-    p.add_argument("--classes", required=True, type=int)
-    p.add_argument("--dim", required=True, type=int)
-    p.add_argument("--separation", required=True, type=float)
-    p.add_argument("--noise", required=True, type=float)
-    p.add_argument("--n-train", required=True, type=int)
-    p.add_argument("--n-test", required=True, type=int)
-    p.add_argument("--seed", type=int, default=None)
+    for field in dataclasses.fields(SynthParams):
+        p.add_argument("--" + field.name.replace("_", "-"), required=field.name != "seed",
+                       type={"int": int, "float": float}[field.type])
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-test-features", default=None)
@@ -207,8 +209,7 @@ def _cmd_kcenters(args) -> int:
             raise UsageError("--initial-size must be at least 1")
         seed = _require_seed(args.seed)
         initial = harness.random_select(np.arange(n), args.initial_size, seed)
-    result: KCentersResult = greedy_kcenters(features, initial, args.budget)
-    write_order_csv(result, args.out)
+    write_order_csv(greedy_kcenters(features, initial, args.budget), args.out)
     return 0
 
 
@@ -241,34 +242,24 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _cmd_run(args, task: str) -> int:
+def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"{args.config}: {exc}") from exc
-    report, output = harness.execute_config(config, task=task)
+    report, output = harness.execute_config(config, task=args.command)
     if output is None:
         sys.stdout.write(harness.report_json(config, report))
     return 0
 
 
 def _cmd_synth(args) -> int:
-    from .learner import SynthParams, make_synthetic
-
-    seed = _require_seed(args.seed)
+    args.seed = _require_seed(args.seed)
     if (args.out_test_features is None) != (args.out_test_labels is None):
         raise UsageError("--out-test-features and --out-test-labels go together")
-    params = SynthParams(
-        classes=args.classes,
-        dim=args.dim,
-        separation=args.separation,
-        noise=args.noise,
-        n_train=args.n_train,
-        n_test=args.n_test,
-        seed=seed,
-    )
-    ds = make_synthetic(params)
+    params = (getattr(args, field.name) for field in dataclasses.fields(SynthParams))
+    ds = make_synthetic(SynthParams(*params))
     with staged_writes():
         write_tensor(ds.features, args.out_features)
         write_labels_csv(ds.labels, args.out_labels)
@@ -283,6 +274,8 @@ _COMMANDS = {
     "kcenters": _cmd_kcenters,
     "forget": _cmd_forget,
     "correlate": _cmd_correlate,
+    "al": _cmd_run,
+    "coreset": _cmd_run,
     "synth": _cmd_synth,
 }
 
@@ -294,8 +287,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command in ("al", "coreset"):
-            return _cmd_run(args, args.command)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,8 +31,9 @@ all rounds, so that traversal's time falls in round 1's bracket and later
 brackets hold the proxy fit and the banked picks. ``selection_seconds`` is
 the sum of round times; ``speedup`` is baseline_seconds / selection_seconds
 when a baseline is supplied (finite and positive, checked before any fit) or
-measured, and null when no round was timed (an active-learning budget equal
-to the initial fraction). The clock is injectable for testing.
+measured, and null when either total is 0: no round was timed (an
+active-learning budget equal to the initial fraction), or the clock did not
+advance over a pass. The clock is injectable for testing.
 
 Determinism contract: every field of a RunReport except the timing block is a
 pure function of (config, data). All randomness flows from the run seed and
@@ -410,7 +411,7 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
         full_error = error_rate(fit(target_spec, x, y, n_classes=c), xt, yt)
 
     ratio = None
-    if baseline_seconds is not None and selection_seconds > 0.0:
+    if baseline_seconds is not None and baseline_seconds > 0.0 and selection_seconds > 0.0:
         ratio = speedup(baseline_seconds, selection_seconds)
     return RunReport(
         task=task,
@@ -490,23 +491,24 @@ def run_coreset(
     )
 
 
+_DATA_FILES = ("features", "labels", "test_features", "test_labels")
+
+
 def load_data_section(section: dict):
     """Resolve the config ``data`` block to (train, test) array pairs, with
     float64 features and int64 labels.
 
     Either {"synthetic": {...generator params...}} or file paths
     {"features", "labels", "test_features", "test_labels"} with SVPT tensors
-    and ``example_id,label`` CSVs.
+    and ``example_id,label`` CSVs, and no other key: an unknown key, or a
+    file path beside ``synthetic``, is an error.
     """
-    check_object(section, "data")
+    fields = ("synthetic",) if "synthetic" in check_object(section, "data") else _DATA_FILES
+    check_object(section, "data", fields, fields)
     if "synthetic" in section:
         ds = make_synthetic(_from_object(SynthParams, section["synthetic"], "data.synthetic"))
         return (ds.features, ds.labels), (ds.test_features, ds.test_labels)
-    needed = {"features", "labels", "test_features", "test_labels"}
-    missing = needed - set(section)
-    if missing:
-        raise ValueError(f"data section needs synthetic params or file paths; missing {sorted(missing)}")
-    not_paths = sorted(k for k in needed if not isinstance(section[k], str))
+    not_paths = [k for k in _DATA_FILES if not isinstance(section[k], str)]
     if not_paths:
         raise ValueError(f"data file paths must be strings: {not_paths}")
     # The run uses float64 features; converting here, once, leaves no float32

@@ -288,7 +288,8 @@ def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> S
     """Gaussian blobs with round-robin labels; byte-identical per seed.
 
     One stream seeded from (seed, "synth") supplies, in order: blob means
-    (skipped when explicit means are given), train noise, test noise.
+    (skipped when explicit means are given, which must be a finite
+    ``(classes, dim)`` matrix), train noise, test noise.
     Labels are round-robin (i mod classes), so class counts are balanced
     within 1.
     """
@@ -296,7 +297,7 @@ def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> S
     if means is None:
         means = params.separation * rng.normals((params.classes, params.dim))
     else:
-        means = np.asarray(means, dtype=np.float64)
+        means = check_matrix(means, "means", np.float64)
         if means.shape != (params.classes, params.dim):
             raise ValueError(f"means must be {(params.classes, params.dim)}, got {means.shape}")
 

@@ -311,6 +311,13 @@ class TestForget:
         log_path.write_bytes(log_path.read_bytes()[:-2])
         assert main(["forget", "--log", str(log_path), "--out", str(tmp_path / "f.csv")]) == 1
 
+    def test_tensor_file_fails_on_its_magic(self, tmp_path, capsys):
+        path = tmp_path / "train.svpt"
+        write_tensor(PROBS, path)
+        assert main(["forget", "--log", str(path), "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: bad magic b'SVPT', expected b'SVPL'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["train.svpt"]
+
     def test_malformed_csv(self, tmp_path):
         log_path = tmp_path / "run.csv"
         log_path.write_text("example_id,epoch,correct\n0,0,maybe\n")
@@ -581,6 +588,14 @@ SCHEDULE = {"initial": 0.02, "first": 0.08, "subsequent": 0.1}
               for name in ("separation", "noise")],
         ]],
         ({"proxy": {**SPEC, "kind": "bogus", "epochs": None}}, "epochs must be an integer"),
+        ({"data": {"synthetic": SYNTH, "test_lables": "y.csv"}},
+         "unknown data fields: ['test_lables']"),
+        ({"data": {"synthetic": SYNTH, "features": "x.svpt", "labels": "y.csv"}},
+         "unknown data fields: ['features', 'labels']"),
+        ({"data": {"features": "x.svpt", "labels": "y.csv", "test_features": "xt.svpt",
+                   "test_labels": "yt.csv", "test_lables": "yt.csv"}},
+         "unknown data fields: ['test_lables']"),
+        ({"data": {}}, "data is missing ['features', 'labels', 'test_features', 'test_labels']"),
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overrides, fragment):
@@ -681,7 +696,45 @@ class TestOversizedInputs:
         assert "Traceback" not in err
 
 
+def synth_argv(tmp_path, **flags):
+    """An ``svp synth`` call writing ``x.svpt`` and ``y.csv`` in ``tmp_path``;
+    ``flags`` override the generator flags by name."""
+    values = {"classes": "2", "dim": "3", "separation": "1.0", "noise": "1.0",
+              "n_train": "20", "n_test": "8", "seed": "7", **flags}
+    argv = ["synth"]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    return argv + ["--out-features", str(tmp_path / "x.svpt"),
+                   "--out-labels", str(tmp_path / "y.csv")]
+
+
 class TestSynth:
+    def test_flags_and_their_types(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        actions = {a.option_strings[0]: a for a in sub.choices["synth"]._actions}
+        required = {flag: a.type for flag, a in actions.items() if a.required}
+        assert required == {
+            "--classes": int, "--dim": int, "--separation": float, "--noise": float,
+            "--n-train": int, "--n-test": int, "--out-features": None, "--out-labels": None,
+        }
+        assert actions["--seed"].type is int and actions["--seed"].default is None
+        assert set(actions) - set(required) == {
+            "-h", "--seed", "--out-test-features", "--out-test-labels"}
+
+    @pytest.mark.parametrize("flag,value", [("classes", "2.5"), ("n_train", "1e3")])
+    def test_integer_flags_refuse_other_numbers(self, tmp_path, flag, value):
+        assert main(synth_argv(tmp_path, **{flag: value})) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integral_separation_is_the_float(self, tmp_path):
+        blobs = []
+        for sub, separation in (("int", "1"), ("float", "1.0")):
+            d = tmp_path / sub
+            d.mkdir()
+            assert main(synth_argv(d, separation=separation)) == 0
+            blobs.append(((d / "x.svpt").read_bytes(), (d / "y.csv").read_bytes()))
+        assert blobs[0] == blobs[1]
+
     def test_generates_readable_files(self, tmp_path):
         args = ["synth", "--classes", "3", "--dim", "4", "--separation", "2.0",
                 "--noise", "1.0", "--n-train", "30", "--n-test", "12", "--seed", "5",

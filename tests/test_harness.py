@@ -414,6 +414,16 @@ class TestCoreset:
         assert report.selection_seconds == 25.0
         assert report.speedup == 4.0
 
+    def test_measured_baseline_of_zero_seconds_leaves_speedup_null(self):
+        train, test = small_data()
+        clock = ScriptClock([0.0, 1.0, 5.0, 5.0])  # the baseline pass takes no time
+        report = run_coreset(PROXY, TARGET, "entropy", 0.3, train, test, seed=5,
+                             clock=clock, measure_baseline=True)
+        assert clock.calls == 4
+        assert report.selection_seconds == 1.0
+        assert report.baseline_seconds == 0.0
+        assert report.speedup is None
+
     def test_bad_supplied_baseline_fails_before_timed_work(self):
         train, test = small_data()
         with pytest.raises(ValueError, match="baseline_seconds must be finite and positive"):
@@ -606,6 +616,9 @@ class TestReportsAndConfig:
         assert path is None
         assert report.round_sizes == [4, 20]
         assert len(report.selected_ids) == 20
+        typo = {**paths, "test_lables": paths["test_labels"]}
+        with pytest.raises(ValueError, match=r"unknown data fields: \['test_lables'\]"):
+            execute_config({**cfg, "data": typo})
 
     def test_execute_config_rejections(self):
         good = {
@@ -627,6 +640,8 @@ class TestReportsAndConfig:
             execute_config({**good, "task": "al"})  # al needs budget_fraction
         with pytest.raises(ValueError):
             execute_config({**good, "data": {"features": "x.svpt"}})
+        with pytest.raises(ValueError, match=r"unknown data fields: \['features'\]"):
+            execute_config({**good, "data": {**good["data"], "features": "x.svpt"}})
         with pytest.raises(ValueError, match="config must be a JSON object"):
             execute_config([good])
         with pytest.raises(ValueError, match="config task is 'coreset', expected 'al'"):

@@ -355,6 +355,12 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             make_synthetic(params, means=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_means_are_rejected(self, bad):
+        params = SynthParams(classes=2, dim=2, separation=1.0, noise=0.1, n_train=40, n_test=10, seed=5)
+        with pytest.raises(ValueError, match="non-finite values in means"):
+            make_synthetic(params, means=np.array([[0.0, 0.0], [bad, 0.0]]))
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SynthParams(classes=1, dim=2, separation=1.0, noise=1.0, n_train=10, n_test=5, seed=0)

@@ -1,6 +1,14 @@
-"""The names the top-level ``svp`` package binds."""
+"""The names the top-level ``svp`` package binds, and the package's size."""
+
+import importlib.util
+import os
 
 import svp
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Code lines of src/svp as tools/src_lines.py counts them: a feature that
+# adds code pays for it by deleting code elsewhere.
+CODE_LINE_CAP = 1678
 
 # Every name the package listed in its hand-kept ``__all__``.
 PUBLIC = (
@@ -25,3 +33,14 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from svp import *", namespace)
     assert [name for name in PUBLIC if name not in namespace] == []
+
+
+def test_code_lines_stay_under_the_cap():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", os.path.join(ROOT, "tools", "src_lines.py"))
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    package = os.path.dirname(svp.__file__)
+    code = sum(src_lines.line_kinds(os.path.join(package, name)).count("code")
+               for name in os.listdir(package) if name.endswith(".py"))
+    assert code <= CODE_LINE_CAP
