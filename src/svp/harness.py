@@ -19,21 +19,30 @@ by ``run_coreset`` (``subset_fraction``) and by the run (seed, baseline).
 The run checks its method against ``METHODS[task]`` before any fit, and
 ``execute_config`` checks it before any data file is read. Before it plans
 or fits anything, the run checks every row of its train and test data with
-``check_matrix`` and ``check_labels``, and the test width against the train
-width; each message names ``train`` or ``test``.
+``check_features`` and ``check_labels``, and the test width against the
+train width; each message names ``train`` or ``test``.
+
+Features stay in the dtype the run checked them to: float32 as given (as
+``load_data_section`` reads SVPT files), anything else converted to float64
+once. Every layer computes in float64 on the rows it takes: ``fit`` fills
+its shuffle buffer from them, scoring gathers the pool straight to float64,
+and ``embed`` and ``error_rate`` convert whole matrices. float32 to float64
+is exact, so a run on float32 features reports what a run on their float64
+conversion reports, byte for byte, and holds no float64 copy of its data.
 
 Timing contract: each selection round is bracketed by exactly two clock()
 calls covering the proxy fit, scoring, and selection. Proxy evaluation on the
 test set, bookkeeping, and the final target fit are outside the bracket.
-With a proxy whose embedding is the features themselves (the logistic
-learner), active-learning k-centers runs one farthest-first traversal for
-all rounds, so that traversal's time falls in round 1's bracket and later
-brackets hold the proxy fit and the banked picks. ``selection_seconds`` is
-the sum of round times; ``speedup`` is baseline_seconds / selection_seconds
-when a baseline is supplied (finite and positive, checked before any fit) or
-measured, and null when either total is 0: no round was timed (an
-active-learning budget equal to the initial fraction), or the clock did not
-advance over a pass. The clock is injectable for testing.
+With a proxy without a hidden layer (the logistic learner), whose
+embedding is the features themselves, active-learning k-centers runs one
+farthest-first traversal for all rounds, so that traversal's time falls in
+round 1's bracket and later brackets hold the proxy fit and the banked
+picks. ``selection_seconds`` is the sum of round times; ``speedup`` is
+baseline_seconds / selection_seconds when a baseline is supplied (finite
+and positive, checked before any fit) or measured, and null when either
+total is 0: no round was timed (an active-learning budget equal to the
+initial fraction), or the clock did not advance over a pass. The clock is
+injectable for testing.
 
 Determinism contract: every field of a RunReport except the timing block is a
 pure function of (config, data). All randomness flows from the run seed and
@@ -62,10 +71,11 @@ from .learner import (
     fit,
     make_synthetic,
     predict_proba,
+    take_rows,
 )
 from .rng import SplitMix64, derive_seed
-from .tensor_io import (atomic_write_text, check_count, check_indices, check_labels,
-                        check_matrix, check_number, read_labels_csv, read_tensor, staged_writes)
+from .tensor_io import (atomic_write_text, check_count, check_features, check_indices,
+                        check_labels, check_number, read_labels_csv, read_tensor, staged_writes)
 
 
 class ScheduleError(ValueError):
@@ -239,18 +249,21 @@ def _from_object(cls, d, what: str):
 
 def _scorer_selector(name: str):
     def select(proxy, x, pool, quota, seed, stage, ahead):
-        scores = scoring.SCORERS[name](predict_proba(proxy, x[pool]))
+        # Gathered straight to float64: no copy of the pool in the features'
+        # own dtype is alive beside the hidden layer.
+        scores = scoring.SCORERS[name](predict_proba(proxy, take_rows(x, pool)))
         return pool[scoring.top_m(scores, quota)]
 
     return select
 
 
 def _kcenters_selector(proxy, x, pool, quota, seed, stage, ahead):
-    z = embed(proxy, x)
-    if z is x:
-        # The traversal depends on nothing but the center set, so with the
-        # features as the embedding the later rounds' picks are its next steps.
+    if "W1" not in proxy.params:
+        # The traversal depends on nothing but the center set, so without a
+        # hidden layer, when the embedding is the features, the later rounds'
+        # picks are its next steps.
         quota += ahead
+    z = embed(proxy, x)
     outside = np.ones(x.shape[0], dtype=bool)
     outside[pool] = False
     centers = np.flatnonzero(outside)
@@ -277,8 +290,8 @@ def _random_selector(proxy, x, pool, quota, seed, stage, ahead):
 # selection). A selector whose later picks cannot depend on later proxies may
 # instead return all ``quota + ahead`` ids: the surplus is exactly what it
 # would pick in the following rounds, and the AL pass spends it, in order,
-# before it calls the selector again. k-centers does so when the proxy's
-# embedding is the features themselves (``embed(proxy, x) is x``). Random
+# before it calls the selector again. k-centers does so when the proxy has
+# no hidden layer, so that its embedding is the features themselves. Random
 # draws are salted from the run ``seed`` and ``stage`` ("round-<k>" in active
 # learning, "subset" in core-set selection). k-centers starts from the rows
 # outside the pool, or from one seeded random row when the pool is every row.
@@ -374,9 +387,9 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
             raise ValueError(
                 f"baseline_seconds must be finite and positive, got {baseline_seconds!r}")
     (x, y), (xt, yt) = data, test_data
-    x = check_matrix(x, "train features", np.float64)
+    x = check_features(x, "train features")
     y = check_labels(y, x.shape[0], "train labels")
-    xt = check_matrix(xt, "test features", np.float64)
+    xt = check_features(xt, "test features")
     yt = check_labels(yt, xt.shape[0], "test labels")
     if xt.shape[1] != x.shape[1]:
         raise ValueError(f"test features have {xt.shape[1]} columns, train features {x.shape[1]}")
@@ -496,7 +509,8 @@ _DATA_FILES = ("features", "labels", "test_features", "test_labels")
 
 def load_data_section(section: dict):
     """Resolve the config ``data`` block to (train, test) array pairs, with
-    float64 features and int64 labels.
+    int64 labels and features as float64 (synthetic) or as the float32 the
+    SVPT files hold, unconverted.
 
     Either {"synthetic": {...generator params...}} or file paths
     {"features", "labels", "test_features", "test_labels"} with SVPT tensors
@@ -511,12 +525,8 @@ def load_data_section(section: dict):
     not_paths = [k for k in _DATA_FILES if not isinstance(section[k], str)]
     if not_paths:
         raise ValueError(f"data file paths must be strings: {not_paths}")
-    # The run uses float64 features; converting here, once, leaves no float32
-    # copy referenced for the run's length. float32 -> float64 is exact.
-    train = (read_tensor(section["features"]).astype(np.float64),
-             read_labels_csv(section["labels"]))
-    test = (read_tensor(section["test_features"]).astype(np.float64),
-            read_labels_csv(section["test_labels"]))
+    train = read_tensor(section["features"]), read_labels_csv(section["labels"])
+    test = read_tensor(section["test_features"]), read_labels_csv(section["test_labels"])
     return train, test
 
 

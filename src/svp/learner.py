@@ -8,13 +8,18 @@ the parameters alone. Training is mini-batch SGD on mean cross-entropy at a
 fixed learning rate, shuffling with a seeded permutation each epoch, and
 records a per-epoch correctness log with accuracy observed on the forward
 pass of each gradient step, before the parameter update. All training math
-runs in float64.
+runs in float64. ``fit`` keeps float32 features as they are (every float32
+value converts to float64 exactly) and converts only the rows it gathers
+into its float64 shuffle buffer, a block at a time; ``predict_proba``,
+``embed`` and ``error_rate`` convert features of any dtype but float64 as
+a whole.
 
 Every check here is ``tensor_io``'s: each public entry point checks features
-with ``check_matrix``, labels with ``check_labels`` and a given class count
-with ``check_number``, and the config dataclasses check each number with
-``check_number``. The learner adds only the model's feature count and that
-the class count covers the labels.
+with ``check_matrix`` (``fit`` through ``check_features``), labels with
+``check_labels`` and a given class count with ``check_number``, and the
+config dataclasses check each number with ``check_number``. The learner
+adds only the model's feature count and that the class count covers the
+labels.
 
 Determinism contract: fit is a pure function of (spec, features, labels,
 n_classes). The logistic learner initializes at zero, so with epochs=0 its
@@ -25,8 +30,9 @@ then W row-major) and biases at zero.
 Inference works in place on fresh arrays: the hidden layer is ``x @ W1``,
 then ``+= b1`` and a ReLU into itself, and the softmax overwrites the
 logits. So ``predict_proba`` and ``error_rate`` hold one n-by-h and one
-n-by-c array, ``embed`` the representation alone (without a hidden layer,
-the features themselves), and the caller's features are never written.
+n-by-c array beside their float64 features, ``embed`` the representation
+alone (without a hidden layer, the float64 features themselves), and the
+caller's features are never written.
 The float operations are those of the textbook out-of-place pass, so
 values are bit-equal to it; products are never split into row blocks,
 which would not be.
@@ -50,9 +56,10 @@ from typing import Optional
 import numpy as np
 
 from .rng import SplitMix64, derive_seed
-from .tensor_io import check_labels, check_matrix, check_number
+from .tensor_io import check_features, check_labels, check_matrix, check_number
 
 KINDS = ("logistic", "mlp")
+_GATHER_BLOCK = 1 << 14  # values gathered at a time from features of another dtype
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class TrainedModel:
 
 
 def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    x = check_matrix(features, "features", np.float64)
+    x = check_features(features)
     y = check_labels(labels, x.shape[0])
     c = int(y.max()) + 1 if n_classes is None else check_number(n_classes, "n_classes", True)
     if c < 2:
@@ -167,6 +174,27 @@ def _sgd_grads(params: dict, grads: dict, xb: np.ndarray, yb: np.ndarray,
     np.add.reduce(z, axis=0, out=grads["b"])
 
 
+def take_rows(x: np.ndarray, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x[rows]`` as float64, written into ``out`` (a fresh array when None).
+
+    ``rows`` must lie in range: mode="clip" gathers straight into ``out``,
+    where "raise" would buffer a copy. ``np.take`` cannot cast into ``out``,
+    so rows of another dtype, such as float32, pass through a scratch block
+    of at most ``_GATHER_BLOCK`` values, and no full-size temporary is made.
+    """
+    if out is None:
+        out = np.empty((rows.size, x.shape[1]))
+    if x.dtype == out.dtype:
+        return np.take(x, rows, axis=0, out=out, mode="clip")
+    step = max(1, _GATHER_BLOCK // x.shape[1])
+    scratch = np.empty((min(step, rows.size), x.shape[1]), dtype=x.dtype)
+    for start in range(0, rows.size, step):
+        part = rows[start : start + step]
+        out[start : start + part.size] = np.take(x, part, axis=0, out=scratch[: part.size],
+                                                 mode="clip")
+    return out
+
+
 def _views(buf: np.ndarray, shapes: dict) -> dict:
     """Consecutive reshaped slices of the flat ``buf``, one per shape."""
     out, at = {}, 0
@@ -195,15 +223,14 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
     rows = np.arange(min(bs, n))
     correct = np.empty(n, dtype=np.bool_)
-    # One shuffle buffer per fit, refilled each epoch; ``perm`` is always in
-    # range, and mode="clip" gathers straight into ``out`` where "raise"
-    # would buffer a copy.
+    # One float64 shuffle buffer per fit, refilled each epoch; ``perm`` is
+    # always in range, so the gathers take mode="clip".
     xp, yp = np.empty(x.shape), np.empty_like(y)
 
     with np.errstate(all="ignore"):
         for epoch in range(spec.epochs):
             perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
-            np.take(x, perm, axis=0, out=xp, mode="clip")
+            take_rows(x, perm, xp)
             np.take(y, perm, out=yp, mode="clip")
             for start in range(0, n, bs):
                 stop = min(start + bs, n)
@@ -239,7 +266,8 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
 
 
 def embed(model: TrainedModel, features) -> np.ndarray:
-    """Final-hidden-layer representation; identity for the linear model."""
+    """Final-hidden-layer representation. For the linear model it is the
+    features as float64: the caller's array itself only when that is float64."""
     return _represent(model.params, _check_dims(model, features))
 
 
@@ -291,12 +319,11 @@ def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> S
     (skipped when explicit means are given, which must be a finite
     ``(classes, dim)`` matrix), train noise, test noise.
     Labels are round-robin (i mod classes), so class counts are balanced
-    within 1.
+    within 1. Raises ValueError when a feature overflows float64, which
+    finite but huge ``separation``, ``noise`` or means can make happen.
     """
     rng = SplitMix64(derive_seed(params.seed, "synth"))
-    if means is None:
-        means = params.separation * rng.normals((params.classes, params.dim))
-    else:
+    if means is not None:
         means = check_matrix(means, "means", np.float64)
         if means.shape != (params.classes, params.dim):
             raise ValueError(f"means must be {(params.classes, params.dim)}, got {means.shape}")
@@ -313,8 +340,15 @@ def make_synthetic(params: SynthParams, means: Optional[np.ndarray] = None) -> S
         x[whole:] += means[: n - whole]
         return x, y
 
-    x_train, y_train = split(params.n_train)
-    x_test, y_test = split(params.n_test)
+    try:
+        with np.errstate(over="raise"):
+            if means is None:
+                means = params.separation * rng.normals((params.classes, params.dim))
+            x_train, y_train = split(params.n_train)
+            x_test, y_test = split(params.n_test)
+    except FloatingPointError:
+        raise ValueError(f"synthetic features overflow float64 (separation {params.separation!r},"
+                         f" noise {params.noise!r})") from None
     return SyntheticDataset(
         features=x_train,
         labels=y_train,

@@ -41,22 +41,25 @@ into the result array, and its values are checked a block at a time, so
 write holds one copy too: the header is packed into one buffer, the values
 are cast straight into the payload behind it and checked a block at a
 time, and that buffer is what gets written, so ``write_tensor`` and
-``write_train_log`` also peak near 1x the payload. A run that
-reads its features from files converts each matrix to float64 once, in
-``harness.load_data_section``, and holds only that copy (float32 to float64
-is exact). ``read_tensor(path)`` still returns float32 and takes one
-argument: the benchmark's tracer wraps ``harness.read_tensor`` and
-``cli.read_tensor`` with a counter called as ``(result, path)``, so a
-second argument, or a feature read that bypasses those names, would break
-or blind every traced run.
+``write_train_log`` also peak near 1x the payload. A CSV write formats and
+writes one block of rows at a time. A run that reads its features from
+files keeps the float32 matrices ``read_tensor`` returns
+(``check_features`` takes float32 as it is, since float32 to float64 is
+exact), and its layers convert only the rows they compute on.
+``read_tensor(path)`` takes one argument: the benchmark's tracer wraps
+``harness.read_tensor`` and ``cli.read_tensor`` with a counter called as
+``(result, path)``, and ``atomic_write_bytes`` with one that takes
+``len(data)`` after the write, so a second argument, or a read or write
+that bypasses those names, would break or blind every traced run.
 
 The checks of every argument kind live here, one rule each: ``check_matrix``
-for feature and probability matrices, ``check_labels`` for labels (its
-integer test also serves ``check_indices``, for index sets and pools),
-``check_vector`` for score vectors, and ``check_number`` for every scalar:
-config numbers, counts (through ``check_count``), class counts and random
-stream sizes. None of them coerces: a real where an integer belongs, a
-boolean or a string is refused with ``ValueError`` naming the argument.
+for feature and probability matrices (``check_features`` for the features a
+run holds), ``check_labels`` for labels (its integer test also serves
+``check_indices``, for index sets and pools), ``check_vector`` for score
+vectors, and ``check_number`` for every scalar: config numbers, counts
+(through ``check_count``), class counts and random stream sizes. None of
+them coerces: a real where an integer belongs, a boolean or a string is
+refused with ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ PROB_TOL = 1e-5  # how far from 1 a probability row may sum
 # dtype and reserved; SVPL: reserved), two dims, then the payload.
 _FRAME = struct.Struct("<4sHBBQQ")
 _CHECK_BLOCK = 1 << 16  # payload values checked at a time, so a check's mask stays small
+_CSV_BLOCK = 1 << 12  # CSV cells formatted at a time
 
 
 class FormatError(ValueError):
@@ -149,11 +153,12 @@ def staged_writes():
         _staged = None
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename into place at
-    the end of the enclosing :func:`staged_writes` block; a write outside one
-    is a block of its own. The file gets the mode ``open(path, "w")`` gives;
-    a directory is refused, and so is a missing one, naming ``path``."""
+def atomic_write_bytes(path: str, data) -> None:
+    """Write ``data``, bytes or an iterable of byte blocks, to a temp file in
+    the same directory, then rename it into place at the end of the
+    enclosing :func:`staged_writes` block; a write outside one is a block of
+    its own. The file gets the mode ``open(path, "w")`` gives; a directory
+    is refused, and so is a missing one, naming ``path``."""
     if _staged is None:
         with staged_writes():
             return atomic_write_bytes(path, data)
@@ -168,7 +173,23 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     _staged.append((tmp, path))  # the block's end removes it if anything fails
     with os.fdopen(fd, "wb") as fh:
         os.fchmod(fh.fileno(), 0o666 & ~umask)
-        fh.write(data)
+        fh.writelines((data,) if isinstance(data, (bytes, bytearray)) else data)
+
+
+class _Blocks:
+    """The byte blocks of the iterator ``blocks``, counted as they are handed
+    out, so that ``len()`` of a finished write is its size, as for bytes."""
+
+    def __init__(self, blocks):
+        self._blocks, self._size = blocks, 0
+
+    def __iter__(self):
+        for block in self._blocks:
+            self._size += len(block)
+            yield block
+
+    def __len__(self):
+        return self._size
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -185,6 +206,14 @@ def check_matrix(matrix, what: str = "matrix", dtype=None) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"non-finite values in {what}")
     return m
+
+
+def check_features(features, what: str = "features") -> np.ndarray:
+    """A feature matrix checked by :func:`check_matrix`: float32 as it is,
+    since every float32 value converts to float64 exactly, and any other
+    dtype as float64."""
+    x = np.asarray(features)
+    return check_matrix(x, what, np.float32 if x.dtype == np.float32 else np.float64)
 
 
 def check_labels(labels, rows: Optional[int] = None, what: str = "labels") -> np.ndarray:
@@ -609,15 +638,26 @@ def read_train_log_csv(path: str) -> np.ndarray:
 def write_csv(path: str, names, *columns) -> None:
     """Write a CSV file with header ``names`` and one row per entry of the
     equal-length 1-D ``columns``; each cell is the repr of a ``.tolist()``
-    value. Columns of any other shape raise ``ValueError`` and write nothing."""
+    value. Columns of any other shape raise ``ValueError`` and write nothing.
+    Rows are formatted and written ``_CSV_BLOCK`` cells at a time, so a write
+    holds one block's cells and text, not the file's."""
     if any(np.ndim(c) != 1 for c in columns) or len({len(c) for c in columns}) > 1:
         raise ValueError(f"CSV columns must be 1-D and of one length, got shapes "
                          f"{[np.shape(c) for c in columns]}")
-    cells = [None] * sum(len(c) for c in columns)
-    for j, column in enumerate(columns):
-        cells[j::len(columns)] = column.tolist()
-    row = ",".join(["%r"] * len(columns)) + "\n"
-    atomic_write_text(path, ",".join(names) + "\n" + row * len(columns[0]) % tuple(cells))
+    n, width = len(columns[0]), len(columns)
+    step = max(1, _CSV_BLOCK // width)
+    row = ",".join(["%r"] * width) + "\n"
+
+    def blocks():
+        yield (",".join(names) + "\n").encode()
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            cells = [None] * (width * (stop - start))
+            for j, column in enumerate(columns):
+                cells[j::width] = column[start:stop].tolist()
+            yield (row * (stop - start) % tuple(cells)).encode()
+
+    atomic_write_bytes(path, _Blocks(blocks()))
 
 
 def write_scores_csv(scores: np.ndarray, path: str) -> None:

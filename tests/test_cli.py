@@ -596,6 +596,8 @@ SCHEDULE = {"initial": 0.02, "first": 0.08, "subsequent": 0.1}
                    "test_labels": "yt.csv", "test_lables": "yt.csv"}},
          "unknown data fields: ['test_lables']"),
         ({"data": {}}, "data is missing ['features', 'labels', 'test_features', 'test_labels']"),
+        *[({"data": {"synthetic": {**SYNTH, name: 1e308, "seed": 1}}},
+           "synthetic features overflow float64") for name in ("separation", "noise")],
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overrides, fragment):
@@ -796,6 +798,15 @@ class TestSynth:
                      "--noise", "1.0", "--n-train", "20", "--n-test", "8",
                      "--out-features", str(tmp_path / "x.svpt"),
                      "--out-labels", str(tmp_path / "y.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["separation", "noise"])
+    def test_overflowing_features_are_a_one_line_error(self, tmp_path, capsys, flag):
+        argv = synth_argv(tmp_path, classes="3", dim="4", n_train="30", n_test="6", seed="1")
+        argv[argv.index("--" + flag) + 1] = "1e308"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic features overflow float64") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_params(self, tmp_path):
         assert main(["synth", "--classes", "1", "--dim", "3", "--separation", "1.0",

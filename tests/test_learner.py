@@ -16,6 +16,7 @@ from helpers import (
     spec_dict,
     traced_peak,
 )
+from svp import learner
 from svp.harness import _from_object
 from svp.learner import (
     KINDS,
@@ -191,6 +192,35 @@ def assert_fit_bit_equal(spec, x, y, c):
         assert got.train_log.tobytes() == expected.train_log.tobytes()
 
 
+class TestFloat32Features:
+    """``fit`` keeps float32 features and converts only the rows it gathers
+    into its float64 shuffle buffer, so it trains as on their conversion."""
+
+    @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+    def test_fit_equals_fit_on_the_float64_conversion(self, spec):
+        n, d = 5003, 8
+        rows_per_block = learner._GATHER_BLOCK // d
+        assert n > rows_per_block and n % rows_per_block and n % spec.batch_size
+        spec = dataclasses.replace(spec, epochs=2)
+        rng = np.random.default_rng(8)
+        x32 = rng.standard_normal((n, d)).astype(np.float32)
+        y = rng.integers(0, 3, size=n)
+        a, b = fit(spec, x32, y), fit(spec, x32.astype(np.float64), y)
+        assert a.params.keys() == b.params.keys()
+        for key in a.params:
+            assert a.params[key].tobytes() == b.params[key].tobytes()
+        assert a.train_log.tobytes() == b.train_log.tobytes()
+
+    def test_full_data_fit_holds_no_float64_copy_beyond_its_shuffle_buffer(self):
+        n, d = 20000, 32
+        rng = np.random.default_rng(9)
+        x32 = rng.standard_normal((n, d)).astype(np.float32)
+        y = rng.integers(0, 3, size=n)
+        spec = dataclasses.replace(LOGISTIC, epochs=1)
+        fit(spec, x32[:50], y[:50])  # first-call allocations are not the fit's
+        assert traced_peak(fit, spec, x32, y) < 1.5 * n * d * 8
+
+
 class TestInPlaceLoopOracle:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("case", [
@@ -360,6 +390,14 @@ class TestSynthetic:
         params = SynthParams(classes=2, dim=2, separation=1.0, noise=0.1, n_train=40, n_test=10, seed=5)
         with pytest.raises(ValueError, match="non-finite values in means"):
             make_synthetic(params, means=np.array([[0.0, 0.0], [bad, 0.0]]))
+
+    @pytest.mark.parametrize("separation, noise", [(1e308, 1.0), (1.0, 1e308)])
+    def test_overflowing_features_are_rejected(self, separation, noise):
+        params = SynthParams(3, 4, separation, noise, 30, 6, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="synthetic features overflow float64"):
+                make_synthetic(params)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -630,6 +630,28 @@ def test_writer_bytes_equal_the_per_row_writer(case, tmp_path_factory):
     assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("layout", [SCORES_CSV, ORDER_CSV], ids=["two-columns", "three-columns"])
+def test_writer_bytes_equal_the_per_row_writer_across_blocks(tmp_path, layout):
+    rows_per_block = tensor_io._CSV_BLOCK // len(layout)
+    n = 2 * rows_per_block + 7  # two whole blocks and a partial one
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+               if layout[name].kind == "f" else rng.integers(-2**63, 2**63 - 1, n)
+               for name in layout.names]
+    write_csv(str(tmp_path / "new.csv"), layout.names, *columns)
+    write_csv_oracle(str(tmp_path / "old.csv"), layout.names, *columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_scores_writer_holds_a_block_not_the_file(tmp_path):
+    scores = np.random.default_rng(4).random(100_000)
+    path = str(tmp_path / "s.csv")
+    write_scores_csv(scores[:10], path)  # first-call allocations are not the write's
+    peak = traced_peak(write_scores_csv, scores, path)
+    # The 800 kB of ids is most of it; the whole text would be 2.5 MB.
+    assert peak < 0.6 * os.path.getsize(path)
+
+
 def test_writer_rejects_columns_its_reader_rejects(tmp_path):
     path = tmp_path / "s.csv"
     with pytest.raises(ValueError, match="1-D and of one length"):

@@ -1,6 +1,6 @@
-"""Print the peak resident set size of four runs at n=100k, each in a fresh
-Python process, to track the memory that inference, data generation and
-file inputs hold at scale.
+"""Print the peak resident set size of five runs at n=100k, each in a fresh
+Python process, to track the memory that inference, training, data
+generation and file inputs hold at scale.
 
 - ``al``: ``svp al`` with ``least_confidence`` on synthetic data (100000
   training rows, d=32, 10 classes, 5000 test rows), budget 0.1 (one round
@@ -12,9 +12,13 @@ file inputs hold at scale.
 - ``al-file``: the ``al`` run on that data read from SVPT and CSV files.
 - ``kcenters``: ``svp kcenters --initial-size 1 --budget 100`` on the
   training features file.
+- ``coreset-file``: ``svp coreset`` with ``least_confidence`` on the same
+  files, a 0.1 subset, and the ``al`` run's learners with the baseline
+  measured: the proxy and the baseline's MLP are each fitted on all 100000
+  rows, the path whose shuffle buffer holds a float64 copy of the data.
 
-The files of ``al-file`` and ``kcenters`` are written once, by ``svp
-synth`` in a separate process, before any measured run starts. Each run
+The files of the file runs are written once, by ``svp synth`` in a
+separate process, before any measured run starts. Each run
 prints ``<name> <peak RSS in MiB>``, read from ``ru_maxrss`` of the run's
 own process (in KiB on Linux), which includes the interpreter and numpy.
 BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is set.
@@ -33,7 +37,7 @@ import sys
 import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-RUNS = ("al", "synth", "al-file", "kcenters")
+RUNS = ("al", "synth", "al-file", "kcenters", "coreset-file")
 SYNTH = {"classes": 10, "dim": 32, "separation": 0.35, "noise": 1.0,
          "n_train": 100_000, "n_test": 5_000, "seed": 1}
 CONFIG = {
@@ -63,13 +67,16 @@ def synth_argv(d: str) -> list:
 def argv_for(name: str, d: str, data: str) -> list:
     """The ``svp`` command line of run ``name``: its own files in ``d``, the
     files written by the preparing ``svp synth`` in ``data``."""
-    if name in ("al", "al-file"):
+    if name in ("al", "al-file", "coreset-file"):
         config = CONFIG if name == "al" else {
             **CONFIG, "data": {key: os.path.join(data, f) for key, f in FILES.items()}}
+        if name == "coreset-file":
+            del config["budget_fraction"]
+            config.update(task="coreset", subset_fraction=0.1)
         path = os.path.join(d, "config.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
-        return ["al", "--config", path]
+        return [config["task"], "--config", path]
     if name == "kcenters":
         return ["kcenters", "--features", os.path.join(data, FILES["features"]),
                 "--initial-size", "1", "--budget", "100", "--seed", "1",
