@@ -220,6 +220,18 @@ class TestFloat32Features:
         fit(spec, x32[:50], y[:50])  # first-call allocations are not the fit's
         assert traced_peak(fit, spec, x32, y) < 1.5 * n * d * 8
 
+    def test_many_class_mlp_fit_holds_no_label_sized_buffer(self):
+        # Labels are subtracted by flat index and the log is compared per
+        # epoch, so a fit holds O(n) label state: an n-by-c one-hot, even
+        # of bools (0.78 of the shuffle buffer here), would break the bound.
+        n, d, c = 20000, 32, 200
+        rng = np.random.default_rng(10)
+        x32 = rng.standard_normal((n, d)).astype(np.float32)
+        y = rng.integers(0, c, size=n)
+        spec = dataclasses.replace(MLP, epochs=1)
+        fit(spec, x32[:50], y[:50], n_classes=c)
+        assert traced_peak(fit, spec, x32, y, c) < 1.5 * n * d * 8
+
 
 class TestInPlaceLoopOracle:
     @pytest.mark.parametrize("kind", KINDS)
@@ -234,6 +246,19 @@ class TestInPlaceLoopOracle:
     ])
     def test_bit_equal_on_named_cases(self, kind, case):
         assert_fit_bit_equal(*_training_set(kind, **case))
+
+    @pytest.mark.parametrize("kind,hidden", [("logistic", None), ("mlp", 64), ("mlp", 128)])
+    @pytest.mark.parametrize("batch_size", [32, 64])
+    def test_bit_equal_at_benchmark_shapes(self, kind, hidden, batch_size):
+        # The benchmark's learner shapes, where BLAS runs its full-size
+        # kernels; 1003 rows leave a partial last batch.
+        n, d, c = 1003, 32, 10
+        rng = np.random.default_rng(batch_size + (hidden or 0))
+        x32 = rng.standard_normal((n, d)).astype(np.float32)
+        y = rng.integers(0, c, size=n)
+        spec = LearnerSpec(kind=kind, epochs=2, learning_rate=0.1, batch_size=batch_size,
+                           seed=11, hidden_units=hidden)
+        assert_fit_bit_equal(spec, x32, y, c)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(training_sets())
