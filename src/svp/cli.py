@@ -217,10 +217,9 @@ def _cmd_forget(args) -> int:
     log = _load_train_log(args.log)
     scores = process_log(log)
     # Select first: an impossible M must fail before the CSV is written.
-    chosen = None if args.select is None else select_most_forgotten(scores, args.select)
+    chosen = [] if args.select is None else select_most_forgotten(scores, args.select)
     write_forgetting_csv(scores, args.out)
-    if chosen is not None:
-        sys.stdout.write("\n".join(str(int(i)) for i in chosen) + "\n")
+    sys.stdout.write("".join(f"{int(i)}\n" for i in chosen))
     return 0
 
 

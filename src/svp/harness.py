@@ -118,6 +118,10 @@ class ALConfig:
         object.__setattr__(self, "budget_fraction", fraction)
 
 
+# The timing block: wall-clock fields, the only ones deterministic_dict() leaves out.
+_TIMING = ("round_seconds", "selection_seconds", "baseline_seconds", "speedup")
+
+
 @dataclass
 class RunReport:
     task: str
@@ -134,29 +138,14 @@ class RunReport:
     speedup: Optional[float]
 
     def deterministic_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "method": self.method,
-            "n_train": self.n_train,
-            "round_sizes": list(self.round_sizes),
-            "round_proxy_errors": list(self.round_proxy_errors),
-            "selected_ids": [int(i) for i in self.selected_ids],
-            "target_test_error": self.target_test_error,
-            "full_data_error": self.full_data_error,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in _TIMING}
 
     def timing_dict(self) -> dict:
-        return {
-            "round_seconds": list(self.round_seconds),
-            "selection_seconds": self.selection_seconds,
-            "baseline_seconds": self.baseline_seconds,
-            "speedup": self.speedup,
-        }
+        return {name: getattr(self, name) for name in _TIMING}
 
     def to_dict(self) -> dict:
-        d = self.deterministic_dict()
-        d["timing"] = self.timing_dict()
-        return d
+        return {**self.deterministic_dict(), "timing": self.timing_dict()}
 
 
 def nearest_count(fraction: float, n: int) -> int:

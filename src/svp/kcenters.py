@@ -86,8 +86,8 @@ nearest center c* is among them, and both tests pass:
 S(i, c*) <= s^2 D_i - q_i + E < smin_i + 2 tol by U_i, and
 S(i, c*) <= s^2 D(i, c*) - q_i + E < s^2 exact_i + tol - q_i. So exact_i
 becomes D_i. Rows refreshed together screen from the earliest ``seen``
-among them when that saves a GEMM; a center already in exact_i only
-re-evaluates a pair that cannot lower it.
+among them, with one GEMM; a center already in exact_i only re-evaluates a
+pair that cannot lower it.
 
 The lazy bound. Let lam be the K-th largest lo over the rows that are not
 centers. Stale rows with hi >= lam are refreshed, highest hi first in
@@ -213,7 +213,6 @@ def _screen_rows(x: np.ndarray):
 
 
 _PAIRS = 2**15  # float64 entries per gather of exact pairs
-_MERGE = 2**15  # screen entries a refresh spends to save a group
 
 
 def _pair_dists(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -313,33 +312,21 @@ class _Traversal:
         self.fold(block)
 
     def refresh(self, rows):
-        """Bring exact[rows] up to all m centers."""
-        rows = rows[np.argsort(-self.seen[rows], kind="stable")]
-        seen = self.seen[rows]
-        cuts = np.flatnonzero(seen[1:] != seen[:-1]) + 1
-        start = 0
-        for cut in cuts:
-            # The group takes the next rows in too, screening its rows
-            # against the centers before theirs as well, when that costs
-            # less than another group.
-            if (cut - start) * (seen[cut - 1] - seen[cut]) > _MERGE:
-                self._refresh_from(rows[start:cut], seen[cut - 1])
-                start = cut
-        self._refresh_from(rows[start:], seen[-1])
-        self.seen[rows] = self.m
-
-    def _refresh_from(self, grp, lo):
-        # Screen grp against centers[lo:m] and evaluate the pairs within
-        # 2*tol of the row's screen minimum and under its threshold.
-        dots = self.y[grp] @ self.weights[lo : self.m].T
-        lim = np.minimum(self.smin[grp] + self.tol2, self.scaled[grp] - self.lo[grp])
+        """Bring exact[rows] up to all m centers: screen the rows against
+        centers[first:m], first the earliest ``seen`` among them, and
+        evaluate the pairs within 2*tol of the row's screen minimum and
+        under its threshold."""
+        first = self.seen[rows].min()
+        dots = self.y[rows] @ self.weights[first : self.m].T
+        lim = np.minimum(self.smin[rows] + self.tol2, self.scaled[rows] - self.lo[rows])
         r, c = np.divmod(np.flatnonzero(dots <= lim.astype(np.float32)[:, None]), dots.shape[1])
         if r.size:
-            dist = _pair_dists(self.x, grp[r], self.centers[lo + c])
+            dist = _pair_dists(self.x, rows[r], self.centers[first + c])
             starts = np.flatnonzero(np.diff(r, prepend=-1))
-            hit = grp[r[starts]]
+            hit = rows[r[starts]]
             self.exact[hit] = np.minimum(self.exact[hit], np.minimum.reduceat(dist, starts))
             self.scaled[hit] = self.s2 * self.exact[hit]
+        self.seen[rows] = self.m
 
     def candidates(self, k):
         """The round's pool: the first k examples in (exact descending,

@@ -138,9 +138,13 @@ def staged_writes():
     Each file is staged to its temp file as it is written and renamed only
     when the block ends without an error, so a failure part-way (a missing
     directory, an invalid value) leaves none of the block's outputs behind.
-    Blocks do not nest.
+    A block inside another joins it: its writes are renamed when the
+    outermost block ends.
     """
     global _staged
+    if _staged is not None:
+        yield
+        return
     _staged = []
     try:
         yield
@@ -159,9 +163,6 @@ def atomic_write_bytes(path: str, data) -> None:
     enclosing :func:`staged_writes` block; a write outside one is a block of
     its own. The file gets the mode ``open(path, "w")`` gives; a directory
     is refused, and so is a missing one, naming ``path``."""
-    if _staged is None:
-        with staged_writes():
-            return atomic_write_bytes(path, data)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     umask = os.umask(0)
@@ -170,10 +171,11 @@ def atomic_write_bytes(path: str, data) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".svp-tmp-")
     except OSError as exc:  # named after the temp file, which the caller never saw
         raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, path)
-    _staged.append((tmp, path))  # the block's end removes it if anything fails
-    with os.fdopen(fd, "wb") as fh:
-        os.fchmod(fh.fileno(), 0o666 & ~umask)
-        fh.writelines((data,) if isinstance(data, (bytes, bytearray)) else data)
+    with staged_writes():
+        _staged.append((tmp, path))  # the block's end removes it if anything fails
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.writelines((data,) if isinstance(data, (bytes, bytearray)) else data)
 
 
 class _Blocks:

@@ -293,6 +293,14 @@ class TestForget:
         # Example 2 was never learned, example 0 has one forgetting event.
         assert capsys.readouterr().out == "2\n0\n"
 
+    def test_select_zero_prints_nothing(self, tmp_path, capsys):
+        log_path = tmp_path / "run.svpl"
+        write_train_log(LOG, log_path)
+        out = tmp_path / "f.csv"
+        assert main(["forget", "--log", str(log_path), "--out", str(out), "--select", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == self.expected_csv(tmp_path)
+
     @pytest.mark.parametrize("m", ["11", "-1"])
     def test_impossible_select_leaves_no_output(self, tmp_path, capsys, m):
         log_path = tmp_path / "log.svpl"

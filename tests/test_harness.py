@@ -43,7 +43,8 @@ from svp.learner import (
 )
 from svp.rng import SplitMix64, derive_seed
 from svp.scoring import entropy, top_m
-from svp.tensor_io import read_labels_csv, read_tensor, write_labels_csv, write_tensor
+from svp.tensor_io import (read_labels_csv, read_tensor, staged_writes, write_labels_csv,
+                           write_tensor)
 
 PROXY = LearnerSpec(kind="logistic", epochs=5, learning_rate=0.5, batch_size=16, seed=1)
 TARGET = LearnerSpec(kind="mlp", epochs=5, learning_rate=0.3, batch_size=16, seed=2, hidden_units=8)
@@ -560,6 +561,8 @@ class TestReportsAndConfig:
         assert set(d["timing"]) == {"round_seconds", "selection_seconds",
                                     "baseline_seconds", "speedup"}
         assert set(report.deterministic_dict()) & set(d["timing"]) == set()
+        for field in dataclasses.fields(RunReport):
+            assert (field.name in report.deterministic_dict()) + (field.name in d["timing"]) == 1
 
     def test_csv_path_for(self):
         assert _csv_path_for("out.json") == "out.rounds.csv"
@@ -590,6 +593,26 @@ class TestReportsAndConfig:
 
         report2, _ = execute_config(cfg)
         assert report1.deterministic_dict() == report2.deterministic_dict()
+
+    def test_execute_config_joins_a_callers_staged_block(self, tmp_path):
+        cfg = {
+            "task": "coreset",
+            "method": "random",
+            "proxy": spec_dict(PROXY),
+            "target": spec_dict(TARGET),
+            "subset_fraction": 0.3,
+            "seed": 5,
+            "data": {"synthetic": dataclasses.asdict(DATA_PARAMS)},
+            "output": str(tmp_path / "run.json"),
+        }
+        with staged_writes():
+            write_labels_csv(np.array([0, 1]), str(tmp_path / "y.csv"))
+            execute_config(cfg)
+            assert list(tmp_path.iterdir()) != []
+            assert not any((tmp_path / name).exists()
+                           for name in ("y.csv", "run.json", "run.rounds.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.json", "run.rounds.csv", "y.csv"]
 
     def test_execute_config_al_from_files(self, tmp_path):
         (x, y), (xt, yt) = small_data()

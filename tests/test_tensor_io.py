@@ -478,6 +478,15 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
         assert list(target.iterdir()) == []
 
+    def test_nested_block_renames_when_the_outermost_ends(self, tmp_path):
+        with pytest.raises(ValueError, match="later fault"):
+            with staged_writes():
+                with staged_writes():
+                    write_labels_csv(np.array([0, 1]), str(tmp_path / "y.csv"))
+                assert [p.name.startswith(".svp-tmp-") for p in tmp_path.iterdir()] == [True]
+                raise ValueError("later fault")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScoreAndLabelCsv:
     def test_scores_round_trip_full_precision(self, tmp_path):

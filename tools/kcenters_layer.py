@@ -21,7 +21,8 @@ Each shape is built from synthetic data with fixed seeds:
 For each shape the script checks ``order`` and ``picked_dists`` byte for byte
 against the difference-form oracle of the tests (one pass per center), then
 prints the median wall time of 5 calls, the rounds of picks, the rows whose
-exact distances were refreshed, the exact pairs evaluated (refreshes and
+exact distances were refreshed, the refreshes' GEMMs (one per refresh) and
+the screen entries they compute, the exact pairs evaluated (refreshes and
 pool tables) and the ``tracemalloc`` peak of one call. The counts come from
 a separate call with the private functions wrapped, so the timed calls run
 unwrapped. BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is
@@ -81,8 +82,9 @@ def shapes():
 
 
 def counts(x, initial, budget):
-    """Rounds, refreshed rows and exact pairs of one call."""
-    tally = {"rounds": 0, "refreshed": 0, "pairs": 0}
+    """Rounds, refreshed rows, refresh GEMMs and screen entries, and exact
+    pairs of one call."""
+    tally = {"rounds": 0, "refreshed": 0, "gemms": 0, "screen": 0, "pairs": 0}
     accept, pair_dists = kcenters._accept, kcenters._pair_dists
     refresh = kcenters._Traversal.refresh
 
@@ -92,6 +94,8 @@ def counts(x, initial, budget):
 
     def counted_refresh(self, rows):
         tally["refreshed"] += rows.size
+        tally["gemms"] += 1  # rows against every center from their earliest seen on
+        tally["screen"] += rows.size * (self.m - int(self.seen[rows].min()))
         return refresh(self, rows)
 
     def counted_pairs(x, rows, cols):
@@ -110,7 +114,8 @@ def counts(x, initial, budget):
 
 def main():
     print(f"{'shape':10s} {'n':>6s} {'d':>3s} {'init':>5s} {'picks':>5s} {'ms':>8s} "
-          f"{'rounds':>6s} {'refreshed':>9s} {'pairs':>8s} {'peak_MiB':>8s}")
+          f"{'rounds':>6s} {'refreshed':>9s} {'gemms':>5s} {'screen':>9s} {'pairs':>8s} "
+          f"{'peak_MiB':>8s}")
     for name, x, initial, budget in shapes():
         result = kcenters.greedy_kcenters(x, initial, budget)
         order, picked, _ = kcenters_oracle(x, initial, budget)
@@ -129,7 +134,8 @@ def main():
         c = counts(x, initial, budget)
         print(f"{name:10s} {x.shape[0]:6d} {x.shape[1]:3d} {len(initial):5d} {budget:5d} "
               f"{1e3 * statistics.median(seconds):8.1f} {c['rounds']:6d} {c['refreshed']:9d} "
-              f"{c['pairs']:8d} {peak / 2**20:8.1f}", flush=True)
+              f"{c['gemms']:5d} {c['screen']:9d} {c['pairs']:8d} {peak / 2**20:8.1f}",
+              flush=True)
 
 
 if __name__ == "__main__":
