@@ -253,9 +253,8 @@ def _kcenters_selector(proxy, x, pool, quota, seed, stage, ahead):
         # picks are its next steps.
         quota += ahead
     z = embed(proxy, x)
-    outside = np.ones(x.shape[0], dtype=bool)
-    outside[pool] = False
-    centers = np.flatnonzero(outside)
+    # Every pool holds each id once.
+    centers = np.setdiff1d(np.arange(x.shape[0]), pool, assume_unique=True)
     if centers.size:
         return greedy_kcenters(z, centers, quota).order
     start = random_select(pool, 1, derive_seed(seed, "kcenters-start"))

@@ -137,11 +137,18 @@ all rows, so it hides every distance within a cluster, and every row whose
 cluster takes a pick passes a refresh's screen. Refreshing only the rows
 that can reach a pool still evaluates far fewer pairs than every such row
 at every pick.
+
+Counters. ``KCentersResult.work`` holds ``rounds``, ``refreshed``,
+``gemms``, ``screen`` and ``pairs``, counted by the code that does that work
+(a pool table, a refresh) as it does it. Unlike the picks, these counts can
+move with the BLAS: which rows pass a screen near its tolerance depends on
+the GEMM's summation order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +165,16 @@ class KCentersResult:
     picked_dists: for each added point, its distance to the nearest center
         at the moment of addition (the value the greedy step maximized);
         nonincreasing.
+    work: what the traversal computed beyond the fold, by key: ``rounds``
+        (pool tables built), ``refreshed`` (rows refreshed, summed over
+        refreshes), ``gemms`` (one per refresh), ``screen`` (screen entries
+        the refresh GEMMs computed) and ``pairs`` (exact pairs evaluated in
+        refreshes and tables). All five are 0 for a budget of 0.
     """
 
     order: np.ndarray
     picked_dists: np.ndarray
+    work: dict
 
 
 _U32 = 2.0**-24  # float32 unit roundoff
@@ -282,6 +295,7 @@ class _Traversal:
         self.pool = min(256, max(64, 4 * d))
         self.width = min(64, max(16, 2 * d))
         self.buf = np.empty(min(self.width, size) * n, dtype=np.float32)
+        self.work = Counter(rounds=0, refreshed=0, gemms=0, screen=0, pairs=0)
 
     def weigh(self, rows, out):
         """The rows' screen weights ``[-2 y_c ; |y_c|^2]``, written to ``out``."""
@@ -301,16 +315,6 @@ class _Traversal:
         self.lo[block] = self.hi[block] = -np.inf
         self.m += block.size
 
-    def settle(self, pool, vals, block):
-        """End a round: ``vals`` holds the pool's exact distances after its
-        picks ``block`` (-inf at the picks), which are folded in; the other
-        members stay fresh."""
-        self.exact[pool] = vals
-        self.scaled[pool] = self.s2 * vals
-        self.seen[pool] = self.m + block.size
-        self.fresh = pool[vals > -np.inf]
-        self.fold(block)
-
     def refresh(self, rows):
         """Bring exact[rows] up to all m centers: screen the rows against
         centers[first:m], first the earliest ``seen`` among them, and
@@ -320,6 +324,7 @@ class _Traversal:
         dots = self.y[rows] @ self.weights[first : self.m].T
         lim = np.minimum(self.smin[rows] + self.tol2, self.scaled[rows] - self.lo[rows])
         r, c = np.divmod(np.flatnonzero(dots <= lim.astype(np.float32)[:, None]), dots.shape[1])
+        self.work.update(refreshed=rows.size, gemms=1, screen=dots.size, pairs=r.size)
         if r.size:
             dist = _pair_dists(self.x, rows[r], self.centers[first + c])
             starts = np.flatnonzero(np.diff(r, prepend=-1))
@@ -368,6 +373,7 @@ class _Traversal:
         mask = self.y[pool] @ wp.T <= thr[:, None]
         np.fill_diagonal(mask, False)
         r, c = np.divmod(np.flatnonzero(mask), k)
+        self.work.update(rounds=1, pairs=r.size)
         table = np.full((k, k), np.inf)
         table[c, r] = _pair_dists(self.x, pool[r], pool[c])
         return table
@@ -392,9 +398,15 @@ def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResul
         order[t : t + block.size] = block
         picked[t : t + block.size] = np.sqrt(got)
         t += block.size
-        tr.settle(pool, vals, block)
+        # End the round: the members not picked stay fresh after the picks
+        # are folded in.
+        tr.exact[pool] = vals
+        tr.scaled[pool] = tr.s2 * vals
+        tr.seen[pool] = tr.m + block.size
+        tr.fresh = pool[vals > -np.inf]
+        tr.fold(block)
 
-    return KCentersResult(order=order, picked_dists=picked)
+    return KCentersResult(order=order, picked_dists=picked, work=dict(tr.work))
 
 
 def write_order_csv(result: KCentersResult, path: str) -> None:

@@ -128,14 +128,6 @@ def _check_xy(features, labels, n_classes: Optional[int]) -> tuple[np.ndarray, n
     return x, y, c
 
 
-def _softmax(z: np.ndarray, zmax: np.ndarray) -> np.ndarray:
-    """Overwrite the logits ``z``, row maxima ``zmax``, with their softmax; returns ``z``."""
-    z -= zmax
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
-
-
 def init_params(spec: LearnerSpec, n_features: int, n_classes: int) -> dict:
     """The zero-hidden-layer network for ``logistic``, with ``W`` at zero;
     ``W1, b1`` ahead of the output layer ``W, b`` for ``mlp``."""
@@ -248,7 +240,8 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     flat = np.concatenate([p.ravel() for p in init.values()])
     flat_grad = np.empty_like(flat)
     params, grads = _views(flat, shapes), _views(flat_grad, shapes)
-    bs, lr = spec.batch_size, spec.learning_rate
+    # A batch of n or more rows is the whole set, so bs is at most n.
+    bs, lr = min(spec.batch_size, n), spec.learning_rate
 
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
     # One float64 shuffle buffer per fit, refilled each epoch; ``perm`` is
@@ -258,7 +251,7 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     xp, yp = np.empty(x.shape), np.empty_like(y)
     offsets = np.arange(n) % bs * c
     flat_labels, tops = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    rows = np.arange(min(bs, n))
+    rows = np.arange(bs)
     weights = (params.get("W1"), params.get("b1"), params["W"], params["b"], params["W"].T)
     slots = (grads.get("W1"), grads.get("b1"), grads["W"], grads["b"])
 
@@ -298,7 +291,10 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
     """Softmax class probabilities, rows summing to 1."""
     x = _check_dims(model, features)
     z = _logits(model.params, _represent(model.params, x))
-    return _softmax(z, z.max(axis=1, keepdims=True))
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def embed(model: TrainedModel, features) -> np.ndarray:

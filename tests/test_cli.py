@@ -522,6 +522,29 @@ class TestRunCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["round_sizes"] == [4, 20]
 
+    def test_al_run_with_batch_beyond_int64(self, tmp_path, capsys):
+        # A batch of 2**63 rows is the whole labeled set, as one of n_train
+        # rows is, so both runs report the same.
+        reports = []
+        for batch_size in (2**63, 200):
+            cfg = coreset_config(
+                tmp_path,
+                drop=("subset_fraction",),
+                task="al",
+                method="least_confidence",
+                budget_fraction=0.1,
+                proxy={**SPEC, "batch_size": batch_size},
+                target={**SPEC, "batch_size": batch_size, "seed": 2},
+                data={"synthetic": SYNTH},
+            )
+            assert main(["al", "--config", str(cfg)]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            report = json.loads(out)["report"]
+            report.pop("timing")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
 
 SYNTH = {"classes": 3, "dim": 4, "separation": 2.0, "noise": 1.0,
          "n_train": 200, "n_test": 50, "seed": 11}

@@ -321,6 +321,62 @@ class TestLazyRounds:
         assert all(picks >= 1 for _, picks in rounds)
 
 
+WORK_KEYS = ("rounds", "refreshed", "gemms", "screen", "pairs")
+
+
+def spied_work(x, initial, budget):
+    """One call's result, and its work as counted from outside by spies on
+    the functions that do it: a round per ``_accept``, and per refresh its
+    rows, one GEMM and that GEMM's shape (the rows against every center from
+    their earliest ``seen`` on); the exact pairs from ``_pair_dists``."""
+    work = dict.fromkeys(WORK_KEYS, 0)
+    accept, refresh = kcenters._accept, kcenters._Traversal.refresh
+    pair_dists = kcenters._pair_dists
+
+    def counted_accept(*args):
+        work["rounds"] += 1
+        return accept(*args)
+
+    def counted_refresh(self, rows):
+        work["refreshed"] += rows.size
+        work["gemms"] += 1
+        work["screen"] += rows.size * (self.m - int(self.seen[rows].min()))
+        return refresh(self, rows)
+
+    def counted_pairs(x, rows, cols):
+        work["pairs"] += rows.size
+        return pair_dists(x, rows, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kcenters, "_accept", counted_accept)
+        mp.setattr(kcenters._Traversal, "refresh", counted_refresh)
+        mp.setattr(kcenters, "_pair_dists", counted_pairs)
+        result = greedy_kcenters(x, initial, budget)
+    return result, work
+
+
+class TestWorkCounts:
+    """``KCentersResult.work`` counts what spies on the functions that do
+    the work count."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lazy_instances())
+    def test_lazy_instances(self, instance):
+        result, spied = spied_work(*instance)
+        assert result.work == spied
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(block_instances())
+    def test_block_instances(self, instance):
+        result, spied = spied_work(*instance)
+        assert result.work == spied
+
+    def test_zero_budget_does_no_work(self):
+        x = np.random.default_rng(44).standard_normal((30, 3))
+        result, spied = spied_work(x, [0, 4], 0)
+        assert result.work == spied == dict.fromkeys(WORK_KEYS, 0)
+
+
 @st.composite
 def screen_instances(draw):
     """Rows for the float32 screen: d from 1 to 128, Gaussian or ReLU-like

@@ -121,6 +121,16 @@ class TestFitBasics:
             _, losses = fit_oracle(spec, ds.features, ds.labels)
             assert losses[-1] < losses[0], spec.kind
 
+    @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+    def test_batch_beyond_int64_is_one_whole_batch(self, spec):
+        ds = make_synthetic(EASY)
+        n = ds.features.shape[0]
+        whole = fit(dataclasses.replace(spec, batch_size=n), ds.features, ds.labels)
+        huge = fit(dataclasses.replace(spec, batch_size=2**63), ds.features, ds.labels)
+        for key in whole.params:
+            assert huge.params[key].tobytes() == whole.params[key].tobytes(), key
+        assert huge.train_log.tobytes() == whole.train_log.tobytes()
+
     def test_fit_errors(self):
         ds = make_synthetic(EASY)
         with pytest.raises(ValueError):

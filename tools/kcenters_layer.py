@@ -20,13 +20,12 @@ Each shape is built from synthetic data with fixed seeds:
 
 For each shape the script checks ``order`` and ``picked_dists`` byte for byte
 against the difference-form oracle of the tests (one pass per center), then
-prints the median wall time of 5 calls, the rounds of picks, the rows whose
-exact distances were refreshed, the refreshes' GEMMs (one per refresh) and
-the screen entries they compute, the exact pairs evaluated (refreshes and
-pool tables) and the ``tracemalloc`` peak of one call. The counts come from
-a separate call with the private functions wrapped, so the timed calls run
-unwrapped. BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is
-set.
+prints the median wall time of 5 calls, the ``work`` the checked call
+returns and the ``tracemalloc`` peak of one call. ``work`` counts the rounds
+of picks, the rows whose exact distances were refreshed, the refreshes'
+GEMMs (one per refresh) and the screen entries they compute, and the exact
+pairs evaluated in refreshes and pool tables. BLAS is pinned to one thread
+unless ``OPENBLAS_NUM_THREADS`` is set.
 
 Usage, from the repository root:
 
@@ -81,37 +80,6 @@ def shapes():
     yield "tight", tight, [0], 2000
 
 
-def counts(x, initial, budget):
-    """Rounds, refreshed rows, refresh GEMMs and screen entries, and exact
-    pairs of one call."""
-    tally = {"rounds": 0, "refreshed": 0, "gemms": 0, "screen": 0, "pairs": 0}
-    accept, pair_dists = kcenters._accept, kcenters._pair_dists
-    refresh = kcenters._Traversal.refresh
-
-    def counted_accept(*args):
-        tally["rounds"] += 1
-        return accept(*args)
-
-    def counted_refresh(self, rows):
-        tally["refreshed"] += rows.size
-        tally["gemms"] += 1  # rows against every center from their earliest seen on
-        tally["screen"] += rows.size * (self.m - int(self.seen[rows].min()))
-        return refresh(self, rows)
-
-    def counted_pairs(x, rows, cols):
-        tally["pairs"] += rows.size
-        return pair_dists(x, rows, cols)
-
-    kcenters._accept, kcenters._Traversal.refresh = counted_accept, counted_refresh
-    kcenters._pair_dists = counted_pairs
-    try:
-        kcenters.greedy_kcenters(x, initial, budget)
-    finally:
-        kcenters._accept, kcenters._Traversal.refresh = accept, refresh
-        kcenters._pair_dists = pair_dists
-    return tally
-
-
 def main():
     print(f"{'shape':10s} {'n':>6s} {'d':>3s} {'init':>5s} {'picks':>5s} {'ms':>8s} "
           f"{'rounds':>6s} {'refreshed':>9s} {'gemms':>5s} {'screen':>9s} {'pairs':>8s} "
@@ -131,7 +99,7 @@ def main():
         kcenters.greedy_kcenters(x, initial, budget)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        c = counts(x, initial, budget)
+        c = result.work
         print(f"{name:10s} {x.shape[0]:6d} {x.shape[1]:3d} {len(initial):5d} {budget:5d} "
               f"{1e3 * statistics.median(seconds):8.1f} {c['rounds']:6d} {c['refreshed']:9d} "
               f"{c['gemms']:5d} {c['screen']:9d} {c['pairs']:8d} {peak / 2**20:8.1f}",
