@@ -33,6 +33,7 @@ from .tensor_io import (
     TENSOR_MAGIC,
     InvalidValueError,
     ProbMatrixError,
+    _check_finite,
     _check_utf8,
     read_csv,
     read_csv_header,
@@ -103,14 +104,6 @@ def _load_train_log(path: str) -> np.ndarray:
     return read_train_log_csv(path)
 
 
-def _check_finite(path: str, rows: np.ndarray, field: str) -> None:
-    """Reject the first CSV data row whose ``field`` is not finite."""
-    bad = np.flatnonzero(~np.isfinite(rows[field]))
-    if bad.size:
-        raise InvalidValueError(
-            f"{path}: line {bad[0] + 2}: {field} must be finite, got {rows[field][bad[0]]}")
-
-
 def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load scores keyed by example id from either CSV layout.
 
@@ -122,8 +115,6 @@ def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
     header = read_csv_header(path)
     if header == list(SCORES_CSV.names):
         scores = read_scores_csv(path)
-        if not np.isfinite(scores).all():  # scores are in id order; find the line
-            _check_finite(path, read_csv(path, SCORES_CSV), "score")
         return np.arange(scores.shape[0], dtype=np.int64), scores
     if header == list(ORDER_CSV.names):
         rows = read_csv(path, ORDER_CSV)
@@ -226,10 +217,10 @@ def _cmd_forget(args) -> int:
 def _cmd_correlate(args) -> int:
     ids_a, a = _load_score_series(args.a)
     ids_b, b = _load_score_series(args.b)
-    if ids_a.shape != ids_b.shape or (np.sort(ids_a) != np.sort(ids_b)).any():
+    order_a, order_b = np.argsort(ids_a, kind="stable"), np.argsort(ids_b, kind="stable")
+    if ids_a.shape != ids_b.shape or (ids_a[order_a] != ids_b[order_b]).any():
         raise ValueError("inputs cover different example ids; cannot correlate")
-    a = a[np.argsort(ids_a, kind="stable")]
-    b = b[np.argsort(ids_b, kind="stable")]
+    a, b = a[order_a], b[order_b]
     if args.ranks:
         # Ranking ranks again only reverses both series, which leaves their
         # correlation unchanged: the ranks' Pearson is their Spearman.

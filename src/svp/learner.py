@@ -111,8 +111,6 @@ class LearnerSpec:
 @dataclass
 class TrainedModel:
     spec: LearnerSpec
-    n_classes: int
-    n_features: int
     params: dict
     train_log: Optional[np.ndarray]  # (n, epochs) bool; None when epochs == 0
 
@@ -271,19 +269,14 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
             if not np.isfinite(flat).all():
                 raise ValueError(f"training diverged at epoch {epoch}: non-finite parameters")
 
-    return TrainedModel(
-        spec=spec,
-        n_classes=c,
-        n_features=x.shape[1],
-        params=params,
-        train_log=train_log,
-    )
+    return TrainedModel(spec=spec, params=params, train_log=train_log)
 
 
 def _check_dims(model: TrainedModel, features) -> np.ndarray:
     x = check_matrix(features, "features", np.float64)
-    if x.shape[1] != model.n_features:
-        raise ValueError(f"feature dim {x.shape[1]} != model dim {model.n_features}")
+    d = model.params.get("W1", model.params["W"]).shape[0]  # the first layer's input width
+    if x.shape[1] != d:
+        raise ValueError(f"feature dim {x.shape[1]} != model dim {d}")
     return x
 
 

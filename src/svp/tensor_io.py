@@ -27,9 +27,12 @@ UTF-8 bytes, and the first faulty line reported. It checks a file from one
 read into a buffer, then parses it with one np.loadtxt call: a regular file
 from its path, which numpy reads in chunks in C, and stamped (device, inode,
 size, mtime) so that a change between the two reads is refused; anything
-else, such as a pipe, from the buffer. A training log may also be imported
-from CSV (``LOG_CSV``); its (id, epoch) grid must be complete with no
-duplicates.
+else, such as a pipe, from the buffer. ``read_csv`` takes any float,
+``nan`` and ``inf`` included; the readers built on it add their layout's
+rules. A scores or labels file must cover example ids 0..n-1 once each, and
+every score must be finite, the first line with a non-finite one reported.
+A training log may also be imported from CSV (``LOG_CSV``); its (id, epoch)
+grid must be complete with no duplicates.
 All writes go to a temporary file in the target directory and are renamed
 into place, so no partial output survives an error. A binary file's fault
 names the file, as a CSV fault does.
@@ -195,6 +198,11 @@ class _Blocks:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 through :func:`atomic_write_bytes`. The call
+    goes through this module's attribute, looked up when it runs, so a
+    wrapper swapped in for ``tensor_io.atomic_write_bytes`` (the benchmark's
+    tracer does this) sees the writes of a caller that imported this
+    function by name, as ``harness`` does for its report and rounds CSV."""
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
@@ -601,6 +609,14 @@ def _by_example_id(path: str, ids: np.ndarray, values: np.ndarray) -> np.ndarray
     return out
 
 
+def _check_finite(path: str, rows: np.ndarray, field: str) -> None:
+    """Reject the first CSV data row whose ``field`` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows[field]))
+    if bad.size:
+        raise InvalidValueError(
+            f"{path}: line {bad[0] + 2}: {field} must be finite, got {rows[field][bad[0]]}")
+
+
 def read_train_log_csv(path: str) -> np.ndarray:
     """Import a training log from CSV with header ``example_id,epoch,correct``.
 
@@ -669,9 +685,14 @@ def write_scores_csv(scores: np.ndarray, path: str) -> None:
 
 
 def read_scores_csv(path: str) -> np.ndarray:
-    """Read a CSV written by :func:`write_scores_csv` back to a float vector."""
+    """Read a CSV written by :func:`write_scores_csv` back to a float vector
+    in example-id order. Every score must be finite: a file whose ids are
+    faulty is refused for that first, then one with a non-finite score for
+    the first line in file order that holds one."""
     rows = read_csv(path, SCORES_CSV)
-    return _by_example_id(path, rows["example_id"], rows["score"])
+    scores = _by_example_id(path, rows["example_id"], rows["score"])
+    _check_finite(path, rows, "score")
+    return scores
 
 
 def write_labels_csv(labels: np.ndarray, path: str) -> None:

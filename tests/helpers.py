@@ -141,8 +141,7 @@ def fit_oracle(spec, features, labels, n_classes=None):
                 params[key] -= spec.learning_rate * grad
             epoch_loss += loss * idx.shape[0]
         losses[epoch] = epoch_loss / n
-    return TrainedModel(spec=spec, n_classes=c, n_features=x.shape[1], params=params,
-                        train_log=train_log), losses
+    return TrainedModel(spec=spec, params=params, train_log=train_log), losses
 
 
 def doubles_oracle(rng: SplitMix64, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import spec_dict
-from svp import cli, harness, ranking_diag, scoring
+from svp import cli, harness, ranking_diag, scoring, tensor_io
 from svp.cli import main
 from svp.forgetting import process_log, write_forgetting_csv
 from svp.harness import METHODS
@@ -207,6 +207,16 @@ class TestKCenters:
                      "--budget", "5", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_initial_file_of_blank_lines(self, tmp_path, capsys):
+        feats = self.features_file(tmp_path)
+        init = tmp_path / "init.txt"
+        init.write_text("\n  \n\n")
+        out = tmp_path / "o.csv"
+        assert main(["kcenters", "--features", str(feats), "--initial", str(init),
+                     "--budget", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {init}: no indices found\n"
+        assert not out.exists()
+
     def test_malformed_initial_file(self, tmp_path):
         feats = self.features_file(tmp_path)
         init = tmp_path / "init.txt"
@@ -383,6 +393,31 @@ class TestCorrelate:
         b = tmp_path / "order.csv"
         b.write_text("rank,example_id,min_dist\n1,5,5.0\n2,0,3.0\n3,1,1.0\n")
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
+
+    def test_order_file_with_a_repeated_id(self, tmp_path, capsys):
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
+        b = tmp_path / "order.csv"
+        b.write_text("rank,example_id,min_dist\n1,2,5.0\n2,0,3.0\n3,2,1.0\n")
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
+        assert capsys.readouterr().err == f"error: {b}: duplicate example ids\n"
+
+    def test_each_score_file_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        # A non-finite score is found by line from the one parse the reader
+        # makes, not from a second read of the file.
+        parsed = []
+
+        def counted(path, columns):
+            parsed.append(str(path))
+            return read_csv(path, columns)
+
+        monkeypatch.setattr(tensor_io, "read_csv", counted)
+        monkeypatch.setattr(cli, "read_csv", counted)
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
+        b = tmp_path / "b.csv"
+        b.write_text("example_id,score\n2,3.0\n0,nan\n1,1.0\n")
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
+        assert capsys.readouterr().err == f"error: {b}: line 3: score must be finite, got nan\n"
+        assert parsed == [str(a), str(b)]
 
     def test_unrecognized_header(self, tmp_path):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0])
@@ -753,6 +788,12 @@ class TestSynth:
         assert actions["--seed"].type is int and actions["--seed"].default is None
         assert set(actions) - set(required) == {
             "-h", "--seed", "--out-test-features", "--out-test-labels"}
+
+    @pytest.mark.parametrize("flag", ["separation", "noise"])
+    def test_infinite_real_flag_is_refused(self, tmp_path, capsys, flag):
+        assert main(synth_argv(tmp_path, **{flag: "inf"})) == 1
+        assert capsys.readouterr().err == "error: separation and noise must be finite\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value", [("classes", "2.5"), ("n_train", "1e3")])
     def test_integer_flags_refuse_other_numbers(self, tmp_path, flag, value):

@@ -181,9 +181,10 @@ def model():
     (lambda m, x, y: embed(m, x[0]), "features must be a 2-D matrix, got ndim=1"),
     (lambda m, x, y: fit(PROXY, x, y[:-1]), "labels must be one per feature row, got 59 for 60"),
     (lambda m, x, y: fit(PROXY, x, y * 0.5), "labels must be nonnegative integers"),
+    (lambda m, x, y: fit(PROXY, x[:3], [0, 1, 2], n_classes=2), "label 2 outside [0, 2)"),
 ], ids=["error-rate-one-label", "error-rate-negative", "error-rate-fractional",
         "predict-proba-nan", "embed-inf", "predict-proba-empty", "embed-1-d",
-        "fit-labels-short", "fit-fractional"])
+        "fit-labels-short", "fit-fractional", "fit-label-beyond-n-classes"])
 def test_learner_entry_points_check_their_inputs(model, call, message):
     x, y, _, _ = _data()
     with pytest.raises(ValueError) as exc:

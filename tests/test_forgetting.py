@@ -125,6 +125,10 @@ class TestSelection:
         with pytest.raises(ValueError):
             ForgettingScores(never_learned=np.array([True]), counts=np.array([2]))
 
+    def test_fields_must_align(self):
+        with pytest.raises(ValueError, match="^never_learned and counts must align$"):
+            ForgettingScores(never_learned=np.array([True, False]), counts=np.array([0]))
+
 
 class TestExports:
     def test_csv_golden(self, tmp_path):

@@ -187,6 +187,12 @@ class TestDirectConstruction:
         with pytest.raises(ValueError, match=f"^{field} {match}"):
             _build(field, value)
 
+    def test_subset_of_no_rows_is_refused(self):
+        ds = make_synthetic(dataclasses.replace(DATA_PARAMS, n_train=30))
+        train, test = (ds.features, ds.labels), (ds.test_features, ds.test_labels)
+        with pytest.raises(ValueError, match="^subset is empty$"):
+            run_coreset(PROXY, TARGET, "random", 1e-12, train, test, seed=5)
+
     # The run seed and baseline time are checked by the run both protocols
     # share, before any fit.
     @pytest.mark.parametrize("route", ["al", "coreset"])

@@ -305,12 +305,19 @@ class TestPredictAndEmbed:
         assert (h >= 0).all()
 
     def test_dimension_mismatch(self):
+        # Width 12 is the MLP's hidden width, the input width of its W.
         ds = make_synthetic(EASY)
-        model = fit(LOGISTIC, ds.features, ds.labels)
-        with pytest.raises(ValueError):
-            predict_proba(model, ds.features[:, :3])
-        with pytest.raises(ValueError):
-            embed(model, ds.features[:, :3])
+        for spec in (LOGISTIC, MLP):
+            model = fit(spec, ds.features, ds.labels)
+            for width in (3, 12):
+                x = np.resize(ds.features, (ds.features.shape[0], width))
+                message = f"feature dim {width} != model dim 5"
+                with pytest.raises(ValueError, match=message):
+                    predict_proba(model, x)
+                with pytest.raises(ValueError, match=message):
+                    embed(model, x)
+                with pytest.raises(ValueError, match=message):
+                    error_rate(model, x, ds.labels)
 
 
 def _inference_case(kind, n, d, c, h, seed, scale):
@@ -321,7 +328,7 @@ def _inference_case(kind, n, d, c, h, seed, scale):
                        hidden_units=h if kind == "mlp" else None)
     params = {key: scale * rng.standard_normal(p.shape)
               for key, p in init_params(spec, d, c).items()}
-    model = TrainedModel(spec=spec, n_classes=c, n_features=d, params=params, train_log=None)
+    model = TrainedModel(spec=spec, params=params, train_log=None)
     return model, scale * rng.standard_normal((n, d)), rng.integers(0, c, size=n)
 
 

@@ -504,6 +504,18 @@ class TestScoreAndLabelCsv:
         with pytest.raises(InvalidValueError):
             read_scores_csv(str(p))
 
+    def test_scores_must_be_finite_by_line(self, tmp_path):
+        # The line is the first in file order, not in id order, and a
+        # coverage fault is reported before a non-finite score.
+        p = tmp_path / "s.csv"
+        p.write_text("example_id,score\n2,3.0\n1,nan\n0,-inf\n")
+        with pytest.raises(InvalidValueError) as exc:
+            read_scores_csv(str(p))
+        assert str(exc.value) == f"{p}: line 3: score must be finite, got nan"
+        p.write_text("example_id,score\n2,3.0\n1,nan\n3,1.0\n")
+        with pytest.raises(InvalidValueError, match="example_id column must cover"):
+            read_scores_csv(str(p))
+
     def test_labels_round_trip(self, tmp_path):
         path = str(tmp_path / "l.csv")
         write_labels_csv(np.array([2, 0, 1, 1]), path)

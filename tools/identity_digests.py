@@ -13,6 +13,8 @@ Usage, from the repository root:
     python3 tools/identity_digests.py > digests.txt
 
 Run it at two commits and diff the outputs: equal lines mean equal reports.
+``tests/test_identity_digests.py`` compares its output under one and two
+BLAS threads with the lines committed in ``tests/identity_digests.json``.
 
 A second section, lines starting with ``cli``, drives ``svp.cli.main`` on
 fixed-seed input files written to a temporary directory: SVPT probabilities

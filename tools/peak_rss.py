@@ -54,11 +54,9 @@ FILES = {"features": "features.svpt", "labels": "labels.csv",
 
 def synth_argv(d: str) -> list:
     """``svp synth`` writing the SYNTH data set into directory ``d``."""
-    flags = {"classes": "--classes", "dim": "--dim", "separation": "--separation",
-             "noise": "--noise", "n_train": "--n-train", "n_test": "--n-test", "seed": "--seed"}
     argv = ["synth"]
-    for key, flag in flags.items():
-        argv += [flag, str(SYNTH[key])]
+    for key, value in SYNTH.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
     for key, name in FILES.items():
         argv += [f"--out-{key.replace('_', '-')}", os.path.join(d, name)]
     return argv
