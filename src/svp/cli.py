@@ -7,7 +7,8 @@ never interleaved with logs. Every output file is written atomically, and
 a command checks its request and stages all its outputs before it renames
 any into place, so a failing invocation leaves no output behind.
 
-``--seed`` flags fall back to the ``SVP_SEED`` environment variable.
+``--seed`` flags fall back to the ``SVP_SEED`` environment variable. Every
+integer flag, and ``SVP_SEED``, is spelled as an index line is.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -35,8 +37,8 @@ from .tensor_io import (
     ProbMatrixError,
     _check_finite,
     _check_utf8,
+    _split_fields,
     read_csv,
-    read_csv_header,
     read_scores_csv,
     read_tensor,
     read_train_log,
@@ -52,22 +54,29 @@ class UsageError(Exception):
     """Flag combinations argparse cannot express (e.g. a missing seed)."""
 
 
+# An integer as a CSV integer column takes it once stripped: int() alone
+# would also take "1_0" and non-ASCII digits such as "\u0663".
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value, or ``SVP_SEED``'s, by the index-line rule."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _require_seed(value) -> int:
     """The ``--seed`` value, else ``SVP_SEED``; a usage error when neither is set."""
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("SVP_SEED")
     if env is None:
         raise UsageError("a seed is required: pass --seed or set SVP_SEED")
     try:
-        return int(env)
-    except ValueError as exc:
+        return _integer(env)
+    except argparse.ArgumentTypeError as exc:
         raise UsageError(f"SVP_SEED must be an integer, got {env!r}") from exc
-
-
-# An integer as a CSV integer column takes it once stripped: int() alone
-# would also take "1_0" and non-ASCII digits such as "\u0663".
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _read_index_file(path: str) -> np.ndarray:
@@ -80,12 +89,9 @@ def _read_index_file(path: str) -> np.ndarray:
         line = line.strip()
         if not line:
             continue
-        try:
-            if not _INTEGER.fullmatch(line):
-                raise ValueError(line)
-            index = int(line)
-        except ValueError as exc:
-            raise InvalidValueError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+        if not _INTEGER.fullmatch(line):
+            raise InvalidValueError(f"{path}:{lineno}: not an integer: {line!r}")
+        index = int(line)
         if not -(2**63) <= index < 2**63:
             raise InvalidValueError(f"{path}:{lineno}: index outside the int64 range: {line!r}")
         indices.append(index)
@@ -94,35 +100,47 @@ def _read_index_file(path: str) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)
 
 
+def _first_line(path: str, limit: int = -1) -> bytes:
+    """Up to ``limit`` bytes of the first line of ``path``, read to choose the
+    reader that then reads the whole file. Only a regular file can be read
+    twice, so anything else, such as a pipe, is refused."""
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise InvalidValueError(f"{path}: not a regular file; this command reads it twice")
+        return fh.readline(limit)
+
+
 def _load_train_log(path: str) -> np.ndarray:
     """Accept either SVPL binary or the CSV import form. A file that starts
     with a binary magic is read as SVPL, so an SVPT file fails on its magic."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head in (LOG_MAGIC, TENSOR_MAGIC):
+    if _first_line(path, 4) in (LOG_MAGIC, TENSOR_MAGIC):
         return read_train_log(path)
     return read_train_log_csv(path)
 
 
 def _load_score_series(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load scores keyed by example id from either CSV layout.
+    """Load scores keyed by example id from either CSV layout, as (ids,
+    scores) in ascending id order.
 
     ``example_id,score`` is used as-is. A k-centers order file
     (``rank,example_id,min_dist``) is converted to scores as negated rank,
     so earlier-added points score higher. A non-finite score or rank is
     reported with the first line that holds one.
     """
-    header = read_csv_header(path)
+    line = _first_line(path).split(b"\r", 1)[0].rstrip(b"\n")
+    _check_utf8(path, line)
+    header = _split_fields(line.decode()) if line else None
     if header == list(SCORES_CSV.names):
         scores = read_scores_csv(path)
         return np.arange(scores.shape[0], dtype=np.int64), scores
     if header == list(ORDER_CSV.names):
         rows = read_csv(path, ORDER_CSV)
         _check_finite(path, rows, "rank")
-        ids = rows["example_id"]
-        if np.unique(ids).size != ids.size:
+        order = np.argsort(rows["example_id"], kind="stable")
+        ids = rows["example_id"][order]
+        if (ids[1:] == ids[:-1]).any():
             raise InvalidValueError(f"{path}: duplicate example ids")
-        return ids, -rows["rank"]
+        return ids, -rows["rank"][order]
     raise InvalidValueError(f"{path}: unrecognized header {header}")
 
 
@@ -142,15 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="SVPT file of features")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--initial", help="file of initial indices, one per line")
-    group.add_argument("--initial-size", type=int, help="number of seeded-random initial indices")
-    p.add_argument("--budget", required=True, type=int)
+    group.add_argument("--initial-size", type=_integer,
+                       help="number of seeded-random initial indices")
+    p.add_argument("--budget", required=True, type=_integer)
     p.add_argument("--out", required=True, help="output CSV (rank,example_id,min_dist)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
 
     p = sub.add_parser("forget", help="forgetting events from a training log")
     p.add_argument("--log", required=True, help="SVPL file or CSV (example_id,epoch,correct)")
     p.add_argument("--out", required=True, help="output CSV (example_id,never_learned,count)")
-    p.add_argument("--select", type=int, default=None, metavar="M",
+    p.add_argument("--select", type=_integer, default=None, metavar="M",
                    help="also print the M most-forgotten example ids")
 
     p = sub.add_parser("correlate", help="rank correlation between two score files")
@@ -170,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic blob dataset")
     for field in dataclasses.fields(SynthParams):
         p.add_argument("--" + field.name.replace("_", "-"), required=field.name != "seed",
-                       type={"int": int, "float": float}[field.type])
+                       type={"int": _integer, "float": float}[field.type])
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-test-features", default=None)
@@ -217,10 +236,8 @@ def _cmd_forget(args) -> int:
 def _cmd_correlate(args) -> int:
     ids_a, a = _load_score_series(args.a)
     ids_b, b = _load_score_series(args.b)
-    order_a, order_b = np.argsort(ids_a, kind="stable"), np.argsort(ids_b, kind="stable")
-    if ids_a.shape != ids_b.shape or (ids_a[order_a] != ids_b[order_b]).any():
+    if ids_a.shape != ids_b.shape or (ids_a != ids_b).any():
         raise ValueError("inputs cover different example ids; cannot correlate")
-    a, b = a[order_a], b[order_b]
     if args.ranks:
         # Ranking ranks again only reverses both series, which leaves their
         # correlation unchanged: the ranks' Pearson is their Spearman.

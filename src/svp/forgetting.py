@@ -24,6 +24,8 @@ class ForgettingScores:
     counts: np.ndarray  # (n,) int64
 
     def __post_init__(self):
+        for name in ("never_learned", "counts"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         if self.never_learned.shape != self.counts.shape:
             raise ValueError("never_learned and counts must align")
         if (self.counts[self.never_learned] != 0).any():

@@ -110,7 +110,6 @@ class LearnerSpec:
 
 @dataclass
 class TrainedModel:
-    spec: LearnerSpec
     params: dict
     train_log: Optional[np.ndarray]  # (n, epochs) bool; None when epochs == 0
 
@@ -269,7 +268,7 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
             if not np.isfinite(flat).all():
                 raise ValueError(f"training diverged at epoch {epoch}: non-finite parameters")
 
-    return TrainedModel(spec=spec, params=params, train_log=train_log)
+    return TrainedModel(params=params, train_log=train_log)
 
 
 def _check_dims(model: TrainedModel, features) -> np.ndarray:

@@ -5,13 +5,14 @@ seed s is ``mix64(s + k * GAMMA) mod 2**64``. Any implementation, in any
 language, that follows the recipes below reproduces the exact same shuffles,
 subsets, and synthetic datasets.
 
-Derived quantities are defined as:
+Derived quantities are defined as follows, where ``r`` stands for the next
+raw output each time it appears:
 
-* uniform double in [0, 1):   ``(next_u64() >> 11) * 2**-53``
-* uniform double in (0, 1]:   ``((next_u64() >> 11) + 1) * 2**-53``
-* integer in [0, n):          ``next_u64() % n``
+* uniform double in [0, 1):   ``(r >> 11) * 2**-53``
+* uniform double in (0, 1]:   ``((r >> 11) + 1) * 2**-53``
+* integer in [0, n):          ``r % n``
 * shuffle of length n:        Fisher-Yates from the back; for
-  ``i = n-1 .. 1`` swap position i with ``j = next_u64() % (i + 1)``
+  ``i = n-1 .. 1`` swap position i with ``j = r % (i + 1)``
 * standard normal:            Box-Muller, one normal per two raw draws:
   ``sqrt(-2 ln u1) * cos(2 pi u2)`` with u1 in (0, 1] from the first draw
   and u2 in [0, 1) from the second. The sine half is discarded.
@@ -125,15 +126,11 @@ def derive_seed(seed: int, salt: int | str) -> int:
 
 
 class SplitMix64:
-    """Counter-based SplitMix64 stream. Scalar and vectorized draws agree."""
+    """Counter-based SplitMix64 stream."""
 
     def __init__(self, seed: int):
         self._seed = operator.index(seed) & _MASK64
         self._count = 0
-
-    def next_u64(self) -> int:
-        self._count += 1
-        return _mix64_scalar((self._seed + self._count * _GAMMA) & _MASK64)
 
     def raw_block(self, n: int) -> np.ndarray:
         """Next n raw outputs as a uint64 array (advances the stream by n); n

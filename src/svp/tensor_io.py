@@ -197,15 +197,6 @@ class _Blocks:
         return self._size
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8 through :func:`atomic_write_bytes`. The call
-    goes through this module's attribute, looked up when it runs, so a
-    wrapper swapped in for ``tensor_io.atomic_write_bytes`` (the benchmark's
-    tracer does this) sees the writes of a caller that imported this
-    function by name, as ``harness`` does for its report and rounds CSV."""
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def check_matrix(matrix, what: str = "matrix", dtype=None) -> np.ndarray:
     """The matrix as an array of ``dtype``: 2-D, nonempty, finite; errors name ``what``."""
     m = np.asarray(matrix, dtype=dtype)
@@ -480,14 +471,6 @@ def _check_utf8(path: str, data: bytes) -> None:
                                      exc.end - start, exc.reason)
         line = data.count(b"\n", 0, start) + 1
         raise InvalidValueError(f"{path}: line {line}: malformed row ({in_line})") from None
-
-
-def read_csv_header(path: str) -> Optional[list]:
-    """Fields of the first line of a CSV file; None when that line is empty."""
-    with open(path, "rb") as fh:
-        line = fh.readline().split(b"\r", 1)[0].rstrip(b"\n")
-    _check_utf8(path, line)
-    return _split_fields(line.decode()) if line else None
 
 
 def _first_unparsable_line(body: bytes) -> Optional[tuple[int, bool]]:

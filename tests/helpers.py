@@ -1,10 +1,11 @@
-"""Shared test utilities: the generator's scalar draws and one-shot
-uniform and normal recipes, a tracemalloc peak probe, learner-spec JSON,
-scripted clocks, geometry builders, the textbook forward pass and softmax,
-gradient probes, the per-batch SGD oracle with its per-epoch losses, the
-difference-form k-centers oracle, the per-round active-learning k-centers
-oracle, the streaming forgetting oracle, the line-list CSV reader, the
-per-row CSV writer and the copy-then-concatenate binary file writers."""
+"""Shared test utilities: the generator's pure-Python raw stream, its
+scalar draws and one-shot uniform and normal recipes, a tracemalloc peak
+probe, learner-spec JSON, scripted clocks, geometry builders, the
+textbook forward pass and softmax, gradient probes, the per-batch SGD
+oracle with its per-epoch losses, the difference-form k-centers oracle,
+the per-round active-learning k-centers oracle, the streaming forgetting
+oracle, the line-list CSV reader, the per-row CSV writer and the
+copy-then-concatenate binary file writers."""
 
 import dataclasses
 import struct
@@ -19,19 +20,41 @@ from svp.harness import _fit_seed, random_select
 from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, TrainedModel, embed, fit, init_params
 from svp.rng import SplitMix64, derive_seed
-from svp.tensor_io import _LOADTXT_AT, InvalidValueError, _split_fields, atomic_write_text
+from svp.tensor_io import _LOADTXT_AT, InvalidValueError, _split_fields, atomic_write_bytes
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64_oracle(z: int) -> int:
+    """The SplitMix64 finalizer on one Python integer."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def raw_oracle(seed: int, start: int, n: int) -> list:
+    """Raw outputs ``start + 1 .. start + n`` of the stream for ``seed``, one
+    Python integer each: ``mix64(seed + k * GAMMA) mod 2**64``."""
+    return [mix64_oracle((seed + k * 0x9E3779B97F4A7C15) & _MASK64)
+            for k in range(start + 1, start + n + 1)]
+
+
+def next_raw(rng: SplitMix64) -> int:
+    """The stream's next raw output as a Python integer."""
+    return int(rng.raw_block(1)[0])
 
 
 def next_double(rng: SplitMix64) -> float:
-    """Uniform double in [0, 1) from one raw draw: ``(next_u64() >> 11) * 2**-53``."""
-    return (rng.next_u64() >> 11) * 2.0**-53
+    """Uniform double in [0, 1) from one raw draw r: ``(r >> 11) * 2**-53``."""
+    return (next_raw(rng) >> 11) * 2.0**-53
 
 
 def next_below(rng: SplitMix64, n: int) -> int:
-    """Integer in [0, n) from one raw draw: ``next_u64() % n``."""
+    """Integer in [0, n) from one raw draw r: ``r % n``."""
     if n <= 0:
         raise ValueError("bound must be positive")
-    return rng.next_u64() % n
+    return next_raw(rng) % n
 
 
 def spec_dict(spec: LearnerSpec) -> dict:
@@ -141,7 +164,7 @@ def fit_oracle(spec, features, labels, n_classes=None):
                 params[key] -= spec.learning_rate * grad
             epoch_loss += loss * idx.shape[0]
         losses[epoch] = epoch_loss / n
-    return TrainedModel(spec=spec, params=params, train_log=train_log), losses
+    return TrainedModel(params=params, train_log=train_log), losses
 
 
 def doubles_oracle(rng: SplitMix64, n: int) -> np.ndarray:
@@ -183,7 +206,7 @@ def draw_gradient_case(rng, kind, warmup_steps=3, kink_margin=1e-2):
     c = 2 + next_below(rng, 2)
     hidden = 4 + next_below(rng, 4) if kind == "mlp" else None
     spec = LearnerSpec(kind=kind, epochs=1, learning_rate=0.3, batch_size=4,
-                       seed=rng.next_u64(), hidden_units=hidden)
+                       seed=next_raw(rng), hidden_units=hidden)
     x = rng.normals((n, d))
     y = np.array([next_below(rng, c) for _ in range(n)], dtype=np.int64)
     params = init_params(spec, d, c)
@@ -396,7 +419,7 @@ def write_csv_oracle(path: str, names, *columns) -> None:
     """The reference for ``svp.tensor_io.write_csv``: each row joined from the
     repr of every column's ``.tolist()`` cell."""
     rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
-    atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
+    atomic_write_bytes(path, ("\n".join([",".join(names), *rows]) + "\n").encode())
 
 
 def pack_frame_oracle(magic: bytes, flags: tuple, rows: int, cols: int, payload: bytes) -> bytes:

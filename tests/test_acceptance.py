@@ -21,6 +21,7 @@ from helpers import (
     kcenter_radius,
     max_gradient_mismatch,
     next_below,
+    next_raw,
     spec_dict,
     streaming_update,
     three_blob,
@@ -104,7 +105,7 @@ def test_criterion_01_kcenters_matches_stepwise_oracle(capsys):
         d = 1 + next_below(rng, 8)
         x = rng.normals((n, d))
         k0 = 1 + next_below(rng, min(3, n - 1))
-        init = SplitMix64(rng.next_u64()).permutation(n)[:k0]
+        init = SplitMix64(next_raw(rng)).permutation(n)[:k0]
         budget = next_below(rng, min(16, n - k0) + 1)
         got = greedy_kcenters(x, init, budget).order
         want = _stepwise_oracle(x, init, budget)

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import os
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -31,6 +34,34 @@ LOG = np.array([[1, 0], [1, 1], [0, 0]], dtype=bool)
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("SVP_SEED", raising=False)
+
+
+@contextlib.contextmanager
+def pipe_path(data: bytes):
+    """The path a shell's ``<(cat file)`` gives: ``/dev/fd/N`` for the read
+    end of a pipe that a writer thread fills with ``data``. The writer ignores
+    ``BrokenPipeError``, since a reader may close the pipe unread."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        try:
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def refused_pipe(path: str) -> str:
+    return f"error: {path}: not a regular file; this command reads it twice\n"
 
 
 def coreset_config(tmp_path, drop=(), **overrides):
@@ -341,6 +372,21 @@ class TestForget:
         log_path.write_text("example_id,epoch,correct\n0,0,maybe\n")
         assert main(["forget", "--log", str(log_path), "--out", str(tmp_path / "f.csv")]) == 1
 
+    @pytest.mark.parametrize("name", ["run.svpl", "run.csv"])
+    def test_pipe_is_refused(self, tmp_path, capsys, name):
+        # The log is read once to choose its reader and again by that reader.
+        log_path = tmp_path / name
+        if name.endswith(".svpl"):
+            write_train_log(LOG, log_path)
+        else:
+            cells = [f"{i},{e},{int(LOG[i, e])}" for i in range(3) for e in range(2)]
+            log_path.write_text("\n".join(["example_id,epoch,correct", *cells]) + "\n")
+        out = tmp_path / "f.csv"
+        with pipe_path(log_path.read_bytes()) as pipe:
+            assert main(["forget", "--log", pipe, "--out", str(out), "--select", "1"]) == 1
+        assert capsys.readouterr() == ("", refused_pipe(pipe))
+        assert not out.exists()
+
 
 class TestCorrelate:
     def scores_file(self, tmp_path, name, values):
@@ -455,6 +501,16 @@ class TestCorrelate:
         b.write_text("rank,example_id,min_dist\n1,2,5.0\n2,0,3.0\ninf,1,1.0\n")
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
         assert capsys.readouterr().err == f"error: {b}: line 4: rank must be finite, got inf\n"
+
+    @pytest.mark.parametrize("layout", ["scores", "order"])
+    def test_pipe_is_refused(self, tmp_path, capsys, layout):
+        # The header is read to choose the reader, which reads the file again.
+        a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
+        data = (a.read_bytes() if layout == "scores"
+                else b"rank,example_id,min_dist\n1,2,5.0\n2,0,3.0\n3,1,1.0\n")
+        with pipe_path(data) as pipe:
+            assert main(["correlate", "--a", pipe, "--b", str(a)]) == 1
+        assert capsys.readouterr() == ("", refused_pipe(pipe))
 
     def test_constant_input_fails_cleanly(self, tmp_path, capsys):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 1.0, 1.0])
@@ -781,11 +837,13 @@ class TestSynth:
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         actions = {a.option_strings[0]: a for a in sub.choices["synth"]._actions}
         required = {flag: a.type for flag, a in actions.items() if a.required}
+        integer = cli._integer
         assert required == {
-            "--classes": int, "--dim": int, "--separation": float, "--noise": float,
-            "--n-train": int, "--n-test": int, "--out-features": None, "--out-labels": None,
+            "--classes": integer, "--dim": integer, "--separation": float, "--noise": float,
+            "--n-train": integer, "--n-test": integer, "--out-features": None,
+            "--out-labels": None,
         }
-        assert actions["--seed"].type is int and actions["--seed"].default is None
+        assert actions["--seed"].type is integer and actions["--seed"].default is None
         assert set(actions) - set(required) == {
             "-h", "--seed", "--out-test-features", "--out-test-labels"}
 
@@ -885,6 +943,58 @@ class TestSynth:
                      "--noise", "1.0", "--n-train", "20", "--n-test", "8", "--seed", "7",
                      "--out-features", str(tmp_path / "x.svpt"),
                      "--out-labels", str(tmp_path / "y.csv")]) == 1
+
+
+class TestIntegerFlags:
+    """Every integer flag, and ``SVP_SEED``, is spelled as an index line is:
+    ASCII digits with an optional sign and surrounding spaces."""
+
+    PLACES = ["--initial-size", "--budget", "--seed", "SVP_SEED", "--select", "--classes",
+              "--dim", "--n-train", "--n-test", "synth --seed"]
+
+    def run(self, tmp_path, monkeypatch, place, value):
+        """``svp`` with ``value`` at ``place`` in an otherwise valid call whose
+        inputs are in ``tmp_path / "in"``; returns the exit code and the
+        output files, by name."""
+        inputs = tmp_path / "in"
+        inputs.mkdir(exist_ok=True)
+        write_tensor(np.array([[0.0], [1.0], [10.0]]), inputs / "x.svpt")
+        write_train_log(LOG, inputs / "log.svpl")
+        kcenters = ["kcenters", "--features", str(inputs / "x.svpt"),
+                    "--out", str(tmp_path / "o.csv"), "--initial-size", "1", "--budget", "1"]
+        if place == "SVP_SEED":
+            monkeypatch.setenv("SVP_SEED", value)
+            argv = kcenters
+        elif place in ("--initial-size", "--budget", "--seed"):
+            argv = kcenters + ["--seed", "0"]
+            argv[argv.index(place) + 1] = value
+        elif place == "--select":
+            argv = ["forget", "--log", str(inputs / "log.svpl"), "--out", str(tmp_path / "o.csv"),
+                    "--select", value]
+        else:
+            argv = synth_argv(tmp_path, **{place.split("--")[1].replace("-", "_"): value})
+        code = main(argv)
+        return code, {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != inputs}
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
+    @pytest.mark.parametrize("place", PLACES)
+    def test_other_spellings_are_usage_errors(self, tmp_path, capsys, monkeypatch, place, value):
+        assert self.run(tmp_path, monkeypatch, place, value) == (2, {})
+        out, err = capsys.readouterr()
+        assert out == ""
+        if place == "SVP_SEED":
+            assert err == f"error: SVP_SEED must be an integer, got {value!r}\n"
+        else:
+            assert err.endswith(f"error: argument {place.split()[-1]}: not an integer: {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["+2", " 2 ", "02"])
+    @pytest.mark.parametrize("place", PLACES)
+    def test_sign_spaces_and_zeros_parse(self, tmp_path, capsys, monkeypatch, place, value):
+        code, files = self.run(tmp_path, monkeypatch, place, value)
+        out = capsys.readouterr().out
+        assert code == 0 and files
+        assert self.run(tmp_path, monkeypatch, place, "2") == (0, files)
+        assert capsys.readouterr().out == out
 
 
 class TestDispatch:

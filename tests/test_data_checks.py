@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import spec_dict
+from helpers import next_raw, spec_dict
 from svp import harness
 from svp.cli import main
 from svp.forgetting import process_log, select_most_forgotten
@@ -265,7 +265,7 @@ def test_refused_draw_shape_leaves_the_stream_in_place(draw):
 def test_numpy_integer_sizes_and_counts_are_integers():
     rng = SplitMix64(1)
     rng.raw_block(np.int64(3))
-    assert rng.next_u64() == int(SplitMix64(1).raw_block(4)[3])
+    assert next_raw(rng) == int(SplitMix64(1).raw_block(4)[3])
     assert top_m(SCORES, np.int64(2)).tolist() == top_m(SCORES, 2).tolist()
     assert greedy_kcenters(X, np.array([0.0]), 2).order.tolist() == [3, 2]
 

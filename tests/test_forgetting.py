@@ -126,8 +126,15 @@ class TestSelection:
             ForgettingScores(never_learned=np.array([True]), counts=np.array([2]))
 
     def test_fields_must_align(self):
-        with pytest.raises(ValueError, match="^never_learned and counts must align$"):
-            ForgettingScores(never_learned=np.array([True, False]), counts=np.array([0]))
+        for field in (np.array, list):
+            with pytest.raises(ValueError, match="^never_learned and counts must align$"):
+                ForgettingScores(never_learned=field([True, False]), counts=field([0]))
+        # Lists are taken as the arrays they spell, checks included.
+        with pytest.raises(ValueError, match="^a never-learned example cannot have events$"):
+            ForgettingScores(never_learned=[True, False], counts=[1, 0])
+        scores = ForgettingScores(never_learned=[False, True, False], counts=[1, 0, 2])
+        assert scores.never_learned.dtype == bool and scores.counts.tolist() == [1, 0, 2]
+        assert select_most_forgotten(scores, 3).tolist() == [1, 2, 0]
 
 
 class TestExports:

@@ -328,7 +328,7 @@ def _inference_case(kind, n, d, c, h, seed, scale):
                        hidden_units=h if kind == "mlp" else None)
     params = {key: scale * rng.standard_normal(p.shape)
               for key, p in init_params(spec, d, c).items()}
-    model = TrainedModel(spec=spec, params=params, train_log=None)
+    model = TrainedModel(params=params, train_log=None)
     return model, scale * rng.standard_normal((n, d)), rng.integers(0, c, size=n)
 
 
@@ -352,7 +352,8 @@ class TestInPlaceInference:
     def test_bit_equal_to_textbook_pass(self, case):
         model, x, y = case
         before = x.copy()
-        hidden, logits = forward_oracle(model.spec.kind, model.params, x)
+        kind = "mlp" if "W1" in model.params else "logistic"
+        hidden, logits = forward_oracle(kind, model.params, x)
         assert predict_proba(model, x).tobytes() == softmax_oracle(logits).tobytes()
         assert embed(model, x).tobytes() == hidden.tobytes()
         assert error_rate(model, x, y) == float(np.mean(logits.argmax(axis=1) != y))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import doubles_oracle, next_below, next_double, normals_oracle, traced_peak
+from helpers import (doubles_oracle, next_below, next_double, next_raw, normals_oracle,
+                     raw_oracle, traced_peak)
 from svp.rng import SplitMix64, _mix64_array, _mix64_scalar, derive_seed
 
 # Published reference outputs for the splitmix64 finalizer sequence.
@@ -14,26 +15,27 @@ SEEDX_FIRST3 = [0x157A3807A48FAA9D, 0xD573529B34A1D093, 0x2F90B72E996DCCBE]
 class TestRawStream:
     def test_reference_vectors_seed0(self):
         g = SplitMix64(0)
-        assert [g.next_u64() for _ in range(3)] == SEED0_FIRST3
+        assert [next_raw(g) for _ in range(3)] == SEED0_FIRST3 == raw_oracle(0, 0, 3)
 
     def test_reference_vectors_large_seed(self):
         g = SplitMix64(0x123456789ABCDEF)
-        assert [g.next_u64() for _ in range(3)] == SEEDX_FIRST3
+        assert [next_raw(g) for _ in range(3)] == SEEDX_FIRST3
+        assert raw_oracle(0x123456789ABCDEF, 0, 3) == SEEDX_FIRST3
 
     def test_block_matches_scalar_draws(self):
         a = SplitMix64(987654321)
         b = SplitMix64(987654321)
-        block = a.raw_block(100)
-        singles = [b.next_u64() for _ in range(100)]
-        assert block.tolist() == singles
+        assert a.raw_block(100).tolist() == raw_oracle(987654321, 0, 100)
+        assert [next_raw(b) for _ in range(100)] == raw_oracle(987654321, 0, 100)
 
     def test_block_resumes_mid_stream(self):
         a = SplitMix64(5)
-        a.next_u64()
-        a.next_u64()
+        next_raw(a)
+        next_raw(a)
         b = SplitMix64(5)
         b.raw_block(2)
-        assert a.raw_block(10).tolist() == b.raw_block(10).tolist()
+        assert a.raw_block(10).tolist() == raw_oracle(5, 2, 10)
+        assert b.raw_block(10).tolist() == raw_oracle(5, 2, 10)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=200)
@@ -42,7 +44,7 @@ class TestRawStream:
         assert int(arr[0]) == _mix64_scalar(z)
 
     def test_seed_wraps_to_64_bits(self):
-        assert SplitMix64(2**64 + 3).next_u64() == SplitMix64(3).next_u64()
+        assert next_raw(SplitMix64(2**64 + 3)) == raw_oracle(3, 0, 1)[0]
 
 
 class TestDerived:
@@ -52,14 +54,13 @@ class TestDerived:
         assert (d >= 0.0).all() and (d < 1.0).all()
 
     def test_double_matches_raw_recipe(self):
-        g1, g2 = SplitMix64(9), SplitMix64(9)
-        raw = g1.next_u64()
-        assert next_double(g2) == (raw >> 11) * 2.0**-53
+        raw = raw_oracle(9, 0, 1)[0]
+        assert next_double(SplitMix64(9)) == (raw >> 11) * 2.0**-53
 
     def test_next_below_is_modulo_of_raw(self):
-        g1, g2 = SplitMix64(11), SplitMix64(11)
-        raws = [g1.next_u64() for _ in range(50)]
-        vals = [next_below(g2, 7) for _ in range(50)]
+        g = SplitMix64(11)
+        raws = raw_oracle(11, 0, 50)
+        vals = [next_below(g, 7) for _ in range(50)]
         assert vals == [r % 7 for r in raws]
 
     def test_next_below_rejects_nonpositive(self):
@@ -67,21 +68,21 @@ class TestDerived:
             next_below(SplitMix64(1), 0)
 
     def test_shuffle_is_fisher_yates_from_back(self):
-        # Independent re-derivation of the documented recipe, one next_u64
-        # call per swap. After ``drawn`` earlier values the block draw must
+        # Independent re-derivation of the documented recipe, one raw draw
+        # per swap. After ``drawn`` earlier values the block draw must
         # start mid-stream and leave the stream where the recipe leaves it.
         for n in (0, 1, 2, 3, 23, 1000, 4097):
             for drawn in (0, 7):
                 ref, permuted = SplitMix64(321), SplitMix64(321)
                 for g in (ref, permuted):
                     for _ in range(drawn):
-                        g.next_u64()
+                        next_raw(g)
                 expected = list(range(n))
                 for i in range(n - 1, 0, -1):
-                    j = ref.next_u64() % (i + 1)
+                    j = next_raw(ref) % (i + 1)
                     expected[i], expected[j] = expected[j], expected[i]
                 assert permuted.permutation(n).tolist() == expected, (n, drawn)
-                assert permuted.next_u64() == ref.next_u64(), (n, drawn)
+                assert next_raw(permuted) == next_raw(ref), (n, drawn)
 
     def test_permutation_properties(self):
         p = SplitMix64(77).permutation(200)
@@ -131,16 +132,16 @@ class TestBlockwiseDraws:
         expected = normals_oracle(want, shape)
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
-        assert got.next_u64() == want.next_u64()
+        assert next_raw(got) == next_raw(want)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_doubles_equal_one_shot_recipe(self, shape):
         n = int(np.prod(shape))
         got, want = SplitMix64(22), SplitMix64(22)
-        got.next_u64()
-        want.next_u64()
+        next_raw(got)
+        next_raw(want)
         assert got.doubles(n).tobytes() == doubles_oracle(want, n).tobytes()
-        assert got.next_u64() == want.next_u64()
+        assert next_raw(got) == next_raw(want)
 
     @pytest.mark.usefixtures("address_space_cap")
     def test_huge_request_fails_at_once(self):
@@ -149,21 +150,21 @@ class TestBlockwiseDraws:
             g.normals(10**13)
         with pytest.raises(MemoryError, match="Unable to allocate"):
             g.doubles(10**13)
-        assert g.next_u64() == SplitMix64(1).next_u64()
+        assert next_raw(g) == next_raw(SplitMix64(1))
 
     def test_normals_hold_one_output_sized_array(self):
         assert traced_peak(SplitMix64(3).normals, 10**6) < 8 * 10**6 + 4 * 2**20
 
 
 def fisher_yates_reference(seed, n):
-    """The documented recipe, one ``next_u64`` call per swap; returns the
+    """The documented recipe, one raw draw per swap; returns the
     order and the stream's next raw draw."""
     g = SplitMix64(seed)
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = g.next_u64() % (i + 1)
+        j = next_raw(g) % (i + 1)
         order[i], order[j] = order[j], order[i]
-    return order, g.next_u64()
+    return order, next_raw(g)
 
 
 class TestClosedFormShuffle:
@@ -177,7 +178,7 @@ class TestClosedFormShuffle:
         expected, after = fisher_yates_reference(seed, n)
         assert perm.dtype == np.int64, n
         assert perm.tolist() == expected, (seed, n)
-        assert g.next_u64() == after, (seed, n)
+        assert next_raw(g) == after, (seed, n)
 
     def test_every_n_up_to_257(self):
         # Key widths 8 and 16 bits meet at n = 257.
@@ -188,7 +189,7 @@ class TestClosedFormShuffle:
         draws = SplitMix64(424242)
         sizes = [1 + next_below(draws, 70000) for _ in range(20)] + [65536, 65537]
         for n in sizes:
-            self.check(draws.next_u64(), n)
+            self.check(next_raw(draws), n)
 
 
 class TestDeriveSeed:
@@ -218,7 +219,7 @@ class TestDeriveSeed:
         assert derive_seed(seed, salt) == derive_seed(int(seed), plain)
         a, b = SplitMix64(seed), SplitMix64(int(seed))
         assert a.raw_block(5).tolist() == b.raw_block(5).tolist()
-        assert a.next_u64() == b.next_u64()
+        assert next_raw(a) == next_raw(b)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100)

@@ -5,8 +5,10 @@ inlined out of ``SplitMix64.permutation`` would drop its work from
 ``harness.greedy_kcenters`` would drop its distance passes from the
 ``kcenters`` counters, and a feature read that bypassed
 ``harness.read_tensor``, or called it with more than the path its counter
-takes, would blind or break every traced run on file data; these tests make
-all four fail here instead."""
+takes, would blind or break every traced run on file data, and a report or
+rounds CSV written through a by-name import of ``atomic_write_bytes`` would
+drop from ``tensor_io.write`` and its bytes; these tests make all five fail
+here instead."""
 
 import importlib
 import os
@@ -115,3 +117,18 @@ def test_file_data_is_read_through_the_traced_names(monkeypatch, capsys, tmp_pat
     assert tracer.counts[0]["tensor_io.bytes_read"] == sum(sizes.values())
     assert sizes["features"] + sizes["test_features"] == 24 * 2 + 4 * (
         ds.features.size + ds.test_features.size)
+
+
+def test_run_outputs_are_written_through_the_traced_name(monkeypatch, capsys, tmp_path):
+    tracing = _tracing(monkeypatch)
+    output = tmp_path / "run.json"
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    with tracing.instrument(tracer):
+        harness.execute_config({**TINY_AL, "output": str(output)})
+    assert "trace: not found" not in capsys.readouterr().err
+
+    names = [span[3] for span in tracer.spans]
+    assert names.count("tensor_io.write") == 2
+    written = output.stat().st_size + (tmp_path / "run.rounds.csv").stat().st_size
+    assert tracer.counts[0]["tensor_io.bytes_written"] == written

@@ -27,7 +27,7 @@ without the seconds column.
 A third section, lines starting with ``edge``, runs the branches the first
 one misses: an active-learning budget equal to the initial fraction (no
 rounds, so no speedup), a core-set of the whole pool with
-``include_full_data_error`` (the target's test error is reused), a
+``include_full_data_error`` (the full-data fit repeats the subset's), a
 core-set with neither flag, and an active-learning run whose real-valued
 fields are JSON integers (the proxy's ``learning_rate``, the synthetic
 ``separation`` and ``noise``), which the config dataclasses convert to
