@@ -9,10 +9,11 @@ fixed learning rate, shuffling with a seeded permutation each epoch, and
 records a per-epoch correctness log with accuracy observed on the forward
 pass of each gradient step, before the parameter update. All training math
 runs in float64. ``fit`` keeps float32 features as they are (every float32
-value converts to float64 exactly) and converts only the rows it gathers
-into its float64 shuffle buffer, a block at a time; ``predict_proba``,
-``embed`` and ``error_rate`` convert features of any dtype but float64 as
-a whole.
+value converts to float64 exactly): its shuffle buffer is in the features'
+own dtype, and each batch is converted into one float64 batch buffer just
+before its step. ``take_rows`` converts the rows it gathers a block at a
+time; ``predict_proba``, ``embed`` and ``error_rate`` convert features of
+any dtype but float64 as a whole.
 
 Every check here is ``tensor_io``'s: each public entry point checks features
 with ``check_matrix`` (``fit`` through ``check_features``), labels with
@@ -41,11 +42,13 @@ The SGD loop works in place, but each step makes the same float operations
 in the same order as a textbook step that gathers its batch by fancy index,
 computes the softmax and gradients into fresh arrays and updates each
 parameter by ``p -= lr * grad``; parameters and log are bit-equal to that
-reference. Each epoch gathers the shuffled rows once, so a batch is a
-contiguous slice; parameters and gradients each live in one flat buffer, so
-the update is two vector operations. Beyond its products, a step's cost is
-numpy call overhead, so it makes as few calls as the reference's
-operations allow:
+reference. Each epoch gathers the shuffled rows once with one ``np.take``,
+and each step copies its contiguous slice into a C-contiguous float64
+``(batch_size, d)`` buffer, so every product gets the float64 operand the
+reference's fancy index makes; parameters and gradients each live in one
+flat buffer, so the update is two vector operations. Beyond its products,
+a step's cost is numpy call overhead, so it makes as few calls as the
+reference's operations allow:
 
 - Each epoch turns the shuffled labels into flat indices into the batch
   logits, ``(i mod batch_size) * c + y[perm[i]]`` for shuffled row ``i``,
@@ -193,16 +196,16 @@ def _sgd_grads(params: tuple, grads: tuple, xb: np.ndarray, flat_labels: np.ndar
     np.add.reduce(z, axis=0, out=grads[3])
 
 
-def take_rows(x: np.ndarray, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``x[rows]`` as float64, written into ``out`` (a fresh array when None).
+def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows]`` as a fresh float64 array.
 
-    ``rows`` must lie in range: mode="clip" gathers straight into ``out``,
-    where "raise" would buffer a copy. ``np.take`` cannot cast into ``out``,
-    so rows of another dtype, such as float32, pass through a scratch block
-    of at most ``_GATHER_BLOCK`` values, and no full-size temporary is made.
+    ``rows`` must lie in range: mode="clip" gathers straight into the
+    output, where "raise" would buffer a copy. ``np.take`` cannot cast into
+    its output, so rows of another dtype, such as float32, pass through a
+    scratch block of at most ``_GATHER_BLOCK`` values, and no full-size
+    temporary is made.
     """
-    if out is None:
-        out = np.empty((rows.size, x.shape[1]))
+    out = np.empty((rows.size, x.shape[1]))
     if x.dtype == out.dtype:
         return np.take(x, rows, axis=0, out=out, mode="clip")
     step = max(1, _GATHER_BLOCK // x.shape[1])
@@ -231,8 +234,16 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     parameter.
     """
     x, y, c = _check_xy(features, labels, n_classes)
-    n = x.shape[0]
-    init = init_params(spec, x.shape[1], c)
+    (n, d), h = x.shape, int(spec.hidden_units or 0)
+    # numpy refuses an array past 2**63 - 1 bytes naming no field: the log
+    # holds n x epochs bools, the flat parameters (d + c + 1) x h + c doubles.
+    sizes = (("epochs", n * int(spec.epochs), f"a training log of {n}"),
+             ("hidden_units", 8 * ((d + c + 1) * h + c), f"a weight matrix of {d}"))
+    for name, nbytes, array in sizes:
+        if nbytes > np.iinfo(np.intp).max:
+            value = getattr(spec, name)
+            raise ValueError(f"{name}={value}: {array} x {value} is too large for an array")
+    init = init_params(spec, d, c)
     shapes = {key: p.shape for key, p in init.items()}
     flat = np.concatenate([p.ravel() for p in init.values()])
     flat_grad = np.empty_like(flat)
@@ -241,11 +252,12 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     bs, lr = min(spec.batch_size, n), spec.learning_rate
 
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
-    # One float64 shuffle buffer per fit, refilled each epoch; ``perm`` is
-    # always in range, so the gathers take mode="clip". Each shuffled row's
-    # label is also held as its flat index into its batch's logits, and
-    # each step writes its argmax classes into ``tops``.
-    xp, yp = np.empty(x.shape), np.empty_like(y)
+    # One shuffle buffer per fit in the features' dtype, refilled each
+    # epoch, and one float64 batch buffer; ``perm`` is always in range, so
+    # the gathers take mode="clip". Each shuffled row's label is also held
+    # as its flat index into its batch's logits, and each step writes its
+    # argmax classes into ``tops``.
+    xp, xb, yp = np.empty(x.shape, x.dtype), np.empty((bs, d)), np.empty_like(y)
     offsets = np.arange(n) % bs * c
     flat_labels, tops = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     rows = np.arange(bs)
@@ -255,12 +267,14 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     with np.errstate(all="ignore"):
         for epoch in range(spec.epochs):
             perm = SplitMix64(derive_seed(spec.seed, f"shuffle-{epoch}")).permutation(n)
-            take_rows(x, perm, xp)
+            np.take(x, perm, axis=0, out=xp, mode="clip")
             np.take(y, perm, out=yp, mode="clip")
             np.add(offsets, yp, out=flat_labels)
             for start in range(0, n, bs):
                 stop = min(start + bs, n)
-                _sgd_grads(weights, slots, xp[start:stop], flat_labels[start:stop],
+                batch = xb[: stop - start]
+                batch[...] = xp[start:stop]
+                _sgd_grads(weights, slots, batch, flat_labels[start:stop],
                            tops[start:stop], rows[: stop - start])
                 flat_grad *= lr
                 flat -= flat_grad

@@ -820,6 +820,22 @@ class TestOversizedInputs:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,target", [
+    ("epochs", {**SPEC, "epochs": 2**63, "seed": 2}),
+    ("hidden_units", {**SPEC, "kind": "mlp", "hidden_units": 2**63, "seed": 2}),
+])
+def test_learner_field_too_large_for_an_array_is_named(tmp_path, capsys, field, target):
+    # The target's training log (n x epochs) or first weight matrix
+    # (d x hidden_units) would pass 2**63 - 1 bytes; the run names the field.
+    cfg = coreset_config(tmp_path, drop=("subset_fraction",), task="al",
+                         method="least_confidence", budget_fraction=0.1, proxy=SPEC,
+                         target=target, data={"synthetic": SYNTH})
+    assert main(["al", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {field}=9223372036854775808: ")
+    assert err.endswith(" is too large for an array\n") and err.count("\n") == 1
+
+
 def synth_argv(tmp_path, **flags):
     """An ``svp synth`` call writing ``x.svpt`` and ``y.csv`` in ``tmp_path``;
     ``flags`` override the generator flags by name."""

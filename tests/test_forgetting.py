@@ -121,6 +121,20 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_most_forgotten(scores, -1)
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_ranking_equals_the_three_key_lexsort(self, data):
+        n = data.draw(st.integers(0, 40))
+        never = data.draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n,
+                                                                   max_size=n)))
+        top = data.draw(st.sampled_from([1, 3, 255, 256, 2**16, 2**40]))
+        counts = [0 if nv else data.draw(st.integers(0, top)) for nv in never]
+        scores = self.make(counts, never)
+        m = data.draw(st.sampled_from([0, n, data.draw(st.integers(0, n))]))
+        expected = np.lexsort((np.arange(n), -scores.counts, ~scores.never_learned))[:m]
+        got = select_most_forgotten(scores, m)
+        assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             ForgettingScores(never_learned=np.array([True]), counts=np.array([2]))
@@ -135,6 +149,19 @@ class TestSelection:
         scores = ForgettingScores(never_learned=[False, True, False], counts=[1, 0, 2])
         assert scores.never_learned.dtype == bool and scores.counts.tolist() == [1, 0, 2]
         assert select_most_forgotten(scores, 3).tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("never", [[1, 0], np.array([1, 0], dtype=np.uint8), [0.0, 0.0]])
+    def test_never_learned_must_be_boolean(self, never):
+        # Integers 0 and 1 are not flags: as an index they would pick rows.
+        with pytest.raises(ValueError, match="^never_learned must be boolean, got "):
+            ForgettingScores(never_learned=never, counts=[0, 3])
+        with pytest.raises(ValueError, match="^never_learned must be boolean, got "):
+            ForgettingScores(never_learned=[0, 0, 0], counts=[1, 2, 3])
+
+    @pytest.mark.parametrize("counts", [[1.5, 0], [-1, 0], ["1", "0"], [np.nan, 0]])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(ValueError, match="^counts must be nonnegative integers$"):
+            ForgettingScores(never_learned=[False, False], counts=counts)
 
 
 class TestExports:

@@ -157,14 +157,14 @@ class TestBlockwiseDraws:
 
 
 def fisher_yates_reference(seed, n):
-    """The documented recipe, one raw draw per swap; returns the
-    order and the stream's next raw draw."""
-    g = SplitMix64(seed)
+    """The documented recipe, one raw draw per swap, from the pure-Python
+    stream; returns the order and the stream's next raw draw."""
+    draws = raw_oracle(seed, 0, max(n, 1))
     order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = next_raw(g) % (i + 1)
+    for i, r in zip(range(n - 1, 0, -1), draws):
+        j = r % (i + 1)
         order[i], order[j] = order[j], order[i]
-    return order, next_raw(g)
+    return order, draws[max(n - 1, 0)]
 
 
 class TestClosedFormShuffle:
@@ -190,6 +190,17 @@ class TestClosedFormShuffle:
         sizes = [1 + next_below(draws, 70000) for _ in range(20)] + [65536, 65537]
         for n in sizes:
             self.check(next_raw(draws), n)
+
+    def test_targets_spanning_several_high_digits(self):
+        # Past 2**16 the targets sort in two 16-bit radix passes; here the
+        # high digit takes the values 0 to 3.
+        self.check(31337, 3 * 2**16 + 7)
+
+    def test_peak_memory_stays_near_five_outputs(self):
+        # The int64 result is 8n bytes; the draws, the sort's indices and
+        # the chain pointers are each a few n-entry arrays beside it.
+        n = 20000
+        assert traced_peak(SplitMix64(5).permutation, n) < 5.0 * 8 * n
 
 
 class TestDeriveSeed:

@@ -15,7 +15,8 @@ generation and file inputs hold at scale.
 - ``coreset-file``: ``svp coreset`` with ``least_confidence`` on the same
   files, a 0.1 subset, and the ``al`` run's learners with the baseline
   measured: the proxy and the baseline's MLP are each fitted on all 100000
-  rows, the path whose shuffle buffer holds a float64 copy of the data.
+  rows, the path whose shuffle buffer holds a copy of the data (float32,
+  as the file holds it).
 
 The files of the file runs are written once, by ``svp synth`` in a
 separate process, before any measured run starts. Each run
