@@ -6,16 +6,14 @@ Examples that are never correct are flagged never_learned and sort above
 every finite count. The total order is: never_learned first, then count
 descending, then example index ascending.
 
-``process_log`` reduces over the epoch axis of the transposed log: an event
-at epoch e is ``log[:, e] > log[:, e + 1]`` on booleans. A log of at most
-``_SHORT_ROWS`` epochs is first copied with one row per epoch, so that each
-reduction is an elementwise pass over rows of n values instead of n
-reductions over a few values each. Past that the copy costs more than it
-saves, and the reductions run over the log's own rows. The outputs are the
-same either way. Ranking is two stable argsorts, count descending first and
-never_learned second, each key in the smallest unsigned dtype that holds
-it, so that keys of 16 bits or less take numpy's radix sort; stability
-keeps ties in index order.
+``process_log`` copies the log with one row per epoch and reduces over
+that axis: an event at epoch e is ``log[:, e] > log[:, e + 1]`` on
+booleans, so each reduction is an elementwise pass over rows of n values
+instead of n reductions over a few values each. Ranking is one stable
+argsort of one key: 0 for a never-learned example (whose count is 0), else
+``top + 1 - count`` for the largest count ``top``, in the smallest unsigned
+dtype that holds it, so that a key of 16 bits or less takes numpy's radix
+sort; stability keeps ties in index order.
 """
 
 from __future__ import annotations
@@ -26,26 +24,25 @@ import numpy as np
 
 from .tensor_io import FORGETTING_CSV, check_count, check_labels, check_train_log, write_csv
 
-_SHORT_ROWS = 64  # epochs up to which process_log reduces over a transposed copy
-
-
 @dataclass(frozen=True)
 class ForgettingScores:
     """Per-example forgetting summary, aligned with example indices.
 
-    ``never_learned`` must be boolean: 0/1 integers are refused, because as
-    an index they pick positions instead of masking. ``counts`` are the
-    nonnegative integers that ``tensor_io.check_labels`` takes, kept as
-    int64. A never-learned example has no events."""
+    ``never_learned`` must be boolean (an empty list passes): 0/1 integers
+    are refused, because as an index they pick positions instead of
+    masking. ``counts`` are the nonnegative integers that
+    ``tensor_io.check_labels`` takes, kept as int64. A never-learned
+    example has no events."""
 
     never_learned: np.ndarray  # (n,) bool
     counts: np.ndarray  # (n,) int64
 
     def __post_init__(self):
-        object.__setattr__(self, "never_learned", np.asarray(self.never_learned))
+        flags = np.asarray(self.never_learned)
+        if flags.size and flags.dtype != np.bool_:
+            raise ValueError(f"never_learned must be boolean, got {flags.dtype}")
+        object.__setattr__(self, "never_learned", flags.astype(np.bool_, copy=False))
         object.__setattr__(self, "counts", check_labels(self.counts, what="counts"))
-        if self.never_learned.dtype != np.bool_:
-            raise ValueError(f"never_learned must be boolean, got {self.never_learned.dtype}")
         if self.never_learned.shape != self.counts.shape:
             raise ValueError("never_learned and counts must align")
         if np.logical_and(self.never_learned, self.counts).any():
@@ -54,9 +51,7 @@ class ForgettingScores:
 
 def process_log(log: np.ndarray) -> ForgettingScores:
     """Count 1->0 transitions per row; flag all-zero rows never_learned."""
-    epochs = check_train_log(log).T
-    if len(epochs) <= _SHORT_ROWS:
-        epochs = np.ascontiguousarray(epochs)
+    epochs = np.ascontiguousarray(check_train_log(log).T)
     # Counts are at most E // 2, so they add up in the smallest dtype that holds it.
     counts = np.add.reduce(epochs[:-1] > epochs[1:], axis=0,
                            dtype=np.min_scalar_type(len(epochs) // 2))
@@ -66,10 +61,11 @@ def process_log(log: np.ndarray) -> ForgettingScores:
 def select_most_forgotten(scores: ForgettingScores, m: int) -> np.ndarray:
     """First m indices under the total order."""
     check_count(m, scores.counts.shape[0])
-    top = scores.counts.max(initial=0)
-    order = np.argsort((top - scores.counts).astype(np.min_scalar_type(top)), kind="stable")
-    order = order[np.argsort(~scores.never_learned[order], kind="stable")]
-    return order[:m].astype(np.int64)
+    top = int(scores.counts.max(initial=0))
+    key = (top - scores.counts).astype(np.min_scalar_type(top + 1))
+    key += 1  # in the key's own dtype, where top + 1 fits even at 2**63 - 1
+    key[scores.never_learned] = 0
+    return np.argsort(key, kind="stable")[:m].astype(np.int64)
 
 
 def write_forgetting_csv(scores: ForgettingScores, path: str) -> None:

@@ -228,8 +228,7 @@ def check_labels(labels, rows: Optional[int] = None, what: str = "labels") -> np
         raise ValueError(f"{what} must be one per feature row, got {y.shape[0]} for {rows}")
     if y.dtype.kind == "b":  # compared with 2**63 below, a bool would overflow
         y = y.astype(np.int64)
-    if y.dtype.kind not in "iuf" or not (  # a signed integer is below 2**63 already
-        (y >= 0) if y.dtype.kind == "i" else
+    if y.dtype.kind not in "iuf" or not (
         np.isfinite(y) & (y >= 0) & (y == np.round(y)) & (y < 2**63)
     ).all():
         raise ValueError(f"{what} must be nonnegative integers")

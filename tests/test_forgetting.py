@@ -108,6 +108,11 @@ class TestSelection:
         scores = self.make([2, 0, 0, 5, 2], [False, True, False, False, False])
         assert select_most_forgotten(scores, 5).tolist() == [1, 3, 0, 4, 2]
 
+    def test_largest_count_ranks_below_never_learned(self):
+        # The key of a count-0 row is top + 1, which here needs all 64 bits.
+        scores = self.make([2**63 - 1, 0, 0, 5], [False, True, False, False])
+        assert select_most_forgotten(scores, 4).tolist() == [1, 0, 3, 2]
+
     def test_deterministic_and_idempotent(self):
         scores = self.make([1, 4, 4, 0], [False, False, False, True])
         first = select_most_forgotten(scores, 3)
@@ -127,7 +132,7 @@ class TestSelection:
         n = data.draw(st.integers(0, 40))
         never = data.draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n,
                                                                    max_size=n)))
-        top = data.draw(st.sampled_from([1, 3, 255, 256, 2**16, 2**40]))
+        top = data.draw(st.sampled_from([1, 3, 255, 256, 2**16, 2**40, 2**63 - 1]))
         counts = [0 if nv else data.draw(st.integers(0, top)) for nv in never]
         scores = self.make(counts, never)
         m = data.draw(st.sampled_from([0, n, data.draw(st.integers(0, n))]))
@@ -149,6 +154,10 @@ class TestSelection:
         scores = ForgettingScores(never_learned=[False, True, False], counts=[1, 0, 2])
         assert scores.never_learned.dtype == bool and scores.counts.tolist() == [1, 0, 2]
         assert select_most_forgotten(scores, 3).tolist() == [1, 2, 0]
+        # An empty list of flags holds no integer to mistake for a position.
+        scores = ForgettingScores(never_learned=[], counts=[])
+        assert scores.never_learned.dtype == bool and scores.counts.dtype == np.int64
+        assert select_most_forgotten(scores, 0).tolist() == []
 
     @pytest.mark.parametrize("never", [[1, 0], np.array([1, 0], dtype=np.uint8), [0.0, 0.0]])
     def test_never_learned_must_be_boolean(self, never):

@@ -251,6 +251,20 @@ class TestFloat32Features:
         # per-epoch permutation and the n-entry label and class arrays.
         assert traced_peak(fit, spec, x32, y) < 1.0 * n * d * 8
 
+    @pytest.mark.parametrize("dtype,copies", [(np.float64, 1.0), (np.float32, 1.5)])
+    def test_full_batch_fit_holds_one_float64_batch(self, dtype, copies):
+        # A float64 batch is a slice of the shuffle buffer; a float32 one is
+        # converted into a float64 batch buffer beside the float32 shuffle
+        # buffer. Either way a second float64 copy of the features breaks
+        # the bound; the other 0.5 is the n-entry arrays and the logits.
+        n, d = 20000, 32
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((n, d)).astype(dtype)
+        y = rng.integers(0, 3, size=n)
+        spec = dataclasses.replace(LOGISTIC, epochs=1, batch_size=n)
+        fit(spec, x[:50], y[:50])
+        assert traced_peak(fit, spec, x, y) < (copies + 0.5) * n * d * 8
+
     def test_many_class_mlp_fit_holds_no_label_sized_buffer(self):
         # Labels are subtracted by flat index and the log is compared per
         # epoch, so a fit holds O(n) label state: an n-by-c one-hot, even

@@ -16,12 +16,11 @@ Four tables, each on data from fixed seeds:
   peak over the 8n bytes of its int64 result.
 - ``forgetting``: median ms of ``process_log`` on (n, E) logs whose rows
   are learned with probabilities spread over [0, 1], and of
-  ``select_most_forgotten`` on its scores for 10% of the rows. The shapes
-  lie on both sides of the 64 epochs up to which ``process_log`` copies
-  the log with one row per epoch; (10, 10**5) is a log with n < E.
+  ``select_most_forgotten`` on its scores for 10% of the rows; (10, 10**5)
+  is a log with n < E.
 - ``memory``: the ``tracemalloc`` peak of one full-data logistic fit
-  (batch 16, 1 epoch) on 20000x32 float32 features, over the 8nd bytes of
-  a float64 copy of them.
+  (1 epoch) on 20000x32 features, float32 and float64, at batch 16 and at
+  batch n, over the 8nd bytes of a float64 copy of them.
 
 The last line is a sha256 over every fitted model's parameters and
 training log, every permutation and every forgetting result, so two
@@ -132,15 +131,18 @@ def forgetting_table(digest):
         print(f"{'':10s} {n:7d} {epochs:6d} {process_ms:10.3f} {select_ms:9.3f}", flush=True)
 
 
-def memory_line():
+def memory_lines():
     n, d = 20000, 32
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((n, d)).astype(np.float32)
+    x32 = rng.standard_normal((n, d)).astype(np.float32)
     y = rng.integers(0, 3, size=n)
-    spec = LearnerSpec("logistic", 1, 0.5, 16, 1)
-    fit(spec, x[:50], y[:50])  # first-call allocations are not the fit's
-    peak = traced_peak(lambda: fit(spec, x, y))
-    print(f"memory   float32 fit peak / (n*d*8) = {peak / (n * d * 8):.3f} (n={n}, d={d})")
+    for x in (x32, x32.astype(np.float64)):
+        for batch in (16, n):
+            spec = LearnerSpec("logistic", 1, 0.5, batch, 1)
+            fit(spec, x[:50], y[:50])  # first-call allocations are not the fit's
+            peak = traced_peak(lambda: fit(spec, x, y))
+            print(f"memory   {x.dtype} fit peak / (n*d*8) = {peak / (n * d * 8):.3f} "
+                  f"(n={n}, d={d}, batch {batch})")
 
 
 def main():
@@ -148,7 +150,7 @@ def main():
     fit_table(digest)
     permutation_table(digest)
     forgetting_table(digest)
-    memory_line()
+    memory_lines()
     print(f"digest {digest.hexdigest()}")
 
 
