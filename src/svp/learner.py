@@ -339,6 +339,13 @@ class SynthParams:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("train and test sizes must be positive")
+        # As in ``fit``: the means and both feature sets are float64
+        # matrices of ``dim`` columns, each named before numpy refuses it.
+        for name, rows in (("classes", self.classes), ("n_train", self.n_train),
+                           ("n_test", self.n_test)):
+            if 8 * int(rows) * int(self.dim) > np.iinfo(np.intp).max:
+                raise ValueError(f"{name}={rows}, dim={self.dim}: a {rows} x {self.dim} "
+                                 "float64 matrix is too large for an array")
         if not (np.isfinite(self.separation) and np.isfinite(self.noise)):
             raise ValueError("separation and noise must be finite")
         if self.noise < 0 or self.separation < 0:

@@ -75,8 +75,7 @@ import os
 import re
 import stat
 import struct
-import tempfile
-import warnings
+import threading
 from typing import Optional
 
 import numpy as np
@@ -130,8 +129,8 @@ class ProbMatrixError(ValueError):
         self.row = row
 
 
-# (temp file, target) pairs written inside a ``staged_writes`` block.
-_staged: Optional[list] = None
+# Per thread, the (temp file, target) pairs of its open ``staged_writes`` block.
+_local = threading.local()
 
 
 @contextlib.contextmanager
@@ -142,42 +141,43 @@ def staged_writes():
     when the block ends without an error, so a failure part-way (a missing
     directory, an invalid value) leaves none of the block's outputs behind.
     A block inside another joins it: its writes are renamed when the
-    outermost block ends.
+    outermost block ends. A block holds only its own thread's writes, so
+    threads writing side by side each get their files when their own block
+    ends, and a write outside any block is renamed before it returns.
     """
-    global _staged
-    if _staged is not None:
+    if getattr(_local, "staged", None) is not None:
         yield
         return
-    _staged = []
+    _local.staged = staged = []
     try:
         yield
-        for tmp, path in _staged:
+        for tmp, path in staged:
             os.replace(tmp, path)
     finally:
-        for tmp, _ in _staged:
+        for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        _staged = None
+        _local.staged = None
 
 
 def atomic_write_bytes(path: str, data) -> None:
-    """Write ``data``, bytes or an iterable of byte blocks, to a temp file in
-    the same directory, then rename it into place at the end of the
-    enclosing :func:`staged_writes` block; a write outside one is a block of
-    its own. The file gets the mode ``open(path, "w")`` gives; a directory
-    is refused, and so is a missing one, naming ``path``."""
+    """Write ``data``, bytes or an iterable of byte blocks, to a new
+    ``.svp-tmp-<random hex>`` file in the same directory, then rename it into
+    place at the end of the enclosing :func:`staged_writes` block; a write
+    outside one is a block of its own. The temp file is created with mode
+    0o666, which the kernel lessens by the umask, so the file gets the mode
+    ``open(path, "w")`` gives. A directory is refused, and so is a missing
+    one, naming ``path``."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".svp-tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".svp-tmp-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # named after the temp file, which the caller never saw
-        raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, path)
+        raise OSError(exc.errno, exc.strerror, path) from None
     with staged_writes():
-        _staged.append((tmp, path))  # the block's end removes it if anything fails
+        _local.staged.append((tmp, path))  # the block's end removes it if anything fails
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines((data,) if isinstance(data, (bytes, bytearray)) else data)
 
 
@@ -507,13 +507,9 @@ def _loadtxt(path: str, data: bytes, st: os.stat_result, columns: np.dtype,
     read is reported as that row's fault."""
     regular = stat.S_ISREG(st.st_mode)
     try:
-        with warnings.catch_warnings():
-            # numpy parses text such as "1.5" in an integer column as a float
-            # and only warns; as an error it is a ValueError like any other.
-            warnings.simplefilter("error", DeprecationWarning)
-            parsed = np.loadtxt(path if regular else io.BytesIO(data), dtype=columns,
-                                delimiter=",", quotechar='"', comments=None, ndmin=1,
-                                skiprows=1, max_rows=rows, encoding="utf-8")
+        parsed = np.loadtxt(path if regular else io.BytesIO(data), dtype=columns,
+                            delimiter=",", quotechar='"', comments=None, ndmin=1,
+                            skiprows=1, max_rows=rows, encoding="utf-8")
     except ValueError as exc:
         parsed, error = None, exc
     else:

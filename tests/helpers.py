@@ -10,7 +10,6 @@ copy-then-concatenate binary file writers."""
 import dataclasses
 import struct
 import tracemalloc
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,13 +391,9 @@ def read_csv_oracle(path: str, columns: np.dtype) -> np.ndarray:
     bad = np.flatnonzero((counts != len(names)) | open_quote)
     end = int(bad[0]) if bad.size else len(body)
     try:
-        with warnings.catch_warnings():
-            # numpy parses text such as "1.5" in an integer column as a float
-            # and only warns; as an error it is a ValueError like any other.
-            warnings.simplefilter("error", DeprecationWarning)
-            if end:
-                rows = np.loadtxt(body[:end], dtype=columns, delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1)
+        if end:
+            rows = np.loadtxt(body[:end], dtype=columns, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
     except ValueError as exc:
         at = _LOADTXT_AT.search(str(exc))
         if at is None:

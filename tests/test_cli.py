@@ -1,7 +1,7 @@
 import contextlib
+import errno
 import json
 import os
-import tempfile
 import threading
 import warnings
 
@@ -545,18 +545,21 @@ class TestRunCommands:
 
     def test_failed_rounds_csv_leaves_no_report(self, tmp_path, capsys, monkeypatch):
         cfg = coreset_config(tmp_path, output=str(tmp_path / "run.json"))
-        real_mkstemp = tempfile.mkstemp
+        real_open = os.open
         calls = []
 
-        def mkstemp_failing_second(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise OSError("No space left on device")
-            return real_mkstemp(*args, **kwargs)
+        def open_failing_second_temp_file(path, *args, **kwargs):
+            if os.path.basename(path).startswith(".svp-tmp-"):
+                calls.append(path)
+                if len(calls) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(tempfile, "mkstemp", mkstemp_failing_second)
+        monkeypatch.setattr(os, "open", open_failing_second_temp_file)
         assert main(["coreset", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            f"'{tmp_path / 'run.rounds.csv'}'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_directory_at_rounds_csv_leaves_no_report(self, tmp_path, capsys):
@@ -867,6 +870,14 @@ class TestSynth:
     def test_infinite_real_flag_is_refused(self, tmp_path, capsys, flag):
         assert main(synth_argv(tmp_path, **{flag: "inf"})) == 1
         assert capsys.readouterr().err == "error: separation and noise must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["classes", "dim", "n_train", "n_test"])
+    def test_size_too_large_for_an_array_is_named(self, tmp_path, capsys, flag):
+        assert main(synth_argv(tmp_path, **{flag: str(2**63 - 1)})) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{flag}={2**63 - 1}" in err and err.endswith(" is too large for an array\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value", [("classes", "2.5"), ("n_train", "1e3")])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -619,6 +620,31 @@ class TestReportsAndConfig:
                            for name in ("y.csv", "run.json", "run.rounds.csv"))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "run.json", "run.rounds.csv", "y.csv"]
+
+    def test_threads_running_side_by_side_each_get_their_outputs(self, tmp_path):
+        # Two threads, 100 tiny runs each: every run's two files exist when
+        # its call returns, and none of the 400 is lost to the other thread.
+        data = dataclasses.replace(DATA_PARAMS, n_train=30, n_test=10)
+        spec = dataclasses.replace(PROXY, epochs=1)
+        faults = []
+
+        def runs(thread):
+            for i in range(100):
+                output = tmp_path / f"{thread}-{i}.json"
+                execute_config({
+                    "task": "coreset", "method": "random", "proxy": spec_dict(spec),
+                    "target": spec_dict(spec), "subset_fraction": 0.5, "seed": i,
+                    "data": {"synthetic": dataclasses.asdict(data)}, "output": str(output)})
+                faults.extend(path.name for path in (output, output.with_suffix(".rounds.csv"))
+                              if not path.exists())
+
+        threads = [threading.Thread(target=runs, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert faults == []
+        assert len(list(tmp_path.iterdir())) == 400
 
     def test_execute_config_al_from_files(self, tmp_path):
         (x, y), (xt, yt) = small_data()

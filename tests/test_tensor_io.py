@@ -3,6 +3,7 @@ import os
 import stat
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -486,6 +487,78 @@ class TestAtomicWrites:
                 assert [p.name.startswith(".svp-tmp-") for p in tmp_path.iterdir()] == [True]
                 raise ValueError("later fault")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestThreads:
+    """Writes and reads from two threads, ordered by events, not timing."""
+
+    def test_a_block_holds_only_its_own_threads_writes(self, tmp_path):
+        staged, release, faults = threading.Event(), threading.Event(), []
+
+        def stage_a():
+            try:
+                with staged_writes():
+                    write_labels_csv(np.array([0, 1]), str(tmp_path / "a.csv"))
+                    staged.set()
+                    assert release.wait(10)
+            except BaseException as exc:
+                faults.append(exc)
+            finally:
+                staged.set()
+
+        thread = threading.Thread(target=stage_a)
+        thread.start()
+        try:
+            assert staged.wait(10)
+            write_labels_csv(np.array([1, 0]), str(tmp_path / "b.csv"))
+            assert (tmp_path / "b.csv").exists()
+            assert not (tmp_path / "a.csv").exists()
+        finally:
+            release.set()
+            thread.join()
+        assert faults == []
+        assert read_labels_csv(str(tmp_path / "a.csv")).tolist() == [0, 1]
+
+    def test_overlapping_reads_leave_the_warnings_filters_alone(self, tmp_path, monkeypatch):
+        # Read a's parse begins, then read b's; a ends while b still parses.
+        # A filter saved and restored around each parse would, in this order,
+        # leave b's filter in place for the whole process.
+        for name in "ab":
+            write_scores_csv(np.array([0.5, 1.5]), str(tmp_path / f"{name}.csv"))
+        parsing = {name: threading.Event() for name in "ab"}
+        a_done, results, faults = threading.Event(), {}, []
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            if "max_rows" in kwargs:  # the data rows' parse, not the header's split
+                name = threading.current_thread().name
+                parsing[name].set()
+                assert (parsing["b"] if name == "a" else a_done).wait(10)
+            return real_loadtxt(*args, **kwargs)
+
+        def read(name):
+            try:
+                results[name] = read_scores_csv(str(tmp_path / f"{name}.csv")).tolist()
+            except BaseException as exc:
+                faults.append(exc)
+            finally:
+                parsing[name].set()
+                if name == "a":
+                    a_done.set()
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with warnings.catch_warnings():
+            before = list(warnings.filters)
+            threads = {name: threading.Thread(target=read, args=(name,), name=name)
+                       for name in "ab"}
+            threads["a"].start()
+            assert parsing["a"].wait(10)
+            threads["b"].start()
+            for thread in threads.values():
+                thread.join()
+            after = list(warnings.filters)
+        assert faults == [] and results == {"a": [0.5, 1.5], "b": [0.5, 1.5]}
+        assert after == before
 
 
 class TestScoreAndLabelCsv:

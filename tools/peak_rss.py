@@ -22,7 +22,11 @@ The files of the file runs are written once, by ``svp synth`` in a
 separate process, before any measured run starts. Each run
 prints ``<name> <peak RSS in MiB>``, read from ``ru_maxrss`` of the run's
 own process (in KiB on Linux), which includes the interpreter and numpy.
-BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is set, and
+glibc's mmap threshold to 128 KiB (``MALLOC_MMAP_THRESHOLD_=131072``)
+unless ``MALLOC_MMAP_THRESHOLD_`` is set: left dynamic, the threshold moves
+with the allocator's history, and two trees' readings of one run differed
+by a few MiB with no change to what they hold.
 
 Usage, from the repository root:
 
@@ -110,7 +114,7 @@ def main() -> None:
     if args.child:
         child(args.child, args.data)
         return
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "1")}
+    env = {"OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": "131072", **os.environ}
     with tempfile.TemporaryDirectory() as data:
         for name in ("prepare",) + RUNS * args.repeat:
             subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name,
