@@ -198,17 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> None:
     probs = read_tensor(args.probs)
     try:
         scores = scoring.SCORERS[args.method](probs)
     except ProbMatrixError as exc:  # a fault of the file's values: name the file
         raise ProbMatrixError(f"{args.probs}: {exc}", exc.row) from None
     write_scores_csv(scores, args.out)
-    return 0
 
 
-def _cmd_kcenters(args) -> int:
+def _cmd_kcenters(args) -> None:
     # greedy_kcenters works in float64; converting first holds one copy.
     features = read_tensor(args.features).astype(np.float64)
     n = features.shape[0]
@@ -220,20 +219,18 @@ def _cmd_kcenters(args) -> int:
         seed = _require_seed(args.seed)
         initial = harness.random_select(np.arange(n), args.initial_size, seed)
     write_order_csv(greedy_kcenters(features, initial, args.budget), args.out)
-    return 0
 
 
-def _cmd_forget(args) -> int:
+def _cmd_forget(args) -> None:
     log = _load_train_log(args.log)
     scores = process_log(log)
     # Select first: an impossible M must fail before the CSV is written.
     chosen = [] if args.select is None else select_most_forgotten(scores, args.select)
     write_forgetting_csv(scores, args.out)
     sys.stdout.write("".join(f"{int(i)}\n" for i in chosen))
-    return 0
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args) -> None:
     ids_a, a = _load_score_series(args.a)
     ids_b, b = _load_score_series(args.b)
     if ids_a.shape != ids_b.shape or (ids_a != ids_b).any():
@@ -246,10 +243,9 @@ def _cmd_correlate(args) -> int:
     else:
         s, r = spearman(a, b), pearson(a, b)
     sys.stdout.write(f"spearman={s:.6f} pearson={r:.6f} n={a.shape[0]}\n")
-    return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -258,10 +254,9 @@ def _cmd_run(args) -> int:
     report, output = harness.execute_config(config, task=args.command)
     if output is None:
         sys.stdout.write(harness.report_json(config, report))
-    return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     args.seed = _require_seed(args.seed)
     if (args.out_test_features is None) != (args.out_test_labels is None):
         raise UsageError("--out-test-features and --out-test-labels go together")
@@ -273,7 +268,6 @@ def _cmd_synth(args) -> int:
         if args.out_test_features is not None:
             write_tensor(ds.test_features, args.out_test_features)
             write_labels_csv(ds.test_labels, args.out_test_labels)
-    return 0
 
 
 _COMMANDS = {
@@ -294,7 +288,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -304,6 +298,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

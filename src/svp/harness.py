@@ -159,9 +159,13 @@ def ceil_count(fraction: float, n: int) -> int:
 def plan_schedule(n: int, budget_fraction: float, schedule: Schedule) -> list:
     """Cumulative labeled sizes [initial, after round 1, ..., budget].
 
-    The schedule fractions are fractions of the total pool size n. The
-    cumulative fraction must land on the budget exactly (to 1e-9); anything
-    else is a configuration error, not silent truncation.
+    The schedule fractions are fractions of the total pool size n. A budget
+    within 1e-9 of the initial fraction gives no rounds. Otherwise the
+    number of rounds, (budget - initial - first) / subsequent + 1, must be
+    a whole k >= 1 to within 1e-6; anything else is a configuration error,
+    not silent truncation. Round j's size is ``nearest_count`` of the
+    cumulative fraction initial + first + (j - 1) * subsequent, the last
+    one too, not of the budget, so a last size past n raises.
     """
     s0 = nearest_count(schedule.initial, n)
     if s0 < 1:

@@ -79,7 +79,7 @@ from .rng import SplitMix64, derive_seed
 from .tensor_io import check_features, check_labels, check_matrix, check_number
 
 KINDS = ("logistic", "mlp")
-_GATHER_BLOCK = 1 << 14  # values gathered at a time from features of another dtype
+_GATHER_BLOCK = 1 << 14  # values take_rows gathers at a time
 
 
 @dataclass(frozen=True)
@@ -199,15 +199,13 @@ def _sgd_grads(params: tuple, grads: tuple, xb: np.ndarray, flat_labels: np.ndar
 def take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x[rows]`` as a fresh float64 array.
 
-    ``rows`` must lie in range: mode="clip" gathers straight into the
-    output, where "raise" would buffer a copy. ``np.take`` cannot cast into
-    its output, so rows of another dtype, such as float32, pass through a
-    scratch block of at most ``_GATHER_BLOCK`` values, and no full-size
-    temporary is made.
+    ``rows`` must lie in range: mode="clip" gathers without the copy that
+    "raise" would buffer. ``np.take`` cannot cast into its output, so rows
+    of every dtype, float64 too, pass through one scratch block of at most
+    ``_GATHER_BLOCK`` values in ``x``'s dtype, and no full-size temporary is
+    made.
     """
     out = np.empty((rows.size, x.shape[1]))
-    if x.dtype == out.dtype:
-        return np.take(x, rows, axis=0, out=out, mode="clip")
     step = max(1, _GATHER_BLOCK // x.shape[1])
     scratch = np.empty((min(step, rows.size), x.shape[1]), dtype=x.dtype)
     for start in range(0, rows.size, step):

@@ -95,6 +95,12 @@ class TestPlanSchedule:
         with pytest.raises(ScheduleError):
             plan_schedule(100, 0.102, Schedule(0.02, 0.08, 0.001))  # quota collapses
 
+    def test_last_size_comes_from_the_cumulative_fraction(self):
+        # 0.9 / 0.30000009 + 1 lies within 1e-6 of 4 rounds, but the last
+        # cumulative fraction, 0.1 + 3 * 0.30000009, passes the whole pool.
+        with pytest.raises(ScheduleError, match=r"^schedule overruns the pool: 2000001 > 2000000$"):
+            plan_schedule(2_000_000, 1.0, Schedule(0.02, 0.08, 0.30000009))
+
     def test_sizes_strictly_increase(self):
         for n in (100, 537, 2000):
             sizes = plan_schedule(n, 1.0, DEFAULT_SCHEDULE)

@@ -215,16 +215,19 @@ def assert_fit_bit_equal(spec, x, y, c):
 class TestFloat32Features:
     """``fit`` shuffles float32 features in a float32 buffer and converts
     each batch into a float64 one, so it trains as on their conversion;
-    ``take_rows`` converts the rows it gathers a block at a time."""
+    ``take_rows`` converts the rows it gathers a block at a time, and
+    gathers float64 rows through the same blocks."""
 
     def test_take_rows_converts_across_blocks(self):
         n, d = 5003, 8
         rows_per_block = learner._GATHER_BLOCK // d
         assert n > rows_per_block and n % rows_per_block
-        x32 = np.random.default_rng(7).standard_normal((n, d)).astype(np.float32)
+        x = np.random.default_rng(7).standard_normal((n, d))
         rows = np.random.default_rng(8).permutation(n)
-        got = learner.take_rows(x32, rows)
-        assert got.dtype == np.float64 and got.tobytes() == x32[rows].astype(np.float64).tobytes()
+        for features in (x.astype(np.float32), x):  # float64 takes the same blocks
+            got = learner.take_rows(features, rows)
+            assert got.dtype == np.float64
+            assert got.tobytes() == features[rows].astype(np.float64).tobytes()
 
     @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
     def test_fit_equals_fit_on_the_float64_conversion(self, spec):

@@ -7,13 +7,18 @@ inlined out of ``SplitMix64.permutation`` would drop its work from
 ``harness.read_tensor``, or called it with more than the path its counter
 takes, would blind or break every traced run on file data, and a report or
 rounds CSV written through a by-name import of ``atomic_write_bytes`` would
-drop from ``tensor_io.write`` and its bytes; these tests make all five fail
-here instead."""
+drop from ``tensor_io.write`` and its bytes, and a CSV written block by
+block whose ``len()`` missed a block would undercount those bytes; these
+tests make all six fail here instead."""
 
 import importlib
 import os
 
+import numpy as np
+
+import svp.cli as cli
 import svp.harness as harness
+import svp.tensor_io as tensor_io
 from svp.learner import SynthParams, make_synthetic
 from svp.tensor_io import write_labels_csv, write_tensor
 
@@ -132,3 +137,20 @@ def test_run_outputs_are_written_through_the_traced_name(monkeypatch, capsys, tm
     assert names.count("tensor_io.write") == 2
     written = output.stat().st_size + (tmp_path / "run.rounds.csv").stat().st_size
     assert tracer.counts[0]["tensor_io.bytes_written"] == written
+
+
+def test_a_csv_written_in_blocks_counts_every_byte(monkeypatch, capsys, tmp_path):
+    tracing = _tracing(monkeypatch)
+    n = 3000
+    assert 2 * n > tensor_io._CSV_BLOCK  # two cells a row: more than one block
+    z = np.random.default_rng(5).standard_normal((n, 4))
+    probs, out = tmp_path / "probs.svpt", tmp_path / "scores.csv"
+    write_tensor(np.exp(z) / np.exp(z).sum(axis=1, keepdims=True), str(probs))
+    tracer = tracing.Tracer()
+    tracer.begin_op(0)
+    with tracing.instrument(tracer):
+        assert cli.main(["score", "--method", "entropy", "--probs", str(probs),
+                         "--out", str(out)]) == 0
+    assert "trace: not found" not in capsys.readouterr().err
+
+    assert tracer.counts[0]["tensor_io.bytes_written"] == out.stat().st_size > 0

@@ -37,7 +37,6 @@ import os
 import statistics
 import sys
 import time
-import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -45,7 +44,9 @@ import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from helpers import traced_peak  # noqa: E402
 from svp.forgetting import process_log, select_most_forgotten  # noqa: E402
 from svp.learner import LearnerSpec, fit  # noqa: E402
 from svp.rng import SplitMix64, derive_seed  # noqa: E402
@@ -62,15 +63,6 @@ def median_ms(fn, repeats):
         fn()
         seconds.append(time.perf_counter() - start)
     return 1e3 * statistics.median(seconds)
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def blobs(n, seed):

@@ -37,6 +37,13 @@ A last section digests the files the library writes: a ``file <name>`` line
 for each input above written by ``write_tensor``, ``write_train_log`` or
 ``write_labels_csv``, and a ``cli synth`` line for one ``svp synth`` call
 (exit code, standard output and its four output files).
+
+The scale section, lines starting with ``scale``, runs each method once at
+benchmark scale (an alias of an earlier scorer, ``confidence``, left out):
+n=4000, d=32, 10 classes, seed 3, a 0.3 budget or subset, a logistic (AL)
+or MLP h=64 (core-set) proxy for 5 epochs, an MLP h=64 target for 20 epochs,
+the baseline measured. Each run prints its ``op_s``, ``selection_s``,
+``baseline_s`` and ``speedup`` on standard error, which the gate ignores.
 """
 
 import contextlib
@@ -46,11 +53,13 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from svp import scoring  # noqa: E402
 from svp.cli import main as cli_main  # noqa: E402
 from svp.harness import METHODS, execute_config, rounds_csv  # noqa: E402
 from svp.learner import SynthParams, make_synthetic  # noqa: E402
@@ -66,6 +75,12 @@ PROXIES = {
 }
 TARGET = {"kind": "mlp", "epochs": 4, "learning_rate": 0.3, "batch_size": 24, "seed": 2,
           "hidden_units": 16}
+SCALE_TARGET = {"kind": "mlp", "epochs": 20, "learning_rate": 0.1, "batch_size": 32, "seed": 2,
+                "hidden_units": 64}
+SCALE_PROXIES = {"coreset": {**SCALE_TARGET, "epochs": 5, "seed": 1}, "al": {
+    "kind": "logistic", "epochs": 5, "learning_rate": 0.1, "batch_size": 32, "seed": 1}}
+SCALE_DATA = {"synthetic": {"classes": 10, "dim": 32, "separation": 0.35, "noise": 1.0,
+                            "n_train": 4000, "n_test": 1000, "seed": 7}}
 
 
 def configs():
@@ -97,6 +112,18 @@ def edge_configs():
         **base, "task": "al", "method": "least_confidence", "budget_fraction": 0.3,
         "measure_baseline": True, "proxy": {**PROXIES["logistic"], "learning_rate": 1},
         "data": {"synthetic": {**DATA["synthetic"], "separation": 2, "noise": 1}}}
+
+
+def scale_configs():
+    for task, methods in METHODS.items():
+        first = {}  # each scorer under the first method that names it
+        for method in methods:
+            first.setdefault(scoring.SCORERS.get(method, method), method)
+        for method in first.values():
+            yield f"scale {task} {method}", {
+                "task": task, "method": method, "seed": 3, "measure_baseline": True,
+                ("budget_fraction" if task == "al" else "subset_fraction"): 0.3,
+                "proxy": SCALE_PROXIES[task], "target": SCALE_TARGET, "data": SCALE_DATA}
 
 
 def digest(report) -> str:
@@ -232,6 +259,14 @@ def main():
         print(f"{name} speedup={ratio} {digest(report)}", flush=True)
     for line in file_digests():
         print(line, flush=True)
+    for name, config in scale_configs():
+        start = time.perf_counter()
+        report, _ = execute_config(config)
+        op_s = time.perf_counter() - start
+        print(f"{name} {digest(report)}", flush=True)
+        print(f"{name} op_s={op_s:.3f} selection_s={report.selection_seconds:.3f} "
+              f"baseline_s={report.baseline_seconds:.3f} speedup={report.speedup:.2f}",
+              file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

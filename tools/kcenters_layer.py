@@ -36,7 +36,6 @@ import os
 import statistics
 import sys
 import time
-import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -46,7 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
-from helpers import kcenters_oracle  # noqa: E402
+from helpers import kcenters_oracle, traced_peak  # noqa: E402
 from svp import kcenters  # noqa: E402
 
 REPEATS = 5
@@ -95,10 +94,7 @@ def main():
             start = time.perf_counter()
             kcenters.greedy_kcenters(x, initial, budget)
             seconds.append(time.perf_counter() - start)
-        tracemalloc.start()
-        kcenters.greedy_kcenters(x, initial, budget)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        peak = traced_peak(kcenters.greedy_kcenters, x, initial, budget)
         c = result.work
         print(f"{name:10s} {x.shape[0]:6d} {x.shape[1]:3d} {len(initial):5d} {budget:5d} "
               f"{1e3 * statistics.median(seconds):8.1f} {c['rounds']:6d} {c['refreshed']:9d} "
