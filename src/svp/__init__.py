@@ -4,7 +4,6 @@ desk-scale learners."""
 
 from .forgetting import ForgettingScores, process_log, select_most_forgotten
 from .harness import (
-    ALConfig,
     RunReport,
     Schedule,
     execute_config,

@@ -38,6 +38,7 @@ from .tensor_io import (
     _check_finite,
     _check_utf8,
     _split_fields,
+    check_count,
     read_csv,
     read_scores_csv,
     read_tensor,
@@ -217,6 +218,7 @@ def _cmd_kcenters(args) -> None:
         if args.initial_size < 1:
             raise UsageError("--initial-size must be at least 1")
         seed = _require_seed(args.seed)
+        check_count(args.initial_size, n, "--initial-size")
         initial = harness.random_select(np.arange(n), args.initial_size, seed)
     write_order_csv(greedy_kcenters(features, initial, args.budget), args.out)
 
@@ -225,6 +227,8 @@ def _cmd_forget(args) -> None:
     log = _load_train_log(args.log)
     scores = process_log(log)
     # Select first: an impossible M must fail before the CSV is written.
+    if args.select is not None:
+        check_count(args.select, scores.counts.size, "--select")
     chosen = [] if args.select is None else select_most_forgotten(scores, args.select)
     write_forgetting_csv(scores, args.out)
     sys.stdout.write("".join(f"{int(i)}\n" for i in chosen))

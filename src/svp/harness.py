@@ -14,8 +14,9 @@ target on the selected ids and build the report. Active learning plans
 one timed round per step; core-set selection plans ``[m]`` and its pass is
 one timed stage. ``execute_config`` checks a config's top-level fields
 against one table per task (``CONFIG_FIELDS``); flags must be JSON booleans.
-Numbers are checked once, where they are held: by the config dataclasses,
-by ``run_coreset`` (``subset_fraction``) and by the run (seed, baseline).
+Numbers are checked once, where they are held: by ``Schedule``, by
+``run_active_learning`` (``budget_fraction``), by ``run_coreset``
+(``subset_fraction``) and by the run (seed, baseline).
 The run checks its method against ``METHODS[task]`` before any fit, and
 ``execute_config`` checks it before any data file is read. Before it plans
 or fits anything, the run checks every row of its train and test data with
@@ -52,7 +53,6 @@ the learner-spec seeds through documented sub-seed derivations.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import time
 from dataclasses import dataclass
@@ -102,20 +102,6 @@ class Schedule:
 
 
 DEFAULT_SCHEDULE = Schedule(initial=0.02, first=0.08, subsequent=0.10)
-
-
-@dataclass(frozen=True)
-class ALConfig:
-    proxy: LearnerSpec
-    target: LearnerSpec
-    method: str
-    budget_fraction: float
-    schedule: Schedule
-    seed: int
-
-    def __post_init__(self):
-        fraction = _fraction(self.budget_fraction, "budget_fraction")
-        object.__setattr__(self, "budget_fraction", fraction)
 
 
 # The timing block: wall-clock fields, the only ones deterministic_dict() leaves out.
@@ -308,18 +294,11 @@ def _check_method(task: str, method) -> None:
         raise ValueError(f"{task} method must be one of {METHODS[task]}, got {method!r}")
 
 
-def _al_selection_pass(
-    cfg: ALConfig,
-    x: np.ndarray,
-    y: np.ndarray,
-    c: int,
-    sizes: list,
-    proxy_spec: LearnerSpec,
-    clock: Callable[[], float],
-):
+def _al_selection_pass(method: str, seed: int, x: np.ndarray, y: np.ndarray, c: int,
+                       sizes: list, proxy_spec: LearnerSpec, clock: Callable[[], float]):
     """Run the selection rounds; returns (labeled ids, round proxies, round seconds)."""
     n = x.shape[0]
-    labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(cfg.seed, "initial-pool")))
+    labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(seed, "initial-pool")))
     mask = np.zeros(n, dtype=bool)
     mask[labeled] = True
 
@@ -330,14 +309,12 @@ def _al_selection_pass(
         quota = sizes[k] - sizes[k - 1]
         unlabeled = np.flatnonzero(~mask)
         t0 = clock()
-        spec_k = dataclasses.replace(
-            proxy_spec, seed=_fit_seed(cfg.seed, f"proxy-round-{k}", proxy_spec)
-        )
-        proxy = fit(spec_k, x[labeled], y[labeled], n_classes=c)
+        spec = dataclasses.replace(proxy_spec,
+                                   seed=_fit_seed(seed, f"proxy-round-{k}", proxy_spec))
+        proxy = fit(spec, x[labeled], y[labeled], n_classes=c)
         if not banked.size:
-            banked = SELECTORS[cfg.method](
-                proxy, x, unlabeled, quota, cfg.seed, f"round-{k}", sizes[-1] - sizes[k]
-            )
+            banked = SELECTORS[method](proxy, x, unlabeled, quota, seed, f"round-{k}",
+                                       sizes[-1] - sizes[k])
         picked, banked = banked[:quota], banked[quota:]
         t1 = clock()
         round_seconds.append(t1 - t0)
@@ -359,15 +336,17 @@ def _coreset_select(method: str, seed: int, x: np.ndarray, y: np.ndarray, c: int
 
 
 def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerSpec,
-         data, test_data, plan: Callable[[int], list], selection_pass: Callable,
-         clock: Callable[[], float], baseline_seconds: Optional[float],
-         measure_baseline: bool, include_full_data_error: bool = False) -> RunReport:
+         data, test_data, plan: Callable[[int], list], clock: Callable[[], float],
+         baseline_seconds: Optional[float], measure_baseline: bool,
+         include_full_data_error: bool = False) -> RunReport:
     """The run both protocols share: ``plan(n)`` gives the cumulative
-    selected-set sizes, and ``selection_pass(x, y, c, sizes, spec, clock)``
-    returns (selected ids, fitted proxy per round, seconds per round) with
-    ``spec`` in the proxy slot. The pass runs with the proxy, then (for a
-    measured baseline) with the target; the target is fitted on the ids.
-    The run ``seed`` and a supplied ``baseline_seconds`` are checked first."""
+    selected-set sizes, and the task's selection pass (``_al_selection_pass``
+    or ``_coreset_select``, both called as
+    ``(method, seed, x, y, c, sizes, spec, clock)``) returns (selected ids,
+    fitted proxy per round, seconds per round) with ``spec`` in the proxy
+    slot. The pass runs with the proxy, then (for a measured baseline) with
+    the target; the target is fitted on the ids. The run ``seed`` and a
+    supplied ``baseline_seconds`` are checked first."""
     _check_method(task, method)
     check_number(seed, "seed", integer=True)
     if baseline_seconds is not None:
@@ -397,12 +376,14 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
                          f"nor the test labels: {shown}{more}")
     c = max(2, top + 1)
     sizes = plan(n)
+    # Looked up when called, so a tracer's wrapper on either pass is seen.
+    select = _al_selection_pass if task == "al" else _coreset_select
 
-    ids, proxies, round_seconds = selection_pass(x, y, c, sizes, proxy, clock)
+    ids, proxies, round_seconds = select(method, seed, x, y, c, sizes, proxy, clock)
     proxy_errors = [error_rate(model, xt, yt) for model in proxies]
     selection_seconds = float(sum(round_seconds))
     if measure_baseline and baseline_seconds is None:
-        baseline_seconds = float(sum(selection_pass(x, y, c, sizes, target, clock)[2]))
+        baseline_seconds = float(sum(select(method, seed, x, y, c, sizes, target, clock)[2]))
 
     target_spec = dataclasses.replace(target, seed=_fit_seed(seed, "target-fit", target))
     test_error = error_rate(fit(target_spec, x[ids], y[ids], n_classes=c), xt, yt)
@@ -429,9 +410,14 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
 
 
 def run_active_learning(
-    cfg: ALConfig,
+    proxy: LearnerSpec,
+    target: LearnerSpec,
+    method: str,
+    budget_fraction: float,
     data,
     test_data,
+    seed: int,
+    schedule: Schedule = DEFAULT_SCHEDULE,
     clock: Callable[[], float] = time.perf_counter,
     baseline_seconds: Optional[float] = None,
     measure_baseline: bool = False,
@@ -448,12 +434,10 @@ def run_active_learning(
     the selection pass is rerun with the target spec in the proxy slot purely
     to record the classical self-selection wall-clock.
     """
-    return _run(
-        "al", cfg.method, cfg.seed, cfg.proxy, cfg.target, data, test_data,
-        lambda n: plan_schedule(n, cfg.budget_fraction, cfg.schedule),
-        functools.partial(_al_selection_pass, cfg),
-        clock, baseline_seconds, measure_baseline,
-    )
+    budget_fraction = _fraction(budget_fraction, "budget_fraction")
+    return _run("al", method, seed, proxy, target, data, test_data,
+                lambda n: plan_schedule(n, budget_fraction, schedule),
+                clock, baseline_seconds, measure_baseline)
 
 
 def run_coreset(
@@ -483,11 +467,8 @@ def run_coreset(
             raise ValueError("subset is empty")
         return [m]
 
-    return _run(
-        "coreset", method, seed, proxy, target, data, test_data,
-        plan, functools.partial(_coreset_select, method, seed),
-        clock, baseline_seconds, measure_baseline, include_full_data_error,
-    )
+    return _run("coreset", method, seed, proxy, target, data, test_data,
+                plan, clock, baseline_seconds, measure_baseline, include_full_data_error)
 
 
 _DATA_FILES = ("features", "labels", "test_features", "test_labels")
@@ -588,25 +569,15 @@ def execute_config(
     train, test = load_data_section(config["data"])
 
     if task == "al":
-        cfg = ALConfig(
-            proxy=proxy,
-            target=target,
-            method=config["method"],
-            budget_fraction=config["budget_fraction"],
-            schedule=(_from_object(Schedule, config["schedule"], "schedule")
-                      if "schedule" in config else DEFAULT_SCHEDULE),
-            seed=config["seed"],
-        )
-        report = run_active_learning(
-            cfg, train, test, clock=clock,
-            baseline_seconds=baseline_seconds, measure_baseline=measure,
-        )
+        protocol, fraction = run_active_learning, config["budget_fraction"]
+        options = {"schedule": (_from_object(Schedule, config["schedule"], "schedule")
+                                if "schedule" in config else DEFAULT_SCHEDULE)}
     else:
-        report = run_coreset(
-            proxy, target, config["method"], config["subset_fraction"], train, test, config["seed"],
-            include_full_data_error=full_data_error, clock=clock,
-            baseline_seconds=baseline_seconds, measure_baseline=measure,
-        )
+        protocol, fraction = run_coreset, config["subset_fraction"]
+        options = {"include_full_data_error": full_data_error}
+    report = protocol(proxy, target, config["method"], fraction, train, test, config["seed"],
+                      clock=clock, baseline_seconds=baseline_seconds, measure_baseline=measure,
+                      **options)
 
     if output is not None:
         # Looked up on tensor_io when called, so the benchmark's tracer sees both writes.

@@ -167,9 +167,13 @@ def atomic_write_bytes(path: str, data) -> None:
     outside one is a block of its own. The temp file is created with mode
     0o666, which the kernel lessens by the umask, so the file gets the mode
     ``open(path, "w")`` gives. A directory is refused, and so is a missing
-    one, naming ``path``."""
+    one, naming ``path``; so is a file the open block already writes (by
+    ``os.path.realpath``), which would otherwise lose one of its outputs."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    staged = getattr(_local, "staged", None) or ()
+    if os.path.realpath(path) in (os.path.realpath(target) for _, target in staged):
+        raise ValueError(f"{path}: two outputs of one write go to this file")
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".svp-tmp-{os.urandom(8).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

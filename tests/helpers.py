@@ -287,7 +287,7 @@ def kcenters_full_ranking(features, initial):
     return greedy_kcenters(features, initial, n - np.asarray(initial).size).order
 
 
-def al_kcenters_pass_oracle(cfg, x, y, c, sizes, proxy_spec, clock):
+def al_kcenters_pass_oracle(method, seed, x, y, c, sizes, proxy_spec, clock):
     """``svp.harness._al_selection_pass`` for k-centers as one traversal per
     round, each from the whole labeled set in the round's proxy embedding.
 
@@ -295,12 +295,12 @@ def al_kcenters_pass_oracle(cfg, x, y, c, sizes, proxy_spec, clock):
     is the features; same signature and return value as the pass.
     """
     n = x.shape[0]
-    labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(cfg.seed, "initial-pool")))
+    labeled = np.sort(random_select(np.arange(n), sizes[0], derive_seed(seed, "initial-pool")))
     proxies, round_seconds = [], []
     for k in range(1, len(sizes)):
         t0 = clock()
         spec_k = dataclasses.replace(
-            proxy_spec, seed=_fit_seed(cfg.seed, f"proxy-round-{k}", proxy_spec)
+            proxy_spec, seed=_fit_seed(seed, f"proxy-round-{k}", proxy_spec)
         )
         proxy = fit(spec_k, x[labeled], y[labeled], n_classes=c)
         picked = greedy_kcenters(embed(proxy, x), labeled, sizes[k] - sizes[k - 1]).order

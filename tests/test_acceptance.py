@@ -28,8 +28,6 @@ from helpers import (
 )
 from svp.forgetting import process_log
 from svp.harness import (
-    ALConfig,
-    DEFAULT_SCHEDULE,
     execute_config,
     random_select,
     run_active_learning,
@@ -251,10 +249,9 @@ def test_criterion_07_al_beats_random(capsys):
     svp_errors, random_errors = [], []
     for i in range(10):
         train, test = _mixture_data(100 + i)
-        common = dict(proxy=PROXY, target=TARGET, budget_fraction=0.3,
-                      schedule=DEFAULT_SCHEDULE, seed=500 + i)
-        svp = run_active_learning(ALConfig(method="least_confidence", **common), train, test)
-        rnd = run_active_learning(ALConfig(method="random", **common), train, test)
+        svp = run_active_learning(PROXY, TARGET, "least_confidence", 0.3, train, test,
+                                  seed=500 + i)
+        rnd = run_active_learning(PROXY, TARGET, "random", 0.3, train, test, seed=500 + i)
         svp_errors.append(svp.target_test_error)
         random_errors.append(rnd.target_test_error)
     wins = sum(s < r for s, r in zip(svp_errors, random_errors))
@@ -269,10 +266,10 @@ def test_criterion_08_proxy_fidelity(capsys):
     svp_errors, self_errors = [], []
     for i in range(10):
         train, test = _mixture_data(100 + i)
-        common = dict(method="least_confidence", budget_fraction=0.5,
-                      schedule=DEFAULT_SCHEDULE, seed=500 + i)
-        svp = run_active_learning(ALConfig(proxy=PROXY, target=TARGET, **common), train, test)
-        own = run_active_learning(ALConfig(proxy=TARGET, target=TARGET, **common), train, test)
+        svp = run_active_learning(PROXY, TARGET, "least_confidence", 0.5, train, test,
+                                  seed=500 + i)
+        own = run_active_learning(TARGET, TARGET, "least_confidence", 0.5, train, test,
+                                  seed=500 + i)
         svp_errors.append(svp.target_test_error)
         self_errors.append(own.target_test_error)
     gap = abs(float(np.mean(svp_errors)) - float(np.mean(self_errors)))
@@ -331,14 +328,12 @@ def test_criterion_10_degenerate_proxy_is_baseline(capsys):
     test = (ds.test_features, ds.test_labels)
     spec = LearnerSpec(kind="mlp", epochs=10, learning_rate=0.3, batch_size=32, seed=2,
                        hidden_units=8)
-    svp_cfg = ALConfig(proxy=spec, target=spec, method="least_confidence",
-                       budget_fraction=0.2, schedule=DEFAULT_SCHEDULE, seed=77)
-    baseline_cfg = ALConfig(proxy=dataclasses.replace(spec), target=spec,
-                            method="least_confidence", budget_fraction=0.2,
-                            schedule=DEFAULT_SCHEDULE, seed=77)
-    svp_bytes = json.dumps(run_active_learning(svp_cfg, train, test).deterministic_dict(),
+    svp_bytes = json.dumps(run_active_learning(spec, spec, "least_confidence", 0.2, train, test,
+                                               seed=77).deterministic_dict(),
                            sort_keys=True).encode()
-    base_bytes = json.dumps(run_active_learning(baseline_cfg, train, test).deterministic_dict(),
+    base_bytes = json.dumps(run_active_learning(dataclasses.replace(spec), spec,
+                                                "least_confidence", 0.2, train, test,
+                                                seed=77).deterministic_dict(),
                             sort_keys=True).encode()
     core_a = json.dumps(run_coreset(spec, spec, "entropy", 0.5, train, test,
                                     seed=77).deterministic_dict(), sort_keys=True).encode()
@@ -359,13 +354,10 @@ def test_criterion_11_speedup_accounting(capsys):
     small_proxy = LearnerSpec(kind="logistic", epochs=5, learning_rate=0.5, batch_size=16, seed=1)
     small_target = LearnerSpec(kind="mlp", epochs=5, learning_rate=0.3, batch_size=16, seed=2,
                                hidden_units=8)
-    cfg = ALConfig(proxy=small_proxy, target=small_target, method="least_confidence",
-                   budget_fraction=0.1, schedule=DEFAULT_SCHEDULE, seed=7)
-    scripted = run_active_learning(cfg, train, test, clock=ScriptClock([0.0, 25.0]),
-                                   baseline_seconds=100.0)
+    run = (small_proxy, small_target, "least_confidence", 0.1, train, test, 7)
+    scripted = run_active_learning(*run, clock=ScriptClock([0.0, 25.0]), baseline_seconds=100.0)
     ok = ok and scripted.speedup == 4.0
-    measured = run_active_learning(cfg, train, test,
-                                   clock=ScriptClock([0.0, 25.0, 30.0, 130.0]),
+    measured = run_active_learning(*run, clock=ScriptClock([0.0, 25.0, 30.0, 130.0]),
                                    measure_baseline=True)
     ok = ok and measured.speedup == 4.0
 

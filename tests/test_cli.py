@@ -229,6 +229,15 @@ class TestKCenters:
                      "--budget", "1", "--out", str(tmp_path / "o.csv"),
                      "--seed", "1"]) == 2
 
+    def test_initial_size_beyond_the_rows_names_the_flag(self, tmp_path, capsys):
+        feats = tmp_path / "x.svpt"
+        write_tensor(np.arange(50.0)[:, None], feats)
+        out = tmp_path / "o.csv"
+        assert main(["kcenters", "--features", str(feats), "--initial-size", "60",
+                     "--budget", "0", "--out", str(out), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: --initial-size=60 exceeds the 50 candidates\n"
+        assert not out.exists()
+
     def test_budget_too_large_leaves_no_output(self, tmp_path):
         feats = self.features_file(tmp_path)
         init = tmp_path / "init.txt"
@@ -353,6 +362,18 @@ class TestForget:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.svpl"]
+
+    @pytest.mark.parametrize("m, message", [
+        ("30", "--select=30 exceeds the 20 candidates"),
+        ("-1", "--select must be nonnegative, got -1"),
+    ])
+    def test_select_error_names_the_flag(self, tmp_path, capsys, m, message):
+        log_path = tmp_path / "log.svpl"
+        write_train_log(np.tile(LOG, (7, 1))[:20], log_path)
+        out = tmp_path / "f.csv"
+        assert main(["forget", "--log", str(log_path), "--out", str(out), "--select", m]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_truncated_binary(self, tmp_path):
         log_path = tmp_path / "run.svpl"
@@ -949,6 +970,22 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{labels}'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
         assert list(labels.iterdir()) == []
+
+    # The error names the second output as it was given.
+    @pytest.mark.parametrize("outputs, second", [
+        (("a.svpt", "y.csv", "a.svpt", "t.csv"), "a.svpt"),
+        (("x", "x"), "x"),
+        (("x", "./x"), "./x"),
+    ], ids=["features-and-test-features", "features-and-labels", "one-file-spelled-twice"])
+    def test_two_outputs_to_one_file_leave_no_output(self, tmp_path, capsys, outputs, second):
+        flags = ("--out-features", "--out-labels", "--out-test-features", "--out-test-labels")
+        argv = synth_argv(tmp_path)[:-4]
+        for flag, name in zip(flags, outputs):
+            argv += [flag, f"{tmp_path}/{name}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}/{second}: two outputs of one write go to this file\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_requires_seed(self, tmp_path):
         assert main(["synth", "--classes", "2", "--dim", "3", "--separation", "1.0",

@@ -14,7 +14,7 @@ from helpers import next_raw, spec_dict
 from svp import harness
 from svp.cli import main
 from svp.forgetting import process_log, select_most_forgotten
-from svp.harness import DEFAULT_SCHEDULE, ALConfig, random_select, run_active_learning, run_coreset
+from svp.harness import random_select, run_active_learning, run_coreset
 from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, SynthParams, embed, error_rate, fit, make_synthetic, predict_proba
 from svp.rng import SplitMix64
@@ -91,9 +91,8 @@ CASES = [
 
 def _run(route, x, y, xt, yt):
     if route == "al":
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="random", budget_fraction=0.2,
-                       schedule=DEFAULT_SCHEDULE, seed=7)
-        return run_active_learning(cfg, (x, y), (xt, yt), measure_baseline=True)
+        return run_active_learning(PROXY, TARGET, "random", 0.2, (x, y), (xt, yt), seed=7,
+                                   measure_baseline=True)
     return run_coreset(PROXY, TARGET, "random", 0.5, (x, y), (xt, yt), seed=5,
                        include_full_data_error=True, measure_baseline=True)
 

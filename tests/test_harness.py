@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +14,6 @@ import svp
 from helpers import ScriptClock, al_kcenters_pass_oracle, spec_dict, three_blob
 from svp.forgetting import process_log, select_most_forgotten
 from svp.harness import (
-    ALConfig,
     DEFAULT_SCHEDULE,
     RunReport,
     Schedule,
@@ -164,8 +164,8 @@ class TestSpeedup:
 
 def _build(field, value):
     if field == "budget_fraction":
-        return ALConfig(proxy=PROXY, target=TARGET, method="random",
-                        budget_fraction=value, schedule=DEFAULT_SCHEDULE, seed=7)
+        train, test = small_data()
+        return run_active_learning(PROXY, TARGET, "random", value, train, test, seed=7)
     if field == "subset_fraction":
         train, test = small_data()
         return run_coreset(PROXY, TARGET, "random", value, train, test, seed=5)
@@ -190,9 +190,12 @@ class TestDirectConstruction:
         ("subset_fraction", 10**400, "is too large"),
         ("subset_fraction", "0.3", "must be a number"),
     ], ids=lambda v: "10**400" if v == 10**400 else None)
-    def test_bad_number_is_value_error(self, field, value, match):
+    def test_bad_number_is_value_error(self, monkeypatch, field, value, match):
+        fits = []
+        monkeypatch.setattr(svp.harness, "fit", lambda *args, **kwargs: fits.append(args))
         with pytest.raises(ValueError, match=f"^{field} {match}"):
             _build(field, value)
+        assert fits == []
 
     def test_subset_of_no_rows_is_refused(self):
         ds = make_synthetic(dataclasses.replace(DATA_PARAMS, n_train=30))
@@ -218,9 +221,8 @@ class TestDirectConstruction:
         run = {"seed": 7, "baseline_seconds": None, field: value}
         with pytest.raises(ValueError, match=f"^{field} {match}"):
             if route == "al":
-                cfg = ALConfig(proxy=PROXY, target=TARGET, method="random", budget_fraction=0.1,
-                               schedule=DEFAULT_SCHEDULE, seed=run["seed"])
-                run_active_learning(cfg, train, test, baseline_seconds=run["baseline_seconds"])
+                run_active_learning(PROXY, TARGET, "random", 0.1, train, test, seed=run["seed"],
+                                    baseline_seconds=run["baseline_seconds"])
             else:
                 run_coreset(PROXY, TARGET, "random", 0.5, train, test, seed=run["seed"],
                             baseline_seconds=run["baseline_seconds"])
@@ -230,9 +232,7 @@ class TestDirectConstruction:
 class TestActiveLearning:
     def test_report_shape(self):
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="least_confidence",
-                       budget_fraction=0.2, schedule=DEFAULT_SCHEDULE, seed=7)
-        report = run_active_learning(cfg, train, test)
+        report = run_active_learning(PROXY, TARGET, "least_confidence", 0.2, train, test, seed=7)
         assert report.task == "al"
         assert report.round_sizes == [4, 20, 40]
         assert len(report.selected_ids) == 40
@@ -248,26 +248,21 @@ class TestActiveLearning:
                                         "confidence", "entropy", "margin"])
     def test_every_method_is_deterministic(self, method):
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method=method,
-                       budget_fraction=0.1, schedule=DEFAULT_SCHEDULE, seed=21)
-        a = run_active_learning(cfg, train, test)
-        b = run_active_learning(cfg, train, test)
+        a = run_active_learning(PROXY, TARGET, method, 0.1, train, test, seed=21)
+        b = run_active_learning(PROXY, TARGET, method, 0.1, train, test, seed=21)
         assert a.deterministic_dict() == b.deterministic_dict()
         assert len(a.selected_ids) == 20
 
     def test_run_seed_changes_selection(self):
         train, test = small_data()
-        base = dict(proxy=PROXY, target=TARGET, method="least_confidence",
-                    budget_fraction=0.1, schedule=DEFAULT_SCHEDULE)
-        a = run_active_learning(ALConfig(seed=1, **base), train, test)
-        b = run_active_learning(ALConfig(seed=2, **base), train, test)
+        a = run_active_learning(PROXY, TARGET, "least_confidence", 0.1, train, test, seed=1)
+        b = run_active_learning(PROXY, TARGET, "least_confidence", 0.1, train, test, seed=2)
         assert a.selected_ids != b.selected_ids
 
     def test_zero_round_budget_matches_direct_fit(self):
         (x, y), (xt, yt) = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="random",
-                       budget_fraction=0.02, schedule=DEFAULT_SCHEDULE, seed=7)
-        report = run_active_learning(cfg, (x, y), (xt, yt), baseline_seconds=100.0)
+        report = run_active_learning(PROXY, TARGET, "random", 0.02, (x, y), (xt, yt), seed=7,
+                                     baseline_seconds=100.0)
         assert report.round_sizes == [4]
         assert report.round_proxy_errors == []
         assert report.round_seconds == []
@@ -282,40 +277,33 @@ class TestActiveLearning:
 
     def test_timing_bracket_two_calls_per_round(self):
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="least_confidence",
-                       budget_fraction=0.2, schedule=DEFAULT_SCHEDULE, seed=7)
         clock = ScriptClock([0.0, 3.0, 10.0, 14.0])
-        report = run_active_learning(cfg, train, test, clock=clock)
+        report = run_active_learning(PROXY, TARGET, "least_confidence", 0.2, train, test, seed=7,
+                                     clock=clock)
         assert clock.calls == 4
         assert report.round_seconds == [3.0, 4.0]
         assert report.selection_seconds == 7.0
 
     def test_supplied_baseline_gives_exact_speedup(self):
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="least_confidence",
-                       budget_fraction=0.1, schedule=DEFAULT_SCHEDULE, seed=7)
-        report = run_active_learning(cfg, train, test,
+        report = run_active_learning(PROXY, TARGET, "least_confidence", 0.1, train, test, seed=7,
                                      clock=ScriptClock([0.0, 25.0]), baseline_seconds=100.0)
         assert report.selection_seconds == 25.0
         assert report.speedup == 4.0
 
     def test_measured_baseline(self):
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="least_confidence",
-                       budget_fraction=0.1, schedule=DEFAULT_SCHEDULE, seed=7)
         clock = ScriptClock([0.0, 25.0, 30.0, 130.0])
-        report = run_active_learning(cfg, train, test, clock=clock, measure_baseline=True)
+        report = run_active_learning(PROXY, TARGET, "least_confidence", 0.1, train, test, seed=7,
+                                     clock=clock, measure_baseline=True)
         assert clock.calls == 4
         assert report.baseline_seconds == 100.0
         assert report.speedup == 4.0
 
     def test_proxy_equal_to_target_is_self_selection(self):
         train, test = small_data()
-        base = dict(method="least_confidence", budget_fraction=0.1,
-                    schedule=DEFAULT_SCHEDULE, seed=9)
-        degen = ALConfig(proxy=TARGET, target=TARGET, **base)
-        a = run_active_learning(degen, train, test)
-        b = run_active_learning(degen, train, test)
+        a = run_active_learning(TARGET, TARGET, "least_confidence", 0.1, train, test, seed=9)
+        b = run_active_learning(TARGET, TARGET, "least_confidence", 0.1, train, test, seed=9)
         assert a.deterministic_dict() == b.deterministic_dict()
 
 
@@ -327,11 +315,9 @@ class TestKCentersLookAhead:
     @pytest.mark.parametrize("budget", [0.1, 0.3, 1.0])
     def test_report_equals_per_round_oracle(self, monkeypatch, proxy, budget):
         train, test = small_data()
-        cfg = ALConfig(proxy=proxy, target=TARGET, method="kcenters",
-                       budget_fraction=budget, schedule=DEFAULT_SCHEDULE, seed=13)
-        report = run_active_learning(cfg, train, test)
+        report = run_active_learning(proxy, TARGET, "kcenters", budget, train, test, seed=13)
         monkeypatch.setattr(svp.harness, "_al_selection_pass", al_kcenters_pass_oracle)
-        oracle = run_active_learning(cfg, train, test)
+        oracle = run_active_learning(proxy, TARGET, "kcenters", budget, train, test, seed=13)
         assert report.deterministic_dict() == oracle.deterministic_dict()
         assert len(report.round_sizes) == {0.1: 2, 0.3: 4, 1.0: 11}[budget]
 
@@ -345,10 +331,9 @@ class TestKCentersLookAhead:
 
         monkeypatch.setattr(svp.harness, "greedy_kcenters", counting)
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="kcenters",
-                       budget_fraction=0.3, schedule=DEFAULT_SCHEDULE, seed=13)
         clock = ScriptClock(range(12))
-        report = run_active_learning(cfg, train, test, clock=clock, measure_baseline=True)
+        report = run_active_learning(PROXY, TARGET, "kcenters", 0.3, train, test, seed=13,
+                                     clock=clock, measure_baseline=True)
         sizes = report.round_sizes
         assert sizes == [4, 20, 40, 60]
         per_round = [(sizes[k - 1], sizes[k] - sizes[k - 1]) for k in range(1, 4)]
@@ -451,9 +436,7 @@ class TestSeedSalts:
 
     def test_al_random_round_salt(self):
         train, test = small_data()
-        cfg = ALConfig(proxy=PROXY, target=TARGET, method="random",
-                       budget_fraction=0.2, schedule=DEFAULT_SCHEDULE, seed=7)
-        report = run_active_learning(cfg, train, test)
+        report = run_active_learning(PROXY, TARGET, "random", 0.2, train, test, seed=7)
         sizes = report.round_sizes
         assert len(sizes) == 3
         mask = np.zeros(200, dtype=bool)
@@ -495,9 +478,8 @@ class TestNumpyIntegerSeeds:
         def run(as_int):
             proxy = dataclasses.replace(PROXY, seed=as_int(PROXY.seed))
             target = dataclasses.replace(TARGET, seed=as_int(TARGET.seed))
-            cfg = ALConfig(proxy=proxy, target=target, method=method, budget_fraction=0.2,
-                           schedule=DEFAULT_SCHEDULE, seed=as_int(7))
-            return run_active_learning(cfg, train, test, clock=ScriptClock([0.0, 1.0] * 2))
+            return run_active_learning(proxy, target, method, 0.2, train, test, seed=as_int(7),
+                                       clock=ScriptClock([0.0, 1.0] * 2))
 
         assert self.report_bytes(run(np.int64)) == self.report_bytes(run(int))
 
@@ -627,6 +609,24 @@ class TestReportsAndConfig:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "run.json", "run.rounds.csv", "y.csv"]
 
+    def test_two_runs_to_one_output_in_a_callers_block_fail(self, tmp_path):
+        cfg = {
+            "task": "coreset",
+            "method": "random",
+            "proxy": spec_dict(PROXY),
+            "target": spec_dict(TARGET),
+            "subset_fraction": 0.3,
+            "seed": 5,
+            "data": {"synthetic": dataclasses.asdict(DATA_PARAMS)},
+            "output": str(tmp_path / "run.json"),
+        }
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{tmp_path / 'run.json'}: two outputs of one write go to this file") + "$"):
+            with staged_writes():
+                execute_config(cfg)
+                execute_config({**cfg, "seed": 6})
+        assert list(tmp_path.iterdir()) == []
+
     def test_threads_running_side_by_side_each_get_their_outputs(self, tmp_path):
         # Two threads, 100 tiny runs each: every run's two files exist when
         # its call returns, and none of the 400 is lost to the other thread.
@@ -680,6 +680,24 @@ class TestReportsAndConfig:
         typo = {**paths, "test_lables": paths["test_labels"]}
         with pytest.raises(ValueError, match=r"unknown data fields: \['test_lables'\]"):
             execute_config({**cfg, "data": typo})
+
+    def test_execute_config_runs_the_configs_schedule(self):
+        cfg = {
+            "task": "al",
+            "method": "least_confidence",
+            "proxy": spec_dict(PROXY),
+            "target": spec_dict(TARGET),
+            "budget_fraction": 0.3,
+            "schedule": {"initial": 0.05, "first": 0.05, "subsequent": 0.1},
+            "seed": 3,
+            "data": {"synthetic": dataclasses.asdict(DATA_PARAMS)},
+        }
+        report, _ = execute_config(cfg)
+        assert report.round_sizes == [10, 20, 40, 60]  # 0.05n, 0.1n, 0.2n and 0.3n of 200 rows
+        train, test = small_data()
+        expected = run_active_learning(PROXY, TARGET, "least_confidence", 0.3, train, test,
+                                       seed=3, schedule=Schedule(0.05, 0.05, 0.1))
+        assert report.deterministic_dict() == expected.deterministic_dict()
 
     def test_execute_config_rejections(self):
         good = {
@@ -754,12 +772,11 @@ class TestFileDataIsHeldOnce:
             raise Checked
 
         monkeypatch.setattr(svp.harness, "plan_schedule", plan_after_checks)
-        cfg = ALConfig(PROXY, TARGET, "random", 0.5, DEFAULT_SCHEDULE, 1)
         tracemalloc.start()
         try:
             train, test = load_data_section(files)
             with pytest.raises(Checked):
-                run_active_learning(cfg, train, test)
+                run_active_learning(PROXY, TARGET, "random", 0.5, train, test, 1)
         finally:
             tracemalloc.stop()
         payloads = (train[0].size + test[0].size) * 4
@@ -793,8 +810,8 @@ class TestFloat32FeaturesReportAsFloat64:
                   "output": str(tmp_path / "run.json")}
         if task == "al":
             config.update(proxy=spec_dict(PROXY), budget_fraction=0.3)
-            cfg = ALConfig(PROXY, TARGET, method, 0.3, DEFAULT_SCHEDULE, 6)
-            expected = run_active_learning(cfg, train, test, measure_baseline=True)
+            expected = run_active_learning(PROXY, TARGET, method, 0.3, train, test, 6,
+                                           measure_baseline=True)
         else:
             config.update(proxy=spec_dict(TARGET), subset_fraction=0.3,
                           include_full_data_error=True)
@@ -817,9 +834,8 @@ class TestFloat32FeaturesReportAsFloat64:
         files, _ = _float32_data(tmp_path)
         train, test = load_data_section(files)
         assert train[0].dtype == np.float32
-        cfg = ALConfig(proxy=PROXY, target=PROXY, method="kcenters",
-                       budget_fraction=0.3, schedule=DEFAULT_SCHEDULE, seed=13)
-        report = run_active_learning(cfg, train, test, measure_baseline=True)
+        report = run_active_learning(PROXY, PROXY, "kcenters", 0.3, train, test, seed=13,
+                                     measure_baseline=True)
         sizes = report.round_sizes
         assert len(sizes) == 4
         assert calls == [(sizes[0], sizes[-1] - sizes[0])] * 2  # the proxy pass, the baseline

@@ -12,7 +12,7 @@ CODE_LINE_CAP = 1678
 
 # Every name the package listed in its hand-kept ``__all__``.
 PUBLIC = (
-    "ALConfig", "BadMagicError", "DegenerateInputError", "ForgettingScores", "FormatError",
+    "BadMagicError", "DegenerateInputError", "ForgettingScores", "FormatError",
     "InvalidHeaderError", "InvalidValueError", "KCentersResult", "LearnerSpec",
     "ProbMatrixError", "RunReport", "Schedule", "SplitMix64", "SynthParams",
     "SyntheticDataset", "TrainedModel", "TruncatedPayloadError", "UnsupportedDtypeError",

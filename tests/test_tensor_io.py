@@ -479,6 +479,22 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["y.csv"]
         assert list(target.iterdir()) == []
 
+    def test_a_file_the_block_writes_is_refused_before_a_second_temp_file(self, tmp_path):
+        target = tmp_path / "y.csv"
+        with pytest.raises(ValueError) as caught:
+            with staged_writes():
+                write_labels_csv(np.array([0, 1]), str(target))
+                try:
+                    write_scores_csv(np.array([0.5]), f"{tmp_path}/./y.csv")
+                finally:
+                    assert len(list(tmp_path.iterdir())) == 1  # the first write's temp file
+        assert str(caught.value) == f"{tmp_path}/./y.csv: two outputs of one write go to this file"
+        assert list(tmp_path.iterdir()) == []
+        # Outside a block each write is a block of its own: the later one wins.
+        write_labels_csv(np.array([0, 1]), str(target))
+        write_labels_csv(np.array([1, 0]), str(target))
+        assert read_labels_csv(str(target)).tolist() == [1, 0]
+
     def test_nested_block_renames_when_the_outermost_ends(self, tmp_path):
         with pytest.raises(ValueError, match="later fault"):
             with staged_writes():
@@ -921,6 +937,21 @@ class TestReadCsvSources:
         if expected[0] != "accept":
             expected = (expected[0], expected[1].replace(str(regular), str(fifo)))
         assert from_fifo == expected
+
+    def test_an_error_np_loadtxt_words_otherwise_is_quoted(self, tmp_path, monkeypatch):
+        path = tmp_path / "l.csv"
+        path.write_text("example_id,label\n0,1\n1,0\n")
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            if "max_rows" in kwargs:  # the data rows' parse, not the header's split
+                raise ValueError("unrecognised")
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(tensor_io.np, "loadtxt", loadtxt)
+        with pytest.raises(InvalidValueError) as exc:
+            read_csv(str(path), LABELS_CSV)
+        assert str(exc.value) == f"{path}: malformed row (unrecognised)"
 
     def test_a_new_stamp_after_the_parse_is_refused(self, tmp_path, monkeypatch):
         path, other = tmp_path / "l.csv", tmp_path / "other"
