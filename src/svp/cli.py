@@ -39,6 +39,7 @@ from .tensor_io import (
     _check_utf8,
     _split_fields,
     check_count,
+    check_indices,
     read_csv,
     read_scores_csv,
     read_tensor,
@@ -204,7 +205,7 @@ def _cmd_score(args) -> None:
     try:
         scores = scoring.SCORERS[args.method](probs)
     except ProbMatrixError as exc:  # a fault of the file's values: name the file
-        raise ProbMatrixError(f"{args.probs}: {exc}", exc.row) from None
+        raise ProbMatrixError(f"{args.probs}: {exc}") from None
     write_scores_csv(scores, args.out)
 
 
@@ -213,13 +214,14 @@ def _cmd_kcenters(args) -> None:
     features = read_tensor(args.features).astype(np.float64)
     n = features.shape[0]
     if args.initial is not None:
-        initial = _read_index_file(args.initial)
+        initial = check_indices(_read_index_file(args.initial), n, f"{args.initial}: initial set")
     else:
         if args.initial_size < 1:
             raise UsageError("--initial-size must be at least 1")
         seed = _require_seed(args.seed)
         check_count(args.initial_size, n, "--initial-size")
         initial = harness.random_select(np.arange(n), args.initial_size, seed)
+    check_count(args.budget, n - initial.size, "--budget")
     write_order_csv(greedy_kcenters(features, initial, args.budget), args.out)
 
 

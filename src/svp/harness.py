@@ -47,7 +47,8 @@ injectable for testing.
 
 Determinism contract: every field of a RunReport except the timing block is a
 pure function of (config, data). All randomness flows from the run seed and
-the learner-spec seeds through documented sub-seed derivations.
+the learner-spec seeds through documented sub-seed derivations; every fit
+takes its spec from ``_seeded``.
 """
 
 from __future__ import annotations
@@ -197,8 +198,10 @@ def speedup(baseline_time: float, svp_time: float) -> float:
     return baseline_time / svp_time
 
 
-def _fit_seed(run_seed: int, salt: str, spec: LearnerSpec) -> int:
-    return derive_seed(derive_seed(run_seed, salt), spec.seed)
+def _seeded(spec: LearnerSpec, run_seed: int, salt: str) -> LearnerSpec:
+    """``spec`` with the seed of the fit named ``salt`` in the run seeded
+    ``run_seed``: ``derive_seed(derive_seed(run_seed, salt), spec.seed)``."""
+    return dataclasses.replace(spec, seed=derive_seed(derive_seed(run_seed, salt), spec.seed))
 
 
 def check_object(d, what: str, fields=None, required=()) -> dict:
@@ -309,9 +312,7 @@ def _al_selection_pass(method: str, seed: int, x: np.ndarray, y: np.ndarray, c: 
         quota = sizes[k] - sizes[k - 1]
         unlabeled = np.flatnonzero(~mask)
         t0 = clock()
-        spec = dataclasses.replace(proxy_spec,
-                                   seed=_fit_seed(seed, f"proxy-round-{k}", proxy_spec))
-        proxy = fit(spec, x[labeled], y[labeled], n_classes=c)
+        proxy = fit(_seeded(proxy_spec, seed, f"proxy-round-{k}"), x[labeled], y[labeled], n_classes=c)
         if not banked.size:
             banked = SELECTORS[method](proxy, x, unlabeled, quota, seed, f"round-{k}",
                                        sizes[-1] - sizes[k])
@@ -328,8 +329,7 @@ def _coreset_select(method: str, seed: int, x: np.ndarray, y: np.ndarray, c: int
                     sizes: list, proxy_spec: LearnerSpec, clock: Callable[[], float]):
     """One timed pass picking ``sizes[0]`` ids; returns (subset ids, [proxy], [seconds])."""
     t0 = clock()
-    spec = dataclasses.replace(proxy_spec, seed=_fit_seed(seed, "proxy-fit", proxy_spec))
-    proxy = fit(spec, x, y, n_classes=c)
+    proxy = fit(_seeded(proxy_spec, seed, "proxy-fit"), x, y, n_classes=c)
     subset = SELECTORS[method](proxy, x, np.arange(x.shape[0]), sizes[0], seed, "subset", 0)
     t1 = clock()
     return np.sort(subset), [proxy], [t1 - t0]
@@ -385,7 +385,7 @@ def _run(task: str, method: str, seed: int, proxy: LearnerSpec, target: LearnerS
     if measure_baseline and baseline_seconds is None:
         baseline_seconds = float(sum(select(method, seed, x, y, c, sizes, target, clock)[2]))
 
-    target_spec = dataclasses.replace(target, seed=_fit_seed(seed, "target-fit", target))
+    target_spec = _seeded(target, seed, "target-fit")
     test_error = error_rate(fit(target_spec, x[ids], y[ids], n_classes=c), xt, yt)
     full_error = (error_rate(fit(target_spec, x, y, n_classes=c), xt, yt)
                   if include_full_data_error else None)

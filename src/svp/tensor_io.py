@@ -122,11 +122,7 @@ class InvalidValueError(FormatError):
 
 
 class ProbMatrixError(ValueError):
-    """Matrix failed probability validation; carries the offending row."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
+    """Matrix failed probability validation; the message names the first offending row."""
 
 
 # Per thread, the (temp file, target) pairs of its open ``staged_writes`` block.
@@ -408,17 +404,16 @@ def validate_prob_matrix(matrix: np.ndarray) -> np.ndarray:
     """
     m = check_matrix(matrix)
     if m.shape[1] < 2:
-        raise ProbMatrixError(f"need at least 2 classes, got {m.shape[1]}", row=-1)
+        raise ProbMatrixError(f"need at least 2 classes, got {m.shape[1]}")
     bad_entry = (m < 0.0) | (m > 1.0)
     if bad_entry.any():
         row = int(np.nonzero(bad_entry.any(axis=1))[0][0])
-        raise ProbMatrixError(f"row {row} has an entry outside [0, 1]", row=row)
+        raise ProbMatrixError(f"row {row} has an entry outside [0, 1]")
     sums = m.sum(axis=1)
     off = np.abs(sums - 1.0) > PROB_TOL
     if off.any():
         row = int(np.nonzero(off)[0][0])
-        raise ProbMatrixError(f"row {row} sums to {sums[row]!r}, expected 1 within {PROB_TOL}",
-                              row=row)
+        raise ProbMatrixError(f"row {row} sums to {sums[row]!s}, expected 1 within {PROB_TOL}")
     return m
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from svp.forgetting import ForgettingScores
-from svp.harness import _fit_seed, random_select
+from svp.harness import _seeded, random_select
 from svp.kcenters import greedy_kcenters
 from svp.learner import LearnerSpec, TrainedModel, embed, fit, init_params
 from svp.rng import SplitMix64, derive_seed
@@ -299,10 +299,8 @@ def al_kcenters_pass_oracle(method, seed, x, y, c, sizes, proxy_spec, clock):
     proxies, round_seconds = [], []
     for k in range(1, len(sizes)):
         t0 = clock()
-        spec_k = dataclasses.replace(
-            proxy_spec, seed=_fit_seed(seed, f"proxy-round-{k}", proxy_spec)
-        )
-        proxy = fit(spec_k, x[labeled], y[labeled], n_classes=c)
+        proxy = fit(_seeded(proxy_spec, seed, f"proxy-round-{k}"), x[labeled], y[labeled],
+                    n_classes=c)
         picked = greedy_kcenters(embed(proxy, x), labeled, sizes[k] - sizes[k - 1]).order
         round_seconds.append(clock() - t0)
         proxies.append(proxy)

@@ -150,6 +150,14 @@ class TestScore:
         assert capsys.readouterr().err == (
             f"error: {probs_path}: row 1 has an entry outside [0, 1]\n")
 
+    def test_row_sum_fault_prints_the_sum_as_a_number(self, tmp_path, capsys):
+        probs_path = tmp_path / "p.svpt"
+        write_tensor(np.array([[0.5, 0.5], [0.5, 0.6]], dtype=np.float32), probs_path)
+        assert main(["score", "--method", "entropy", "--probs", str(probs_path),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {probs_path}: row 1 sums to 1.1, expected 1 within 1e-05\n")
+
 
 class TestKCenters:
     def features_file(self, tmp_path):
@@ -236,6 +244,28 @@ class TestKCenters:
         assert main(["kcenters", "--features", str(feats), "--initial-size", "60",
                      "--budget", "0", "--out", str(out), "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: --initial-size=60 exceeds the 50 candidates\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("initial, budget, message", [
+        (None, "30", "--budget=30 exceeds the 15 candidates"),
+        (None, "-1", "--budget must be nonnegative, got -1"),
+        ("0\n3\n0\n", "1", "{init}: initial set holds duplicate indices"),
+        ("0\n99\n", "1", "{init}: initial set must be nonempty, with every index in [0, 20)"),
+    ], ids=["budget-beyond", "budget-negative", "initial-repeat", "initial-beyond"])
+    def test_count_and_index_errors_name_the_flag_or_file(self, tmp_path, capsys, initial,
+                                                          budget, message):
+        feats = tmp_path / "x.svpt"
+        write_tensor(np.arange(20.0)[:, None], feats)
+        init = tmp_path / "init.txt"
+        if initial is None:
+            start = ["--initial-size", "5", "--seed", "1"]
+        else:
+            init.write_text(initial)
+            start = ["--initial", str(init)]
+        out = tmp_path / "o.csv"
+        assert main(["kcenters", "--features", str(feats), *start, "--budget", budget,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(init=init)}\n"
         assert not out.exists()
 
     def test_budget_too_large_leaves_no_output(self, tmp_path):

@@ -19,7 +19,7 @@ from svp.harness import (
     Schedule,
     ScheduleError,
     _csv_path_for,
-    _fit_seed,
+    _seeded,
     ceil_count,
     execute_config,
     load_data_section,
@@ -271,7 +271,7 @@ class TestActiveLearning:
 
         labeled = np.sort(random_select(np.arange(200), 4, derive_seed(7, "initial-pool")))
         assert report.selected_ids == [int(i) for i in labeled]
-        spec = dataclasses.replace(TARGET, seed=_fit_seed(7, "target-fit", TARGET))
+        spec = _seeded(TARGET, 7, "target-fit")
         model = fit(spec, x[labeled], y[labeled], n_classes=3)
         assert report.target_test_error == error_rate(model, xt, yt)
 
@@ -359,7 +359,7 @@ class TestCoreset:
     def test_entropy_subset_matches_manual_scoring(self):
         (x, y), (xt, yt) = small_data()
         report = run_coreset(PROXY, TARGET, "entropy", 0.3, (x, y), (xt, yt), seed=5)
-        spec = dataclasses.replace(PROXY, seed=_fit_seed(5, "proxy-fit", PROXY))
+        spec = _seeded(PROXY, 5, "proxy-fit")
         proxy = fit(spec, x, y, n_classes=3)
         expected = np.sort(top_m(entropy(predict_proba(proxy, x)), 60))
         assert report.selected_ids == [int(i) for i in expected]
@@ -382,7 +382,7 @@ class TestCoreset:
         (x, y), (xt, yt) = small_data()
         report = run_coreset(PROXY, TARGET, "random", 0.5, (x, y), (xt, yt), seed=5,
                              include_full_data_error=True)
-        spec = dataclasses.replace(TARGET, seed=_fit_seed(5, "target-fit", TARGET))
+        spec = _seeded(TARGET, 5, "target-fit")
         full = fit(spec, x, y, n_classes=3)
         assert report.full_data_error == error_rate(full, xt, yt)
 
@@ -456,7 +456,7 @@ class TestSeedSalts:
     def test_coreset_kcenters_start_salt(self):
         (x, y), (xt, yt) = small_data()
         report = run_coreset(PROXY, TARGET, "kcenters", 0.3, (x, y), (xt, yt), seed=5)
-        spec = dataclasses.replace(PROXY, seed=_fit_seed(5, "proxy-fit", PROXY))
+        spec = _seeded(PROXY, 5, "proxy-fit")
         proxy = fit(spec, x, y, n_classes=3)
         start = random_select(np.arange(200), 1, derive_seed(5, "kcenters-start"))
         order = greedy_kcenters(embed(proxy, x), start, 59).order

@@ -1,7 +1,11 @@
-"""The names the top-level ``svp`` package binds, and the package's size."""
+"""The names the top-level ``svp`` package binds, the package's size, and
+the tools that import it."""
 
+import glob
 import importlib.util
 import os
+import subprocess
+import sys
 
 import svp
 
@@ -44,3 +48,14 @@ def test_code_lines_stay_under_the_cap():
     code = sum(src_lines.line_kinds(os.path.join(package, name)).count("code")
                for name in os.listdir(package) if name.endswith(".py"))
     assert code <= CODE_LINE_CAP
+
+
+def test_every_tool_module_loads():
+    # Each tool's module body, not its ``main``, in one fresh interpreter: a
+    # renamed library or test-helper name that a tool imports fails here.
+    tools = sorted(glob.glob(os.path.join(ROOT, "tools", "*.py")))
+    run = subprocess.run(
+        [sys.executable, "-c", "import runpy, sys\nfor path in sys.argv[1:]: runpy.run_path(path)",
+         *tools], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert tools and run.returncode == 0, run.stderr

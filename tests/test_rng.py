@@ -224,7 +224,7 @@ class TestDeriveSeed:
         (np.uint8(7), np.int32(9)),
     ])
     def test_numpy_integers_act_as_python_integers(self, seed, salt):
-        # A spec seed is also used as a salt (harness._fit_seed), so both
+        # A spec seed is also used as a salt (harness._seeded), so both
         # arguments take numpy integers without overflowing.
         plain = salt if isinstance(salt, str) else int(salt)
         assert derive_seed(seed, salt) == derive_seed(int(seed), plain)
