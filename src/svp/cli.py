@@ -27,7 +27,7 @@ from . import harness, scoring
 from .forgetting import process_log, select_most_forgotten, write_forgetting_csv
 from .kcenters import greedy_kcenters, write_order_csv
 from .learner import SynthParams, make_synthetic
-from .ranking_diag import pearson, scores_to_ranks, spearman
+from .ranking_diag import DegenerateInputError, pearson, scores_to_ranks, spearman
 from .tensor_io import (
     LOG_MAGIC,
     ORDER_CSV,
@@ -241,6 +241,9 @@ def _cmd_correlate(args) -> None:
     ids_b, b = _load_score_series(args.b)
     if ids_a.shape != ids_b.shape or (ids_a != ids_b).any():
         raise ValueError("inputs cover different example ids; cannot correlate")
+    for path, v in ((args.a, a), (args.b, b)):
+        if v.min() == v.max():  # a one-row file too
+            raise DegenerateInputError(f"{path}: every value is equal, so there is nothing to correlate")
     if args.ranks:
         # Ranking ranks again only reverses both series, which leaves their
         # correlation unchanged: the ranks' Pearson is their Spearman.

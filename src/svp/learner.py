@@ -10,10 +10,9 @@ records a per-epoch correctness log with accuracy observed on the forward
 pass of each gradient step, before the parameter update. All training math
 runs in float64. ``fit`` keeps float32 features as they are (every float32
 value converts to float64 exactly): its shuffle buffer is in the features'
-own dtype, and a float32 batch is converted into one float64 batch buffer
-just before its step. ``take_rows`` converts the rows it gathers a block at a
-time; ``predict_proba``, ``embed`` and ``error_rate`` convert features of
-any dtype but float64 as a whole.
+own dtype, and each step converts its own slice. ``take_rows`` converts the
+rows it gathers a block at a time; ``predict_proba``, ``embed`` and
+``error_rate`` convert features of any dtype but float64 as a whole.
 
 Every check here is ``tensor_io``'s: each public entry point checks features
 with ``check_matrix`` (``fit`` through ``check_features``), labels with
@@ -43,12 +42,12 @@ in the same order as a textbook step that gathers its batch by fancy index,
 computes the softmax and gradients into fresh arrays and updates each
 parameter by ``p -= lr * grad``; parameters and log are bit-equal to that
 reference. Each epoch gathers the shuffled rows once with one ``np.take``,
-so a batch is a contiguous slice; a float32 step copies its slice into a
-C-contiguous float64 ``(batch_size, d)`` buffer, so every product gets the
-float64 operand the reference's fancy index makes. Parameters and
-gradients each live in one flat buffer, so the update is two vector
-operations. Beyond its products, a step's cost is numpy call overhead, so
-it makes as few calls as the reference's operations allow:
+so a batch is a contiguous slice, and each step converts its own slice to
+float64: a float64 slice is itself, any other a fresh C-contiguous copy, so
+every product gets the float64 operand the reference's fancy index makes.
+Parameters and gradients each live in one flat buffer, so the update is two
+vector operations. Beyond its products, a step's cost is numpy call
+overhead, so it makes as few calls as the reference's operations allow:
 
 - Each epoch turns the shuffled labels into flat indices into the batch
   logits, ``(i mod batch_size) * c + y[perm[i]]`` for shuffled row ``i``,
@@ -251,12 +250,11 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
 
     train_log = np.zeros((n, spec.epochs), dtype=np.bool_) if spec.epochs > 0 else None
     # One shuffle buffer per fit in the features' dtype, refilled each
-    # epoch, and for float32 features one float64 batch buffer; ``perm`` is
-    # always in range, so the gathers take mode="clip". Each shuffled row's
-    # label is also held as its flat index into its batch's logits, and
-    # each step writes its argmax classes into ``tops``.
+    # epoch; ``perm`` is always in range, so the gathers take mode="clip".
+    # Each step converts its own slice to float64. Each shuffled row's label
+    # is also held as its flat index into its batch's logits, and each step
+    # writes its argmax classes into ``tops``.
     xp, yp = np.empty(x.shape, x.dtype), np.empty_like(y)
-    xb = None if x.dtype == np.float64 else np.empty((bs, d))
     offsets = np.arange(n) % bs * c
     flat_labels, tops = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     rows = np.arange(bs)
@@ -271,12 +269,8 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
             np.add(offsets, yp, out=flat_labels)
             for start in range(0, n, bs):
                 stop = min(start + bs, n)
-                batch = xp[start:stop]
-                if xb is not None:
-                    xb[: stop - start] = batch
-                    batch = xb[: stop - start]
-                _sgd_grads(weights, slots, batch, flat_labels[start:stop],
-                           tops[start:stop], rows[: stop - start])
+                _sgd_grads(weights, slots, xp[start:stop].astype(np.float64, copy=False),
+                           flat_labels[start:stop], tops[start:stop], rows[: stop - start])
                 flat_grad *= lr
                 flat -= flat_grad
             train_log[perm, epoch] = tops == yp

@@ -569,6 +569,24 @@ class TestCorrelate:
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ranks", [False, True], ids=["scores", "ranks"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_constant_side_names_its_file(self, tmp_path, capsys, side, ranks):
+        files = {"a": self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0]),
+                 "b": self.scores_file(tmp_path, "b.csv", [3.0, 1.0, 2.0])}
+        files[side] = self.scores_file(tmp_path, "flat.csv", [0.5, 0.5, 0.5])
+        argv = ["correlate", "--a", str(files["a"]), "--b", str(files["b"])] + ["--ranks"] * ranks
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {files[side]}: every value is equal, so there is nothing to correlate\n")
+
+    def test_one_row_files_name_the_first_file(self, tmp_path, capsys):
+        a = self.scores_file(tmp_path, "a.csv", [1.0])
+        b = self.scores_file(tmp_path, "b.csv", [2.0])
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {a}: every value is equal, so there is nothing to correlate\n")
+
 
 class TestRunCommands:
     def test_coreset_to_stdout(self, tmp_path, capsys):

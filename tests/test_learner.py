@@ -256,10 +256,11 @@ class TestFloat32Features:
 
     @pytest.mark.parametrize("dtype,copies", [(np.float64, 1.0), (np.float32, 1.5)])
     def test_full_batch_fit_holds_one_float64_batch(self, dtype, copies):
-        # A float64 batch is a slice of the shuffle buffer; a float32 one is
-        # converted into a float64 batch buffer beside the float32 shuffle
-        # buffer. Either way a second float64 copy of the features breaks
-        # the bound; the other 0.5 is the n-entry arrays and the logits.
+        # Each step converts its own slice of the shuffle buffer: a float64
+        # slice is itself, a float32 one a fresh float64 batch beside the
+        # float32 shuffle buffer. Either way a second float64 copy of the
+        # features breaks the bound; the other 0.5 is the n-entry arrays and
+        # the logits.
         n, d = 20000, 32
         rng = np.random.default_rng(11)
         x = rng.standard_normal((n, d)).astype(dtype)

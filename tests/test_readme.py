@@ -1,8 +1,10 @@
-"""The README's command examples are commands the CLI accepts, its JSON
-config example is a config the CLI runs, and each error line it quotes is
-one a command prints."""
+"""The README's command examples are commands the CLI accepts and run in
+order, its JSON config example is a config the CLI runs, its config section
+names every accepted key and documents no other, and each error line it
+quotes is one a command prints."""
 
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -11,9 +13,10 @@ import shlex
 import numpy as np
 import pytest
 
+import svp
 from svp import cli, harness
 from svp.learner import LearnerSpec, SynthParams
-from svp.tensor_io import write_labels_csv, write_tensor, write_train_log
+from svp.tensor_io import write_labels_csv, write_scores_csv, write_tensor, write_train_log
 from test_cli import SYNTH, coreset_config, synth_argv
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -40,6 +43,9 @@ def test_readme_command_parses(line):
     assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
+JSON_BLOCK = r"^```json\n(.*?)^```"
+
+
 def json_config_section() -> str:
     """The text of the README's ``## JSON config`` section."""
     with open(README, encoding="utf-8") as fh:
@@ -47,9 +53,13 @@ def json_config_section() -> str:
     return text.split("\n## JSON config\n", 1)[1].split("\n## ", 1)[0]
 
 
+def readme_config() -> dict:
+    """The README's JSON config example."""
+    return json.loads(re.search(JSON_BLOCK, json_config_section(), flags=re.M | re.S)[1])
+
+
 def test_readme_config_runs(tmp_path):
-    block = re.search(r"^```json\n(.*?)^```", json_config_section(), flags=re.M | re.S)[1]
-    config = json.loads(block)
+    config = readme_config()
     config["output"] = str(tmp_path / config["output"])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -66,6 +76,29 @@ def test_readme_config_section_names_every_key():
     keys |= {*harness._DATA_FILES, "synthetic"}
     section = json_config_section()
     assert sorted(k for k in keys if f"`{k}`" not in section and f'"{k}"' not in section) == []
+
+
+def test_readme_config_section_documents_only_accepted_keys():
+    # The reverse: each bare name the section backticks outside its example
+    # is a key a config takes, or a name the code gives to something else.
+    keys = {name for required, optional in harness.CONFIG_FIELDS.values()
+            for name in required + optional}
+    keys |= {f.name for cls in (LearnerSpec, harness.Schedule, SynthParams)
+             for f in dataclasses.fields(cls)}
+    keys |= {*harness._DATA_FILES, "synthetic"}
+    others = {*harness.CONFIG_FIELDS, *harness.METHODS["coreset"], "true", "false", "null"}
+    others |= {sub for a in cli.build_parser()._actions if a.dest == "command" for sub in a.choices}
+    for name, value in vars(svp).items():  # the API's functions, parameters and methods
+        if inspect.isfunction(value):
+            others |= {name, *inspect.signature(value).parameters}
+        elif inspect.isclass(value):
+            others |= set(dir(value))
+    # The report's timing block, the data sides a check names, the module
+    # that measures memory, and the misspelt data key the section shows failing.
+    others |= {"timing", "train", "test", "tracemalloc", "test_lables"}
+    section = re.sub(JSON_BLOCK, "", json_config_section(), flags=re.M | re.S)
+    names = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
+    assert sorted(names - keys - others) == []
 
 
 # The ``error:`` texts the README quotes, each with a set-up that writes its
@@ -159,6 +192,14 @@ def _(tmp_path):
     return forget_argv(tmp_path, os.devnull), {"<path>": os.devnull}
 
 
+@quoted("error: <path>: every value is equal, so there is nothing to correlate")
+def _(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_scores_csv(np.array([1.0, 2.0]), a)
+    write_scores_csv(np.array([3.0, 3.0]), b)
+    return ["correlate", "--a", str(a), "--b", str(b), "--ranks"], {"<path>": str(b)}
+
+
 def score_argv(tmp_path, probs, out):
     path = tmp_path / "p.svpt"
     write_tensor(np.array(probs, dtype=np.float32), path)
@@ -250,6 +291,27 @@ def _(tmp_path):
     target = {"kind": "mlp", "epochs": 2, "learning_rate": 1e300, "batch_size": 16,
               "seed": 3, "hidden_units": 8}
     return ["coreset", "--config", str(coreset_config(tmp_path, target=target))], {"<k>": "0"}
+
+
+def test_readme_commands_run_in_order(tmp_path, monkeypatch, capsys):
+    # ``svp synth`` writes its own files; small writers make the rest, with
+    # rows enough for the examples' counts (5 + 100 centers, 100 selected).
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    probs = rng.random((120, 4))
+    write_tensor(probs / probs.sum(axis=1, keepdims=True), "probs.svpt")
+    write_tensor(rng.standard_normal((120, 8)), "feats.svpt")
+    write_train_log(rng.random((120, 5)) < 0.5, "log.svpl")
+    for name in ("scores_proxy.csv", "scores_target.csv"):
+        write_scores_csv(rng.random(120), name)
+    config = readme_config()
+    (tmp_path / "al.json").write_text(json.dumps(config))
+    for key in ("budget_fraction", "schedule"):
+        del config[key]
+    config.update(task="coreset", subset_fraction=0.5, output="coreset_run.json")
+    (tmp_path / "coreset.json").write_text(json.dumps(config))
+    for line in readme_commands():
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 def readme_errors() -> list:
