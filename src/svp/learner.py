@@ -35,7 +35,10 @@ alone (without a hidden layer, the float64 features themselves), and the
 caller's features are never written.
 The float operations are those of the textbook out-of-place pass, so
 values are bit-equal to it; products are never split into row blocks,
-which would not be.
+which would not be. The softmax takes its row maximum with
+``scoring.row_max``, one ``np.maximum.reduceat`` over the flat logits: a
+maximum is exact, so it equals ``max(axis=1)``, at about half the cost
+over few classes.
 
 The SGD loop works in place, but each step makes the same float operations
 in the same order as a textbook step that gathers its batch by fancy index,
@@ -75,6 +78,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import SplitMix64, derive_seed
+from .scoring import row_max
 from .tensor_io import check_features, check_labels, check_matrix, check_number
 
 KINDS = ("logistic", "mlp")
@@ -292,7 +296,7 @@ def predict_proba(model: TrainedModel, features) -> np.ndarray:
     """Softmax class probabilities, rows summing to 1."""
     x = _check_dims(model, features)
     z = _logits(model.params, _represent(model.params, x))
-    z -= z.max(axis=1, keepdims=True)
+    z -= row_max(z)[:, None]
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z

@@ -253,6 +253,29 @@ class TestActiveLearning:
         assert a.deterministic_dict() == b.deterministic_dict()
         assert len(a.selected_ids) == 20
 
+    def test_all_tied_scores_pick_the_lowest_unlabeled_ids(self, monkeypatch):
+        # A logistic proxy fitted for no epoch predicts exactly uniform
+        # probabilities, so every least-confidence score ties.
+        ds = make_synthetic(dataclasses.replace(DATA_PARAMS, n_train=2000))
+        select = svp.harness.SELECTORS["least_confidence"]
+        rounds = []
+
+        def recording(proxy, x, pool, quota, *rest):
+            rounds.append((pool.copy(), select(proxy, x, pool, quota, *rest)))
+            return rounds[-1][1]
+
+        monkeypatch.setitem(svp.harness.SELECTORS, "least_confidence", recording)
+        report = run_active_learning(dataclasses.replace(PROXY, epochs=0), TARGET,
+                                     "least_confidence", 0.2, (ds.features, ds.labels),
+                                     (ds.test_features, ds.test_labels), seed=7)
+        assert report.round_sizes == [40, 200, 400]
+        assert [picked.size for _, picked in rounds] == [160, 200]
+        for pool, picked in rounds:
+            assert picked.tolist() == pool[: picked.size].tolist()
+        initial = random_select(np.arange(2000), 40, derive_seed(7, "initial-pool"))
+        unlabeled = np.setdiff1d(np.arange(2000), initial)
+        assert report.selected_ids == np.union1d(initial, unlabeled[:360]).tolist()
+
     def test_run_seed_changes_selection(self):
         train, test = small_data()
         a = run_active_learning(PROXY, TARGET, "least_confidence", 0.1, train, test, seed=1)

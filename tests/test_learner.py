@@ -399,6 +399,28 @@ class TestInPlaceInference:
         assert error_rate(model, x, y) == float(np.mean(logits.argmax(axis=1) != y))
         assert x.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("c", [2, 10, 1000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_tied_and_zero_logits_match_textbook_softmax(self, c, dtype, order):
+        """The softmax's row maximum is a reduceat; on logits whose maximum
+        is tied two ways (W's odd columns repeat the even ones) or c ways
+        (feature rows of 0.0 and of -0.0 meet a bias of 0.0 and -0.0, so
+        every logit is zero) the probabilities still equal the textbook pass
+        byte for byte. The product ``x @ W`` turns -0.0 features into +0.0
+        logits, so ``TestRowMax`` in the scoring tests holds the maximum of
+        signed zeros themselves."""
+        model, x, _ = _inference_case("logistic", n=40, d=6, c=c, h=None, seed=c, scale=1.0)
+        w, b = model.params["W"], model.params["b"]
+        w[:, 1::2] = w[:, 0 : 2 * (c // 2) : 2]
+        b[:] = 0.0
+        b[::3] = -0.0
+        x[:10] = 0.0
+        x[10:20] = -0.0
+        x = np.asarray(x.astype(dtype), order=order)
+        logits = forward_oracle("logistic", model.params, x.astype(np.float64))[1]
+        assert predict_proba(model, x).tobytes() == softmax_oracle(logits).tobytes()
+
     @pytest.mark.parametrize("infer", [predict_proba, embed])
     def test_mlp_inference_holds_one_hidden_sized_array(self, infer):
         n, h = 20000, 64

@@ -769,6 +769,22 @@ def test_writer_rejects_columns_its_reader_rejects(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@given(line=st.text(st.characters(exclude_characters='"\r\n'), max_size=30)
+       | st.text(st.sampled_from(",\x00 \t\x0b﻿ a#"), max_size=12))
+@settings(max_examples=400, derandomize=True, deadline=None)
+@example(line="example_id,score")
+@example(line="example_id\x00,score\x00\x00")
+@example(line="")
+def test_split_fields_equals_loadtxt_without_quote_cr_or_lf(line):
+    """The comma split of a header line is what np.loadtxt makes of it:
+    spaces, tabs, empty fields, a BOM, NULs and the empty line included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # np.loadtxt warns of a line with no data
+        expected = np.loadtxt([line], dtype=str, delimiter=",", quotechar='"', comments=None,
+                              ndmin=1).tolist()
+        assert tensor_io._split_fields(line) == expected
+
+
 def _log_csv_rows(log):
     return [f"{ex},{ep},{int(log[ex, ep])}" for ex in range(log.shape[0]) for ep in range(log.shape[1])]
 

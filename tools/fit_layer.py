@@ -1,6 +1,6 @@
-"""Time the fit layer and the forgetting layer alone, and digest what they compute.
+"""Time the fit, forgetting and scoring layers alone, and digest what they compute.
 
-Four tables, each on data from fixed seeds:
+Five tables, each on data from fixed seeds:
 
 - ``fit``: logistic and MLP (h=64) fits with batch 64 and 2 epochs, as
   external_cli's core-set proxy and target train, on float32 Gaussian blobs
@@ -21,11 +21,19 @@ Four tables, each on data from fixed seeds:
 - ``memory``: the ``tracemalloc`` peak of one full-data logistic fit
   (1 epoch) on 20000x32 features, float32 and float64, at batch 16 and at
   batch n, over the 8nd bytes of a float64 copy of them.
+- ``scoring``: one al_uncertainty scoring round, at its shapes: 10000
+  float32 blob rows, a logistic and an MLP (h=128) proxy fitted for 2
+  epochs on the rows outside a pool of 9800 or 6000, and a quota of 1000.
+  Median ms over 21 calls of each step the round makes: ``take_rows`` of
+  the pool, ``predict_proba`` on it, ``least_confidence`` of that and
+  ``top_m`` of the scores.
 
-The last line is a sha256 over every fitted model's parameters and
-training log, every permutation and every forgetting result, so two
-checkouts can be compared: equal digests mean equal outputs. BLAS is pinned
-to one thread unless ``OPENBLAS_NUM_THREADS`` is set.
+The ``digest`` line is a sha256 over every fitted model's parameters and
+training log, every permutation and every forgetting result, and the
+``scoring digest`` line one over each scoring round's probabilities,
+scores and picks, so two checkouts can be compared: equal digests mean
+equal outputs. BLAS is pinned to one thread unless ``OPENBLAS_NUM_THREADS``
+is set.
 
 Usage, from the repository root:
 
@@ -48,8 +56,9 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from helpers import traced_peak  # noqa: E402
 from svp.forgetting import process_log, select_most_forgotten  # noqa: E402
-from svp.learner import LearnerSpec, fit  # noqa: E402
+from svp.learner import LearnerSpec, fit, predict_proba, take_rows  # noqa: E402
 from svp.rng import SplitMix64, derive_seed  # noqa: E402
+from svp.scoring import least_confidence, top_m  # noqa: E402
 
 EPOCHS = 2
 SPECS = (LearnerSpec("logistic", EPOCHS, 0.1, 64, 11),
@@ -137,6 +146,30 @@ def memory_lines():
                   f"(n={n}, d={d}, batch {batch})")
 
 
+def scoring_table(digest):
+    print(f"{'scoring':8s} {'pool':>5s} {'take_ms':>8s} {'proba_ms':>8s} {'score_ms':>8s} "
+          f"{'top_m_ms':>8s}")
+    n, quota = 10000, 1000
+    x, y = blobs(n, 36)
+    for spec in (LearnerSpec("logistic", 2, 0.1, 32, 13),
+                 LearnerSpec("mlp", 2, 0.1, 32, 14, hidden_units=128)):
+        for size in (9800, 6000):
+            pool = np.sort(np.random.default_rng(size).permutation(n)[:size])
+            labeled = np.setdiff1d(np.arange(n), pool)
+            proxy = fit(spec, x[labeled], y[labeled], n_classes=10)
+            xp = take_rows(x, pool)
+            p = predict_proba(proxy, xp)
+            s = least_confidence(p)
+            for a in (p, s, top_m(s, quota)):
+                digest.update(a.tobytes())
+            times = [median_ms(fn, 21) for fn in (lambda: take_rows(x, pool),
+                                                  lambda: predict_proba(proxy, xp),
+                                                  lambda: least_confidence(p),
+                                                  lambda: top_m(s, quota))]
+            print(f"{spec.kind:8s} {size:5d} " + " ".join(f"{t:8.3f}" for t in times),
+                  flush=True)
+
+
 def main():
     digest = hashlib.sha256()
     fit_table(digest)
@@ -144,6 +177,9 @@ def main():
     forgetting_table(digest)
     memory_lines()
     print(f"digest {digest.hexdigest()}")
+    scoring = hashlib.sha256()
+    scoring_table(scoring)
+    print(f"scoring digest {scoring.hexdigest()}")
 
 
 if __name__ == "__main__":
