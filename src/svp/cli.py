@@ -7,8 +7,8 @@ never interleaved with logs. Every output file is written atomically, and
 a command checks its request and stages all its outputs before it renames
 any into place, so a failing invocation leaves no output behind.
 
-``--seed`` flags fall back to the ``SVP_SEED`` environment variable. Every
-integer flag, and ``SVP_SEED``, is spelled as an index line is.
+A seeded command takes its seed from ``--seed`` only, so its argv and input
+files fix its output. Every integer flag is spelled as an index line is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from . import harness, scoring
 from .forgetting import process_log, select_most_forgotten, write_forgetting_csv
 from .kcenters import greedy_kcenters, write_order_csv
 from .learner import SynthParams, make_synthetic
-from .ranking_diag import DegenerateInputError, pearson, scores_to_ranks, spearman
+# No command calls scores_to_ranks: the name stays because the benchmark's
+# tracer wraps it here.
+from .ranking_diag import DegenerateInputError, pearson, scores_to_ranks, spearman  # noqa: F401
 from .tensor_io import (
     LOG_MAGIC,
     ORDER_CSV,
@@ -53,7 +55,8 @@ from .tensor_io import (
 
 
 class UsageError(Exception):
-    """Flag combinations argparse cannot express (e.g. a missing seed)."""
+    """Flag combinations argparse cannot express (e.g. ``--initial-size``
+    without ``--seed``)."""
 
 
 # An integer as a CSV integer column takes it once stripped: int() alone
@@ -62,23 +65,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(text: str) -> int:
-    """An integer flag's value, or ``SVP_SEED``'s, by the index-line rule."""
+    """An integer flag's value, by the index-line rule."""
     if not _INTEGER.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(text)
-
-
-def _require_seed(value) -> int:
-    """The ``--seed`` value, else ``SVP_SEED``; a usage error when neither is set."""
-    if value is not None:
-        return value
-    env = os.environ.get("SVP_SEED")
-    if env is None:
-        raise UsageError("a seed is required: pass --seed or set SVP_SEED")
-    try:
-        return _integer(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"SVP_SEED must be an integer, got {env!r}") from exc
 
 
 def _read_index_file(path: str) -> np.ndarray:
@@ -177,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="rank correlation between two score files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--ranks", action="store_true",
-                   help="convert both inputs to average ranks before correlating")
 
     p = sub.add_parser("al", help="run batch active learning from a JSON config")
     p.add_argument("--config", required=True)
@@ -186,11 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coreset", help="run core-set selection from a JSON config")
     p.add_argument("--config", required=True)
 
-    # One flag per generator parameter, typed as the field; the seed may
-    # come from SVP_SEED instead.
+    # One flag per generator parameter, typed as the field.
     p = sub.add_parser("synth", help="generate a synthetic blob dataset")
     for field in dataclasses.fields(SynthParams):
-        p.add_argument("--" + field.name.replace("_", "-"), required=field.name != "seed",
+        p.add_argument("--" + field.name.replace("_", "-"), required=True,
                        type={"int": _integer, "float": float}[field.type])
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
@@ -218,9 +205,10 @@ def _cmd_kcenters(args) -> None:
     else:
         if args.initial_size < 1:
             raise UsageError("--initial-size must be at least 1")
-        seed = _require_seed(args.seed)
+        if args.seed is None:
+            raise UsageError("--initial-size needs --seed")
         check_count(args.initial_size, n, "--initial-size")
-        initial = harness.random_select(np.arange(n), args.initial_size, seed)
+        initial = harness.random_select(np.arange(n), args.initial_size, args.seed)
     check_count(args.budget, n - initial.size, "--budget")
     write_order_csv(greedy_kcenters(features, initial, args.budget), args.out)
 
@@ -244,14 +232,7 @@ def _cmd_correlate(args) -> None:
     for path, v in ((args.a, a), (args.b, b)):
         if v.min() == v.max():  # a one-row file too
             raise DegenerateInputError(f"{path}: every value is equal, so there is nothing to correlate")
-    if args.ranks:
-        # Ranking ranks again only reverses both series, which leaves their
-        # correlation unchanged: the ranks' Pearson is their Spearman.
-        a, b = scores_to_ranks(a), scores_to_ranks(b)
-        s = r = pearson(a, b)
-    else:
-        s, r = spearman(a, b), pearson(a, b)
-    sys.stdout.write(f"spearman={s:.6f} pearson={r:.6f} n={a.shape[0]}\n")
+    sys.stdout.write(f"spearman={spearman(a, b):.6f} pearson={pearson(a, b):.6f} n={a.shape[0]}\n")
 
 
 def _cmd_run(args) -> None:
@@ -266,7 +247,6 @@ def _cmd_run(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    args.seed = _require_seed(args.seed)
     if (args.out_test_features is None) != (args.out_test_labels is None):
         raise UsageError("--out-test-features and --out-test-labels go together")
     params = (getattr(args, field.name) for field in dataclasses.fields(SynthParams))

@@ -24,11 +24,13 @@ of the first ``seen[i]`` centers folded, and is brought up to date (a
 refresh) only when its bounds below say it could be among the next picks.
 The greedy steps run in rounds over a pool of the first
 K = min(256, max(64, 4d)) rows in (exact distance descending, index
-ascending) order, and a round's picks are folded in as one block. A round
-costs a few passes over n-length arrays, one partition, a refresh of the
-rows near the top of the order and a K-by-K table. Larger pools take more
-picks per round where high dimensions leave most candidates apart; at d = 2
-a pick lowers many of its pool's neighbours and a pool of 64 wasted less.
+ascending) order, and a round's picks are folded in as one block when the
+next round starts, so the picks that fill the budget are never folded. A
+round costs a few passes over n-length arrays, one partition, a refresh of
+the rows near the top of the order and a K-by-K table. Larger pools take
+more picks per round where high dimensions leave most candidates apart; at
+d = 2 a pick lowers many of its pool's neighbours and a pool of 64 wasted
+less.
 
 - Centering: distances do not change under translation, so the copy is
   centered before rounding. The bound below then scales with the spread of
@@ -386,11 +388,19 @@ def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResul
     check_count(budget, x.shape[0] - init.size, "budget")
 
     tr = _Traversal(x, init.size + budget)
-    tr.fold(init)
     order = np.empty(budget, dtype=np.int64)
     picked = np.empty(budget, dtype=np.float64)
+    block, pool, vals = init, init[:0], np.empty(0)
     t = 0
     while t < budget:
+        # Fold in the last round's picks (the initial set before the first
+        # round); the pool members it did not pick stay fresh. The picks
+        # that fill the budget are never folded: nothing reads them.
+        tr.exact[pool] = vals
+        tr.scaled[pool] = tr.s2 * vals
+        tr.seen[pool] = tr.m + block.size
+        tr.fresh = pool[vals > -np.inf]
+        tr.fold(block)
         pool, lam, e_out, i_out = tr.candidates(min(tr.pool, budget - t))
         vals = tr.exact[pool]
         acc, got = _accept(pool, vals, tr.table(pool), budget - t, tr.s2, lam, e_out, i_out)
@@ -398,13 +408,6 @@ def greedy_kcenters(features: np.ndarray, initial, budget: int) -> KCentersResul
         order[t : t + block.size] = block
         picked[t : t + block.size] = np.sqrt(got)
         t += block.size
-        # End the round: the members not picked stay fresh after the picks
-        # are folded in.
-        tr.exact[pool] = vals
-        tr.scaled[pool] = tr.s2 * vals
-        tr.seen[pool] = tr.m + block.size
-        tr.fresh = pool[vals > -np.inf]
-        tr.fold(block)
 
     return KCentersResult(order=order, picked_dists=picked, work=dict(tr.work))
 

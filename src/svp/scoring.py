@@ -48,7 +48,6 @@ def margin(p: np.ndarray) -> np.ndarray:
 
 SCORERS = {
     "least_confidence": least_confidence,
-    "confidence": least_confidence,  # older name, kept as an alias
     "entropy": entropy,
     "margin": margin,
 }

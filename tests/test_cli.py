@@ -31,11 +31,6 @@ PROBS = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
 LOG = np.array([[1, 0], [1, 1], [0, 0]], dtype=bool)
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("SVP_SEED", raising=False)
-
-
 @contextlib.contextmanager
 def pipe_path(data: bytes):
     """The path a shell's ``<(cat file)`` gives: ``/dev/fd/N`` for the read
@@ -102,26 +97,24 @@ class TestScore:
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            assert main(["score", "--method", "confidence", "--probs", str(probs_path),
+            assert main(["score", "--method", "least_confidence", "--probs", str(probs_path),
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_least_confidence_and_alias_agree(self, tmp_path):
+    def test_least_confidence_matches_the_library(self, tmp_path):
         probs_path = tmp_path / "p.svpt"
         write_tensor(PROBS, probs_path)
-        outs = []
-        for method in ("least_confidence", "confidence"):
-            out = tmp_path / f"{method}.csv"
-            assert main(["score", "--method", method, "--probs", str(probs_path),
-                         "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert np.array_equal(read_scores_csv(tmp_path / "least_confidence.csv"),
-                              scoring.least_confidence(PROBS))
+        out = tmp_path / "least_confidence.csv"
+        assert main(["score", "--method", "least_confidence", "--probs", str(probs_path),
+                     "--out", str(out)]) == 0
+        assert np.array_equal(read_scores_csv(out), scoring.least_confidence(PROBS))
 
-    def test_unknown_method_is_usage_error(self, tmp_path):
-        assert main(["score", "--method", "softmax", "--probs", "p", "--out", "o"]) == 2
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
+        # "confidence" was once an alias of least_confidence.
+        for method in ("softmax", "confidence"):
+            assert main(["score", "--method", method, "--probs", "p", "--out", "o"]) == 2
+            assert f"invalid choice: {method!r}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["score", "--method", "entropy", "--probs", str(tmp_path / "no.svpt"),
@@ -184,28 +177,24 @@ class TestKCenters:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("env", ["9", "3", "not-a-number"])
+    def test_environment_does_not_move_the_seed(self, tmp_path, monkeypatch, env):
+        # The seed comes from --seed only, whatever SVP_SEED holds.
         feats = self.features_file(tmp_path)
-        flag_out = tmp_path / "flag.csv"
-        env_out = tmp_path / "env.csv"
-        assert main(["kcenters", "--features", str(feats), "--initial-size", "1",
-                     "--budget", "2", "--out", str(flag_out), "--seed", "9"]) == 0
-        monkeypatch.setenv("SVP_SEED", "9")
-        assert main(["kcenters", "--features", str(feats), "--initial-size", "1",
-                     "--budget", "2", "--out", str(env_out)]) == 0
-        assert flag_out.read_text() == env_out.read_text()
+        argv = ["kcenters", "--features", str(feats), "--initial-size", "1",
+                "--budget", "2", "--seed", "9", "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        monkeypatch.setenv("SVP_SEED", env)
+        assert main(argv + [str(tmp_path / "env.csv")]) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "env.csv").read_bytes()
 
-    def test_missing_seed(self, tmp_path, capsys):
+    def test_missing_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SVP_SEED", "9")  # read by no command
         feats = self.features_file(tmp_path)
         assert main(["kcenters", "--features", str(feats), "--initial-size", "1",
                      "--budget", "2", "--out", str(tmp_path / "o.csv")]) == 2
-        assert "seed" in capsys.readouterr().err
-
-    def test_bad_seed_env(self, tmp_path, monkeypatch):
-        feats = self.features_file(tmp_path)
-        monkeypatch.setenv("SVP_SEED", "not-a-number")
-        assert main(["kcenters", "--features", str(feats), "--initial-size", "1",
-                     "--budget", "2", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr() == ("", "error: --initial-size needs --seed\n")
+        assert list(tmp_path.iterdir()) == [feats]
 
     def test_out_in_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
         feats = self.features_file(tmp_path)
@@ -460,29 +449,25 @@ class TestCorrelate:
         assert out.startswith("spearman=1.000000 ")
         assert out.endswith(" n=3\n")
 
-    def test_ranks_flag_makes_pearson_match_spearman(self, tmp_path, capsys):
+    def test_ranks_flag_is_usage_error(self, tmp_path, capsys):
+        # The printed spearman= is the ranks' Pearson that --ranks once gave.
         a = self.scores_file(tmp_path, "a.csv", [1.0, 5.0, 2.0, 4.0])
         b = self.scores_file(tmp_path, "b.csv", [100.0, 3.0, 2.5, 7.0])
-        assert main(["correlate", "--a", str(a), "--b", str(b), "--ranks"]) == 0
-        out = capsys.readouterr().out
-        fields = dict(part.split("=") for part in out.split())
-        assert fields["spearman"] == fields["pearson"]
+        assert main(["correlate", "--a", str(a), "--b", str(b), "--ranks"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --ranks" in err
 
-    @pytest.mark.parametrize("ranks", [False, True])
-    def test_each_series_is_ranked_once(self, tmp_path, monkeypatch, ranks):
-        # --ranks correlates the ranks directly; ranking them again only
-        # reverses both series and leaves the correlation unchanged.
+    def test_each_series_is_ranked_once(self, tmp_path, monkeypatch):
         calls = []
 
         def counted(scores):
             calls.append(len(scores))
             return scores_to_ranks(scores)
 
-        monkeypatch.setattr(cli, "scores_to_ranks", counted)
         monkeypatch.setattr(ranking_diag, "scores_to_ranks", counted)
         a = self.scores_file(tmp_path, "a.csv", [1.0, 5.0, 2.0, 4.0])
         b = self.scores_file(tmp_path, "b.csv", [100.0, 3.0, 2.5, 7.0])
-        assert main(["correlate", "--a", str(a), "--b", str(b)] + ["--ranks"] * ranks) == 0
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 0
         assert calls == [4, 4]
 
     def test_mismatched_ids(self, tmp_path):
@@ -537,13 +522,11 @@ class TestCorrelate:
             f"error: {b}: line {line}: malformed row ('utf-8' codec can't decode byte 0xff "
             f"in position {position}: invalid start byte)\n")
 
-    @pytest.mark.parametrize("ranks", [False, True], ids=["scores", "ranks"])
-    def test_nan_score_names_file_and_line(self, tmp_path, capsys, ranks):
+    def test_nan_score_names_file_and_line(self, tmp_path, capsys):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
         b = tmp_path / "b.csv"
         b.write_text("example_id,score\n2,3.0\n0,nan\n1,inf\n")
-        argv = ["correlate", "--a", str(a), "--b", str(b)] + ["--ranks"] * ranks
-        assert main(argv) == 1
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
         assert capsys.readouterr().err == f"error: {b}: line 3: score must be finite, got nan\n"
 
     def test_infinite_rank_names_file_and_line(self, tmp_path, capsys):
@@ -569,14 +552,12 @@ class TestCorrelate:
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ranks", [False, True], ids=["scores", "ranks"])
     @pytest.mark.parametrize("side", ["a", "b"])
-    def test_constant_side_names_its_file(self, tmp_path, capsys, side, ranks):
+    def test_constant_side_names_its_file(self, tmp_path, capsys, side):
         files = {"a": self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0]),
                  "b": self.scores_file(tmp_path, "b.csv", [3.0, 1.0, 2.0])}
         files[side] = self.scores_file(tmp_path, "flat.csv", [0.5, 0.5, 0.5])
-        argv = ["correlate", "--a", str(files["a"]), "--b", str(files["b"])] + ["--ranks"] * ranks
-        assert main(argv) == 1
+        assert main(["correlate", "--a", str(files["a"]), "--b", str(files["b"])]) == 1
         assert capsys.readouterr() == (
             "", f"error: {files[side]}: every value is equal, so there is nothing to correlate\n")
 
@@ -792,6 +773,10 @@ SCHEDULE = {"initial": 0.02, "first": 0.08, "subsequent": 0.1}
         ({"data": {}}, "data is missing ['features', 'labels', 'test_features', 'test_labels']"),
         *[({"data": {"synthetic": {**SYNTH, name: 1e308, "seed": 1}}},
            "synthetic features overflow float64") for name in ("separation", "noise")],
+        # Once an alias of least_confidence.
+        *[({"task": task, "method": "confidence"},
+           f"{task} method must be one of {METHODS[task]}, got 'confidence'")
+          for task in ("al", "coreset")],
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, monkeypatch, overrides, fragment):
@@ -928,12 +913,10 @@ class TestSynth:
         integer = cli._integer
         assert required == {
             "--classes": integer, "--dim": integer, "--separation": float, "--noise": float,
-            "--n-train": integer, "--n-test": integer, "--out-features": None,
-            "--out-labels": None,
+            "--n-train": integer, "--n-test": integer, "--seed": integer,
+            "--out-features": None, "--out-labels": None,
         }
-        assert actions["--seed"].type is integer and actions["--seed"].default is None
-        assert set(actions) - set(required) == {
-            "-h", "--seed", "--out-test-features", "--out-test-labels"}
+        assert set(actions) - set(required) == {"-h", "--out-test-features", "--out-test-labels"}
 
     @pytest.mark.parametrize("flag", ["separation", "noise"])
     def test_infinite_real_flag_is_refused(self, tmp_path, capsys, flag):
@@ -947,6 +930,14 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{flag}={2**63 - 1}" in err and err.endswith(" is too large for an array\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_is_required(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SVP_SEED", "7")
+        argv = synth_argv(tmp_path)
+        del argv[argv.index("--seed") : argv.index("--seed") + 2]
+        assert main(argv) == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value", [("classes", "2.5"), ("n_train", "1e3")])
@@ -1058,13 +1049,13 @@ class TestSynth:
 
 
 class TestIntegerFlags:
-    """Every integer flag, and ``SVP_SEED``, is spelled as an index line is:
-    ASCII digits with an optional sign and surrounding spaces."""
+    """Every integer flag is spelled as an index line is: ASCII digits with
+    an optional sign and surrounding spaces."""
 
-    PLACES = ["--initial-size", "--budget", "--seed", "SVP_SEED", "--select", "--classes",
+    PLACES = ["--initial-size", "--budget", "--seed", "--select", "--classes",
               "--dim", "--n-train", "--n-test", "synth --seed"]
 
-    def run(self, tmp_path, monkeypatch, place, value):
+    def run(self, tmp_path, place, value):
         """``svp`` with ``value`` at ``place`` in an otherwise valid call whose
         inputs are in ``tmp_path / "in"``; returns the exit code and the
         output files, by name."""
@@ -1074,10 +1065,7 @@ class TestIntegerFlags:
         write_train_log(LOG, inputs / "log.svpl")
         kcenters = ["kcenters", "--features", str(inputs / "x.svpt"),
                     "--out", str(tmp_path / "o.csv"), "--initial-size", "1", "--budget", "1"]
-        if place == "SVP_SEED":
-            monkeypatch.setenv("SVP_SEED", value)
-            argv = kcenters
-        elif place in ("--initial-size", "--budget", "--seed"):
+        if place in ("--initial-size", "--budget", "--seed"):
             argv = kcenters + ["--seed", "0"]
             argv[argv.index(place) + 1] = value
         elif place == "--select":
@@ -1090,22 +1078,19 @@ class TestIntegerFlags:
 
     @pytest.mark.parametrize("value", ["1_0", "\u0663"])
     @pytest.mark.parametrize("place", PLACES)
-    def test_other_spellings_are_usage_errors(self, tmp_path, capsys, monkeypatch, place, value):
-        assert self.run(tmp_path, monkeypatch, place, value) == (2, {})
+    def test_other_spellings_are_usage_errors(self, tmp_path, capsys, place, value):
+        assert self.run(tmp_path, place, value) == (2, {})
         out, err = capsys.readouterr()
         assert out == ""
-        if place == "SVP_SEED":
-            assert err == f"error: SVP_SEED must be an integer, got {value!r}\n"
-        else:
-            assert err.endswith(f"error: argument {place.split()[-1]}: not an integer: {value!r}\n")
+        assert err.endswith(f"error: argument {place.split()[-1]}: not an integer: {value!r}\n")
 
     @pytest.mark.parametrize("value", ["+2", " 2 ", "02"])
     @pytest.mark.parametrize("place", PLACES)
-    def test_sign_spaces_and_zeros_parse(self, tmp_path, capsys, monkeypatch, place, value):
-        code, files = self.run(tmp_path, monkeypatch, place, value)
+    def test_sign_spaces_and_zeros_parse(self, tmp_path, capsys, place, value):
+        code, files = self.run(tmp_path, place, value)
         out = capsys.readouterr().out
         assert code == 0 and files
-        assert self.run(tmp_path, monkeypatch, place, "2") == (0, files)
+        assert self.run(tmp_path, place, "2") == (0, files)
         assert capsys.readouterr().out == out
 
 

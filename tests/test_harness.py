@@ -245,7 +245,7 @@ class TestActiveLearning:
         assert report.speedup is None
 
     @pytest.mark.parametrize("method", ["least_confidence", "kcenters", "random",
-                                        "confidence", "entropy", "margin"])
+                                        "entropy", "margin"])
     def test_every_method_is_deterministic(self, method):
         train, test = small_data()
         a = run_active_learning(PROXY, TARGET, method, 0.1, train, test, seed=21)

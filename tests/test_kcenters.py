@@ -376,6 +376,29 @@ class TestWorkCounts:
         result, spied = spied_work(x, [0, 4], 0)
         assert result.work == spied == dict.fromkeys(WORK_KEYS, 0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(lazy_instances(), block_instances()))
+    def test_one_fold_per_round(self, instance):
+        # The initial set is folded before the first round and each round's
+        # picks before the next; the picks that fill the budget never are.
+        x, initial, budget = instance
+        folds = []
+        fold = kcenters._Traversal.fold
+
+        def counted_fold(self, block):
+            folds.append(block.copy())
+            return fold(self, block)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kcenters._Traversal, "fold", counted_fold)
+            result = greedy_kcenters(x, initial, budget)
+        assert len(folds) == result.work["rounds"]
+        if budget:
+            assert np.array_equal(folds[0], initial)
+            picks = np.concatenate([np.empty(0, dtype=np.int64), *folds[1:]])
+            assert picks.size < budget
+            assert np.array_equal(picks, result.order[: picks.size])
+
 
 @st.composite
 def screen_instances(draw):

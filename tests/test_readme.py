@@ -197,7 +197,7 @@ def _(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_scores_csv(np.array([1.0, 2.0]), a)
     write_scores_csv(np.array([3.0, 3.0]), b)
-    return ["correlate", "--a", str(a), "--b", str(b), "--ranks"], {"<path>": str(b)}
+    return ["correlate", "--a", str(a), "--b", str(b)], {"<path>": str(b)}
 
 
 def score_argv(tmp_path, probs, out):

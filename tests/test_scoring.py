@@ -103,6 +103,11 @@ class TestMargin:
 
 
 class TestSharedProperties:
+    def test_one_name_per_scorer(self):
+        # A method has one spelling, in the CLI and in a config alike.
+        assert len(set(SCORERS.values())) == len(SCORERS)
+        assert all(f.__name__ == name for name, f in SCORERS.items())
+
     @pytest.mark.parametrize("scorer", sorted(SCORERS))
     def test_row_permutation_equivariance(self, scorer):
         rng = np.random.default_rng(11)

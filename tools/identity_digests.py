@@ -39,11 +39,11 @@ for each input above written by ``write_tensor``, ``write_train_log`` or
 (exit code, standard output and its four output files).
 
 The scale section, lines starting with ``scale``, runs each method once at
-benchmark scale (an alias of an earlier scorer, ``confidence``, left out):
-n=4000, d=32, 10 classes, seed 3, a 0.3 budget or subset, a logistic (AL)
-or MLP h=64 (core-set) proxy for 5 epochs, an MLP h=64 target for 20 epochs,
-the baseline measured. Each run prints its ``op_s``, ``selection_s``,
-``baseline_s`` and ``speedup`` on standard error, which the gate ignores.
+benchmark scale: n=4000, d=32, 10 classes, seed 3, a 0.3 budget or subset,
+a logistic (AL) or MLP h=64 (core-set) proxy for 5 epochs, an MLP h=64
+target for 20 epochs, the baseline measured. Each run prints its ``op_s``,
+``selection_s``, ``baseline_s`` and ``speedup`` on standard error, which
+the gate ignores.
 """
 
 import contextlib
@@ -59,7 +59,6 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from svp import scoring  # noqa: E402
 from svp.cli import main as cli_main  # noqa: E402
 from svp.harness import METHODS, execute_config, rounds_csv  # noqa: E402
 from svp.learner import SynthParams, make_synthetic  # noqa: E402
@@ -116,10 +115,7 @@ def edge_configs():
 
 def scale_configs():
     for task, methods in METHODS.items():
-        first = {}  # each scorer under the first method that names it
         for method in methods:
-            first.setdefault(scoring.SCORERS.get(method, method), method)
-        for method in first.values():
             yield f"scale {task} {method}", {
                 "task": task, "method": method, "seed": 3, "measure_baseline": True,
                 ("budget_fraction" if task == "al" else "subset_fraction"): 0.3,
@@ -182,8 +178,6 @@ def cli_commands(path, d):
         ("correlate", ["correlate", "--a", out["entropy"], "--b", out["margin"]], None),
         ("kcenters", ["kcenters", "--features", path["features.svpt"], "--initial-size", "3",
                       "--seed", "4", "--budget", "40", "--out", out["kcenters"]], out["kcenters"]),
-        ("correlate --ranks", ["correlate", "--ranks", "--a", out["entropy"],
-                               "--b", out["least_confidence"]], None),
     ]
     for name, log in (("forget_svpl", "log.svpl"), ("forget_csv", "log.csv"),
                       ("forget_shuffled", "log_shuffled.csv")):
