@@ -110,11 +110,11 @@ class TestScore:
                      "--out", str(out)]) == 0
         assert np.array_equal(read_scores_csv(out), scoring.least_confidence(PROBS))
 
-    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
-        # "confidence" was once an alias of least_confidence.
-        for method in ("softmax", "confidence"):
-            assert main(["score", "--method", method, "--probs", "p", "--out", "o"]) == 2
-            assert f"invalid choice: {method!r}" in capsys.readouterr().err
+    # "confidence" was once an alias of least_confidence.
+    @pytest.mark.parametrize("method", ["softmax", "confidence"])
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys, method):
+        assert main(["score", "--method", method, "--probs", "p", "--out", "o"]) == 2
+        assert f"invalid choice: {method!r}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["score", "--method", "entropy", "--probs", str(tmp_path / "no.svpt"),
@@ -529,6 +529,17 @@ class TestCorrelate:
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 1
         assert capsys.readouterr().err == f"error: {b}: line 3: score must be finite, got nan\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_score_names_its_file(self, tmp_path, capsys, side, value):
+        files = {"a": self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0]),
+                 "b": self.scores_file(tmp_path, "b.csv", [3.0, 1.0, 2.0])}
+        files[side] = tmp_path / "bad.csv"
+        files[side].write_text(f"example_id,score\n0,1.0\n1,{value}\n2,3.0\n")
+        assert main(["correlate", "--a", str(files["a"]), "--b", str(files["b"])]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {files[side]}: line 3: score must be finite, got {value}\n")
+
     def test_infinite_rank_names_file_and_line(self, tmp_path, capsys):
         a = self.scores_file(tmp_path, "a.csv", [1.0, 2.0, 3.0])
         b = tmp_path / "order.csv"
@@ -931,6 +942,15 @@ class TestSynth:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{flag}={2**63 - 1}" in err and err.endswith(" is too large for an array\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_environment_does_not_move_the_seed(self, tmp_path, monkeypatch):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "env").mkdir()
+        assert main(synth_argv(tmp_path / "plain")) == 0
+        monkeypatch.setenv("SVP_SEED", "8")
+        assert main(synth_argv(tmp_path / "env")) == 0
+        for name in ("x.svpt", "y.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "env" / name).read_bytes()
 
     def test_seed_is_required(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SVP_SEED", "7")

@@ -376,12 +376,12 @@ class TestWorkCounts:
         result, spied = spied_work(x, [0, 4], 0)
         assert result.work == spied == dict.fromkeys(WORK_KEYS, 0)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.one_of(lazy_instances(), block_instances()))
-    def test_one_fold_per_round(self, instance):
-        # The initial set is folded before the first round and each round's
-        # picks before the next; the picks that fill the budget never are.
-        x, initial, budget = instance
+    @staticmethod
+    def check_folds(x, initial, budget):
+        """Runs ``greedy_kcenters`` with a spy on ``_Traversal.fold``: the
+        initial set is folded before the first round and each round's picks
+        before the next; the picks that fill the budget never are. Returns
+        the result and the folded blocks."""
         folds = []
         fold = kcenters._Traversal.fold
 
@@ -398,6 +398,23 @@ class TestWorkCounts:
             picks = np.concatenate([np.empty(0, dtype=np.int64), *folds[1:]])
             assert picks.size < budget
             assert np.array_equal(picks, result.order[: picks.size])
+        return result, folds
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(lazy_instances(), block_instances()))
+    def test_one_fold_per_round(self, instance):
+        self.check_folds(*instance)
+
+    @pytest.mark.parametrize("budget", [0, 1, 28])
+    def test_one_fold_per_round_at_the_budget_edges(self, budget):
+        # No budget folds nothing; a budget of one folds the initial set
+        # only; a budget of the whole pool picks every other row.
+        x = np.random.default_rng(45).standard_normal((30, 3))
+        result, folds = self.check_folds(x, [0, 4], budget)
+        if budget < 28:
+            assert len(folds) == budget
+        else:
+            assert sorted(result.order) == [i for i in range(30) if i not in (0, 4)]
 
 
 @st.composite
