@@ -356,7 +356,8 @@ class _Traversal:
                 batch = stale
             self.refresh(batch)
             lower[batch] = upper[batch] = scaled[batch]
-            top = np.union1d(top, batch[lower[batch] >= lam])
+            top = np.sort(np.concatenate((top, batch[lower[batch] >= lam])))
+            top = top[np.diff(top, prepend=-1) > 0]
             lam = np.partition(lower[top], top.size - k)[top.size - k]
             top = top[lower[top] >= lam]
             stale = stale[(upper[stale] >= lam) & (seen[stale] < m)]

@@ -17,9 +17,10 @@ rows it gathers a block at a time; ``predict_proba``, ``embed`` and
 Every check here is ``tensor_io``'s: each public entry point checks features
 with ``check_matrix`` (``fit`` through ``check_features``), labels with
 ``check_labels`` and a given class count with ``check_number``, and the
-config dataclasses check each number with ``check_number``. The learner
-adds only the model's feature count and that the class count covers the
-labels.
+config dataclasses check each number with ``check_number``; ``fit`` (the
+training log and the parameters) and ``SynthParams`` (each float64 matrix)
+name a size numpy cannot allocate with ``check_nbytes``. The learner adds
+only the model's feature count and that the class count covers the labels.
 
 Determinism contract: fit is a pure function of (spec, features, labels,
 n_classes). The logistic learner initializes at zero, so with epochs=0 its
@@ -79,7 +80,7 @@ import numpy as np
 
 from .rng import SplitMix64, derive_seed
 from .scoring import row_max
-from .tensor_io import check_features, check_labels, check_matrix, check_number
+from .tensor_io import check_features, check_labels, check_matrix, check_nbytes, check_number
 
 KINDS = ("logistic", "mlp")
 _GATHER_BLOCK = 1 << 14  # values take_rows gathers at a time
@@ -236,14 +237,10 @@ def fit(spec: LearnerSpec, features, labels, n_classes: Optional[int] = None) ->
     """
     x, y, c = _check_xy(features, labels, n_classes)
     (n, d), h = x.shape, int(spec.hidden_units or 0)
-    # numpy refuses an array past 2**63 - 1 bytes naming no field: the log
-    # holds n x epochs bools, the flat parameters (d + c + 1) x h + c doubles.
-    sizes = (("epochs", n * int(spec.epochs), f"a training log of {n}"),
-             ("hidden_units", 8 * ((d + c + 1) * h + c), f"a weight matrix of {d}"))
-    for name, nbytes, array in sizes:
-        if nbytes > np.iinfo(np.intp).max:
-            value = getattr(spec, name)
-            raise ValueError(f"{name}={value}: {array} x {value} is too large for an array")
+    # The log holds n x epochs bools, the flat parameters (d + c + 1) x h + c doubles.
+    e, hu = spec.epochs, spec.hidden_units
+    check_nbytes(n * int(e), f"epochs={e}: a training log of {n} x {e}")
+    check_nbytes(8 * ((d + c + 1) * h + c), f"hidden_units={hu}: a weight matrix of {d} x {hu}")
     init = init_params(spec, d, c)
     shapes = {key: p.shape for key, p in init.items()}
     flat = np.concatenate([p.ravel() for p in init.values()])
@@ -335,13 +332,10 @@ class SynthParams:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("train and test sizes must be positive")
-        # As in ``fit``: the means and both feature sets are float64
-        # matrices of ``dim`` columns, each named before numpy refuses it.
-        for name, rows in (("classes", self.classes), ("n_train", self.n_train),
-                           ("n_test", self.n_test)):
-            if 8 * int(rows) * int(self.dim) > np.iinfo(np.intp).max:
-                raise ValueError(f"{name}={rows}, dim={self.dim}: a {rows} x {self.dim} "
-                                 "float64 matrix is too large for an array")
+        # The means and both feature sets are float64 matrices of dim columns.
+        for name, rows in [(k, getattr(self, k)) for k in ("classes", "n_train", "n_test")]:
+            check_nbytes(8 * int(rows) * int(self.dim), f"{name}={rows}, dim={self.dim}: "
+                         f"a {rows} x {self.dim} float64 matrix")
         if not (np.isfinite(self.separation) and np.isfinite(self.noise)):
             raise ValueError("separation and noise must be finite")
         if self.noise < 0 or self.separation < 0:

@@ -59,10 +59,15 @@ The checks of every argument kind live here, one rule each: ``check_matrix``
 for feature and probability matrices (``check_features`` for the features a
 run holds), ``check_labels`` for labels (its integer test also serves
 ``check_indices``, for index sets and pools), ``check_vector`` for score
-vectors, and ``check_number`` for every scalar: config numbers, counts
-(through ``check_count``), class counts and random stream sizes. None of
-them coerces: a real where an integer belongs, a boolean or a string is
-refused with ``ValueError`` naming the argument.
+vectors, ``check_number`` for every scalar: config numbers, counts
+(through ``check_count``), class counts and random stream sizes, and
+``check_nbytes`` for numpy's limit of 2**63 - 1 bytes on the arrays a
+config sizes (a training log, a model's parameters, a synthetic matrix).
+None of them coerces: a real where an integer belongs, a boolean or a
+string is refused with ``ValueError`` naming the argument.
+``check_indices`` finds a repeated index by sorting and comparing
+neighbours, so no check needs more than numpy's core (``np.unique`` would
+import ``numpy.ma``).
 """
 
 from __future__ import annotations
@@ -246,7 +251,7 @@ def check_indices(indices, n: Optional[int], what: str) -> np.ndarray:
     idx = check_labels(idx, what=what)
     if n is not None and (idx.size == 0 or idx.max() >= n):
         raise ValueError(f"{what} must be nonempty, with every index in [0, {n})")
-    if n is not None and np.unique(idx).size != idx.size:
+    if n is not None and (np.diff(np.sort(idx)) == 0).any():
         raise ValueError(f"{what} holds duplicate indices")
     return idx
 
@@ -283,6 +288,14 @@ def check_count(m: int, n: Optional[int], name: str = "m") -> None:
         raise ValueError(f"{name} must be nonnegative, got {m}")
     if n is not None and m > n:
         raise ValueError(f"{name}={m} exceeds the {n} candidates")
+
+
+def check_nbytes(nbytes: int, what: str) -> None:
+    """Check that an array of ``nbytes`` bytes can exist: numpy refuses one
+    past 2**63 - 1 bytes without naming the field that sized it, so the
+    error names ``what``."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise ValueError(f"{what} is too large for an array")
 
 
 def _read_exactly(src, buf):

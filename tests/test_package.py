@@ -1,13 +1,17 @@
-"""The names the top-level ``svp`` package binds, the package's size, and
-the tools that import it."""
+"""The names the top-level ``svp`` package binds, the modules its k-centers
+runs load, the package's size, and the tools that import it."""
 
 import glob
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
+
 import svp
+from svp.tensor_io import write_tensor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Code lines of src/svp as tools/src_lines.py counts them: a feature that
@@ -37,6 +41,32 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from svp import *", namespace)
     assert [name for name in PUBLIC if name not in namespace] == []
+
+
+def test_kcenters_runs_load_no_masked_arrays(tmp_path):
+    # np.unique with no index or count outputs (and so np.union1d) imports
+    # numpy.ma, about 10 ms in a fresh process; k-centers runs need neither.
+    write_tensor(np.random.default_rng(1).standard_normal((40, 3)), tmp_path / "x.svpt")
+    config = {
+        "task": "al", "method": "kcenters", "seed": 5, "budget_fraction": 0.3,
+        "measure_baseline": True,
+        "proxy": {"kind": "logistic", "epochs": 2, "learning_rate": 0.3, "batch_size": 16,
+                  "seed": 1},
+        "target": {"kind": "mlp", "epochs": 2, "learning_rate": 0.3, "batch_size": 16,
+                   "seed": 2, "hidden_units": 8},
+        "data": {"synthetic": {"classes": 3, "dim": 4, "separation": 1.0, "noise": 1.0,
+                               "n_train": 200, "n_test": 50, "seed": 3}},
+    }
+    (tmp_path / "al.json").write_text(json.dumps(config))
+    script = ("import sys\nfrom svp.cli import main\n"
+              "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n")
+    for argv in (["kcenters", "--features", str(tmp_path / "x.svpt"), "--initial-size", "2",
+                  "--budget", "5", "--seed", "1", "--out", str(tmp_path / "order.csv")],
+                 ["al", "--config", str(tmp_path / "al.json")]):
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+        assert run.stdout.splitlines()[-1:] == ["0 False"], (argv[0], run.stderr)
 
 
 def test_code_lines_stay_under_the_cap():
